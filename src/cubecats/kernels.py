@@ -1,147 +1,58 @@
-"""Brute-force vertex-map filters, with a numba fast path.
+"""Hom enumeration and post-filter masks over vertex-map matrices.
 
-The hot loop of the whole package is the naive graph-homomorphism
-filter: enumerate every function from the source vertex set to the
-target vertex set (nt ** ns candidates, 8^8 = 16.7M at the largest
-supported size) and keep the ones that send every edge to an edge.
+A vertex map is a row of target indices, one per source vertex.
+``edge_preserving_maps`` lists every map that sends each source edge to
+a target edge.  It refines partial maps level by level, in the manner
+of Ullmann ("An algorithm for subgraph isomorphism", J. ACM 23(1),
+1976), run breadth-first in numpy: the rows fixing source vertices
+0..k-1 are extended by every target value for vertex k, and the edges
+whose larger endpoint is k prune them at once.  The work follows the
+partial maps that survive, not the nt ** ns candidates.
 
-Two interchangeable backends implement it:
-
-* ``numba`` - an @njit odometer loop (default when numba imports).
-* ``numpy`` - batched mixed-radix decoding with fancy-indexed masks.
-
-Selection: the ``CUBECATS_KERNEL`` environment variable ("numba" or
-"numpy"), else numba when available.  ``benchmarks/bench_kernels.py``
-times one against the other.
+The masks then select meet-, join- and dimension-preserving rows.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
+from .graphs import CapacityError
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-_ENV_VAR = "CUBECATS_KERNEL"
+# Largest extended frontier, in rows.  8^8 is the full candidate count
+# of a 3-cube pair, so every request with at most 8 vertices a side fits.
+MAX_FRONTIER = 8**8
 
 
-def active_backend() -> str:
-    """Backend that edge_preserving_maps will use right now."""
-    choice = os.environ.get(_ENV_VAR, "").strip().lower()
-    if not choice:
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice not in ("numba", "numpy"):
-        raise ValueError(f"{_ENV_VAR} must be 'numba' or 'numpy', got {choice!r}")
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError(f"{_ENV_VAR}=numba but numba is not importable")
-    return choice
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _count_numba(ns, nt, edges, adj):  # pragma: no cover - compiled
-        total = nt**ns
-        f = np.zeros(ns, dtype=np.uint8)
-        count = 0
-        for _ in range(total):
-            ok = True
-            for e in range(edges.shape[0]):
-                if not adj[f[edges[e, 0]], f[edges[e, 1]]]:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-            # odometer increment, last digit least significant
-            i = ns - 1
-            while i >= 0:
-                f[i] += 1
-                if f[i] == nt:
-                    f[i] = 0
-                    i -= 1
-                else:
-                    break
-        return count
-
-    @njit(cache=True)
-    def _fill_numba(ns, nt, edges, adj, out):  # pragma: no cover - compiled
-        total = nt**ns
-        f = np.zeros(ns, dtype=np.uint8)
-        k = 0
-        for _ in range(total):
-            ok = True
-            for e in range(edges.shape[0]):
-                if not adj[f[edges[e, 0]], f[edges[e, 1]]]:
-                    ok = False
-                    break
-            if ok:
-                for i in range(ns):
-                    out[k, i] = f[i]
-                k += 1
-            i = ns - 1
-            while i >= 0:
-                f[i] += 1
-                if f[i] == nt:
-                    f[i] = 0
-                    i -= 1
-                else:
-                    break
-        return k
-
-
-def _filter_numba(ns: int, nt: int, edges: np.ndarray, adj: np.ndarray) -> np.ndarray:
-    count = _count_numba(ns, nt, edges, adj)
-    out = np.empty((count, ns), dtype=np.uint8)
-    filled = _fill_numba(ns, nt, edges, adj, out)
-    assert filled == count
-    return out
-
-
-def _filter_numpy(
-    ns: int, nt: int, edges: np.ndarray, adj: np.ndarray, batch: int = 1 << 20
-) -> np.ndarray:
-    total = nt**ns
-    # digit i (source vertex i) is more significant for smaller i, so
-    # ascending candidate index is ascending lexicographic vertex map
-    divisors = nt ** np.arange(ns - 1, -1, -1, dtype=np.int64)
-    chunks: list[np.ndarray] = []
-    for start in range(0, total, batch):
-        stop = min(start + batch, total)
-        codes = np.arange(start, stop, dtype=np.int64)
-        maps = ((codes[:, None] // divisors) % nt).astype(np.uint8)
-        mask = np.ones(stop - start, dtype=bool)
-        for s, t in edges:
-            mask &= adj[maps[:, s], maps[:, t]]
-        chunks.append(maps[mask])
-    return np.concatenate(chunks) if chunks else np.empty((0, ns), dtype=np.uint8)
-
-
-def edge_preserving_maps(
-    ns: int, nt: int, edges: np.ndarray, adj: np.ndarray, backend: str | None = None
-) -> np.ndarray:
+def edge_preserving_maps(ns: int, nt: int, edges: np.ndarray, adj: np.ndarray) -> np.ndarray:
     """All vertex maps sending every listed edge to an edge.
 
     ns, nt: source and target vertex counts.  edges: (E, 2) int array of
-    source edge index pairs, loops included.  adj: (nt, nt) boolean
-    adjacency of the target.  Returns a (N, ns) uint8 array whose rows
-    are the surviving maps in lexicographic order.
+    source edge index pairs, loops included, either endpoint first.
+    adj: (nt, nt) boolean adjacency of the target.  Returns a (N, ns)
+    uint8 array whose rows are the surviving maps in lexicographic
+    order.  Raises CapacityError before building a frontier of more than
+    MAX_FRONTIER rows.
     """
-    if ns == 0:
-        return np.zeros((1, 0), dtype=np.uint8)
-    edges = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
-    adj = np.ascontiguousarray(adj, dtype=np.bool_)
-    chosen = backend or active_backend()
-    if chosen == "numba":
-        return _filter_numba(ns, nt, edges, adj)
-    if chosen == "numpy":
-        return _filter_numpy(ns, nt, edges, adj)
-    raise ValueError(f"unknown backend {chosen!r}")
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    adj = np.asarray(adj, dtype=np.bool_)
+    last = edges.max(axis=1)
+    maps = np.zeros((1, 0), dtype=np.uint8)
+    for k in range(ns):
+        rows = len(maps) * nt
+        if rows > MAX_FRONTIER:
+            raise CapacityError(
+                f"hom enumeration frontier at source vertex {k} has {rows} rows, "
+                f"over the limit of {MAX_FRONTIER}"
+            )
+        # each row repeated nt times, the new digit tiled 0..nt-1 beside
+        # it: lexicographic order is kept, and no temporaries are built
+        ext = np.empty((len(maps), nt, k + 1), dtype=np.uint8)
+        ext[:, :, :k] = maps[:, None, :]
+        ext[:, :, k] = np.arange(nt)
+        maps = ext.reshape(rows, k + 1)
+        for s, t in edges[last == k]:
+            maps = maps[adj[maps[:, s], maps[:, t]]]
+    return maps
 
 
 def bound_preserving_mask(

@@ -283,12 +283,13 @@ def compose_graph_morphisms(outer: GraphMorphism, inner: GraphMorphism) -> Graph
 def hom_matrix(src: Graph, tgt: Graph) -> np.ndarray:
     """All edge-preserving vertex maps as rows of target indices.
 
-    Naive filter over every candidate map; limited to 8 vertices a side.
+    Partial maps are extended one source vertex at a time and pruned by
+    the edges they already fix; limited to 8 vertices a side.
     """
     ns, nt = len(src.vertices), len(tgt.vertices)
     if ns > 8 or nt > 8:
         raise CapacityError(
-            f"naive enumeration needs at most 8 vertices a side, got {ns} and {nt}"
+            f"hom enumeration needs at most 8 vertices a side, got {ns} and {nt}"
         )
     idx = src.index
     edges = np.array([(idx[u], idx[v]) for u, v in src.edge_list], dtype=np.int64).reshape(-1, 2)

@@ -1,5 +1,6 @@
-"""Hom enumeration kernels: backend agreement, ordering, post-filters."""
+"""Hom enumeration kernel: brute-force agreement, ordering, capacity, post-filters."""
 
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -8,7 +9,7 @@ import pytest
 
 from cubecats import kernels
 from cubecats.cubes import standard_cube, twisted_cube
-from cubecats.graphs import _bound_tables
+from cubecats.graphs import CapacityError, _bound_tables
 from cubecats.standard import (
     GraphMorphism,
     _dim_classes,
@@ -38,25 +39,45 @@ def _brute_maps(src, tgt):
     return out
 
 
-@pytest.mark.parametrize("backend", ["numba", "numpy"])
-def test_kernel_matches_itertools_brute_force(backend):
+def test_kernel_matches_itertools_brute_force():
     for src, tgt in [
         (standard_cube(1), standard_cube(1)),
         (standard_cube(2), standard_cube(2)),
         (twisted_cube(2), standard_cube(2)),
         (standard_cube(0), twisted_cube(2)),
         (twisted_cube(2), twisted_cube(1)),
+        (twisted_cube(2), twisted_cube(3)),
+        (standard_cube(2), twisted_cube(3)),
+        # 16-vertex sources: every level of the frontier is exercised
+        (standard_cube(4), standard_cube(1)),
+        (twisted_cube(4), twisted_cube(1)),
     ]:
-        got = kernels.edge_preserving_maps(*_args(src, tgt), backend=backend)
+        got = kernels.edge_preserving_maps(*_args(src, tgt))
         assert [tuple(row) for row in got] == _brute_maps(src, tgt)
 
 
-def test_backends_agree_on_three_cubes():
-    args = _args(twisted_cube(3), twisted_cube(3))
-    a = kernels.edge_preserving_maps(*args, backend="numba")
-    b = kernels.edge_preserving_maps(*args, backend="numpy")
-    assert a.shape == b.shape == (111, 8)
-    assert (a == b).all()
+def test_kernel_dimension_four_counts():
+    assert kernels.edge_preserving_maps(*_args(standard_cube(4), standard_cube(4))).shape == (
+        120312,
+        16,
+    )
+    assert kernels.edge_preserving_maps(*_args(twisted_cube(4), twisted_cube(4))).shape == (
+        689,
+        16,
+    )
+
+
+def test_frontier_guard_raises_before_allocating():
+    # an edgeless source prunes nothing: 16^7 rows at the seventh vertex
+    tgt = standard_cube(4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            kernels.edge_preserving_maps(16, 16, np.empty((0, 2), dtype=np.int64), tgt.adjacency)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16**7
 
 
 def test_kernel_output_is_lexicographic():
@@ -78,16 +99,6 @@ def test_empty_source_yields_single_empty_map():
     g = standard_cube(0)
     maps = kernels.edge_preserving_maps(0, 1, np.empty((0, 2), dtype=np.int64), g.adjacency)
     assert maps.shape == (1, 0)
-
-
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv(kernels._ENV_VAR, "numpy")
-    assert kernels.active_backend() == "numpy"
-    monkeypatch.delenv(kernels._ENV_VAR)
-    assert kernels.active_backend() in ("numba", "numpy")
-    monkeypatch.setenv(kernels._ENV_VAR, "bogus")
-    with pytest.raises(ValueError):
-        kernels.active_backend()
 
 
 def test_bound_preserving_mask_matches_slow_path():
