@@ -40,7 +40,8 @@ class Graph:
     """Finite directed graph with at most one edge per ordered vertex pair.
 
     Vertices must be bit strings of one shared length; edges are a set of
-    ordered pairs and may include loops.
+    ordered pairs and may include loops.  A graph is immutable, so its
+    hash is computed once, when it is built.
     """
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple[Vertex, Vertex]]):
@@ -55,6 +56,7 @@ class Graph:
         for u, v in self.edges:
             if u not in vs or v not in vs:
                 raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not a vertex")
+        self._hash = hash((self.vertices, self.edges))
 
     @property
     def dimension(self) -> int:
@@ -83,14 +85,15 @@ class Graph:
         return (u, v) in self.edges
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Graph)
+            and self._hash == other._hash
             and self.vertices == other.vertices
             and self.edges == other.edges
         )
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"

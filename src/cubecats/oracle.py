@@ -32,6 +32,7 @@ from .graphs import (
 )
 from .cubes import standard_cube, twisted_cube
 from .standard import (
+    GraphMorphism,
     _dim_classes,
     _dim_table,
     bch_compose,
@@ -43,6 +44,7 @@ from .standard import (
     enumerate_graphdim,
     enumerate_graphmeet,
     enumerate_graphmeet_naive,
+    graphdim_matrix,
     graphmeet_to_bchop,
     hom_matrix,
     identity_graph_morphism,
@@ -67,6 +69,8 @@ from .twisted import (
 
 DEFAULT_HOM_CAP = 10**6
 DEFAULT_TRIPLE_CAP = 10**8
+# Largest gathered block of associativity composites, in bytes.
+GATHER_BYTES = 1 << 22
 
 
 @dataclass
@@ -106,6 +110,11 @@ class FiniteCategoryView:
 
     Objects are the natural numbers up to some bound; hom(m, n) must be
     deterministic and morphism equality structural (==).
+
+    A category of graph morphisms composed by compose_graph_morphisms
+    may also give graph(n), the graph of object n, and matrices(m, n):
+    hom(m, n) as a uint8 matrix whose row i is hom(m, n)[i].vmap.  With
+    both, check_category_laws composes whole hom-sets by numpy gathers.
     """
 
     name: str
@@ -113,6 +122,8 @@ class FiniteCategoryView:
     identity: Callable[[int], object]
     compose: Callable[[object, object], object]
     describe: Callable[[object], str] = repr
+    graph: Optional[Callable[[int], Graph]] = None
+    matrices: Optional[Callable[[int, int], np.ndarray]] = None
 
 
 def _report(name: str, params: dict, t0: float, counterexample: Optional[dict], counts: dict) -> CheckReport:
@@ -126,6 +137,73 @@ def _report(name: str, params: dict, t0: float, counterexample: Optional[dict], 
     )
 
 
+def _identity_failure(cat: FiniteCategoryView, m: int, n: int, hom: Sequence):
+    """(row, law) of the first f in hom(m, n) failing an identity law, or None."""
+    id_m, id_n = cat.identity(m), cat.identity(n)
+    for r, f in enumerate(hom):
+        if cat.compose(f, id_m) != f:
+            return r, "right identity"
+        if cat.compose(id_n, f) != f:
+            return r, "left identity"
+    return None
+
+
+def _identity_failure_rows(fs: np.ndarray, id_m: np.ndarray, id_n: np.ndarray):
+    """_identity_failure over a vertex-map matrix, composing by gathers."""
+    right = (fs[:, id_m] == fs).all(axis=1)
+    left = (id_n[fs] == fs).all(axis=1)
+    bad = ~(right & left)
+    if not bad.any():
+        return None
+    r = int(bad.argmax())
+    return r, "right identity" if not right[r] else "left identity"
+
+
+def _associativity_failure(cat: FiniteCategoryView, fs: Sequence, gs: Sequence, hs: Sequence):
+    """(h, g, f) positions of the first triple with (h∘g)∘f != h∘(g∘f), or None."""
+    for ih, h in enumerate(hs):
+        for ig, g in enumerate(gs):
+            hg = cat.compose(h, g)
+            for jf, f in enumerate(fs):
+                if cat.compose(hg, f) != cat.compose(h, cat.compose(g, f)):
+                    return ih, ig, jf
+    return None
+
+
+def _associativity_failure_rows(fs: np.ndarray, gs: np.ndarray, hs: np.ndarray):
+    """_associativity_failure over vertex-map matrices, composing by gathers.
+
+    Rows of hs are taken in blocks of at most GATHER_BYTES composites.
+    """
+    gf = gs[:, fs]  # every g∘f, shape (|gs|, |fs|, vertices)
+    step = max(1, GATHER_BYTES // max(1, gf.size))
+    for start in range(0, len(hs), step):
+        h = hs[start : start + step]
+        ok = (h[:, gs][:, :, fs] == h[:, gf]).all(axis=-1)
+        if not ok.all():
+            ih, ig, jf = np.unravel_index(int(ok.argmin()), ok.shape)
+            return start + int(ih), int(ig), int(jf)
+    return None
+
+
+def _graph_identities(cat: FiniteCategoryView, objs: range) -> Optional[list[np.ndarray]]:
+    """Identity vmaps for the gather path, or None when it does not apply.
+
+    The gathers compose vmaps alone, so they need every identity to be a
+    graph morphism from graph(n) to itself; anything else goes through
+    the object loop, where compose_graph_morphisms checks the graphs.
+    """
+    if cat.matrices is None or cat.graph is None:
+        return None
+    ids = [cat.identity(n) for n in objs]
+    if not all(
+        isinstance(i, GraphMorphism) and i.source == cat.graph(n) == i.target
+        for n, i in zip(objs, ids)
+    ):
+        return None
+    return [np.array(i.vmap, dtype=np.intp) for i in ids]
+
+
 def check_category_laws(
     cat: FiniteCategoryView,
     max_dim: int,
@@ -133,7 +211,12 @@ def check_category_laws(
     hom_cap: int = DEFAULT_HOM_CAP,
     triple_cap: int = DEFAULT_TRIPLE_CAP,
 ) -> CheckReport:
-    """Exhaustive identity laws up to max_dim, associativity up to max_assoc_dim."""
+    """Exhaustive identity laws up to max_dim, associativity up to max_assoc_dim.
+
+    Views with graph and matrices set are checked over whole vertex-map
+    matrices; the others, one composite object at a time.  Both give the
+    same counts and the same first counterexample in loop order.
+    """
     t0 = time.perf_counter()
     if max_assoc_dim is None:
         max_assoc_dim = max_dim
@@ -148,17 +231,24 @@ def check_category_laws(
         return _report(name, params, t0, {"law": kind, **data}, counts)
 
     try:
-        homs = {(m, n): cat.hom(m, n) for m in objs for n in objs}
+        ids = _graph_identities(cat, objs)
+        homs = {(m, n): (cat.hom if ids is None else cat.matrices)(m, n) for m in objs for n in objs}
+
+        def member(m: int, n: int, r: int) -> str:
+            return cat.describe((homs[(m, n)] if ids is None else cat.hom(m, n))[r])
+
         if any(len(h) > hom_cap for h in homs.values()):
             raise CapacityError(f"{name}: a hom-set exceeds {hom_cap} morphisms")
         for (m, n), hom in homs.items():
-            id_m, id_n = cat.identity(m), cat.identity(n)
-            for f in hom:
-                if cat.compose(f, id_m) != f:
-                    return fail("right identity", m=m, n=n, f=cat.describe(f))
-                if cat.compose(id_n, f) != f:
-                    return fail("left identity", m=m, n=n, f=cat.describe(f))
-                counts["identity_checks"] += 2
+            if ids is None:
+                bad = _identity_failure(cat, m, n, hom)
+            else:
+                bad = _identity_failure_rows(hom, ids[m], ids[n])
+            if bad is not None:
+                r, law = bad
+                counts["identity_checks"] += 2 * r
+                return fail(law, m=m, n=n, f=member(m, n, r))
+            counts["identity_checks"] += 2 * len(hom)
         aobjs = range(max_assoc_dim + 1)
         triples = sum(
             len(homs[(n, p)]) * len(homs[(m, n)]) * len(homs[(k, m)])
@@ -173,20 +263,23 @@ def check_category_laws(
             for m in aobjs:
                 for n in aobjs:
                     for p in aobjs:
-                        for h in homs[(n, p)]:
-                            for g in homs[(m, n)]:
-                                hg = cat.compose(h, g)
-                                for f in homs[(k, m)]:
-                                    if cat.compose(hg, f) != cat.compose(h, cat.compose(g, f)):
-                                        return fail(
-                                            "associativity",
-                                            dims=[k, m, n, p],
-                                            f=cat.describe(f),
-                                            g=cat.describe(g),
-                                            h=cat.describe(h),
-                                        )
-                                    counts["associativity_checks"] += 1
-    except CapacityError:
+                        fs, gs, hs = homs[(k, m)], homs[(m, n)], homs[(n, p)]
+                        if ids is None:
+                            bad = _associativity_failure(cat, fs, gs, hs)
+                        else:
+                            bad = _associativity_failure_rows(fs, gs, hs)
+                        if bad is not None:
+                            ih, ig, jf = bad
+                            counts["associativity_checks"] += (ih * len(gs) + ig) * len(fs) + jf
+                            return fail(
+                                "associativity",
+                                dims=[k, m, n, p],
+                                f=member(k, m, jf),
+                                g=member(m, n, ig),
+                                h=member(n, p, ih),
+                            )
+                        counts["associativity_checks"] += len(hs) * len(gs) * len(fs)
+    except (CapacityError, MemoryError):
         raise
     except Exception as exc:  # a broken composition rule may not even type-check
         return fail("exception", error=f"{type(exc).__name__}: {exc}")
@@ -272,7 +365,7 @@ def check_isomorphism(
                         g=cat_a.describe(g),
                     )
                 counts["sampled_pairs"] += 1
-    except CapacityError:
+    except (CapacityError, MemoryError):
         raise
     except Exception as exc:
         return fail("exception", error=f"{type(exc).__name__}: {exc}")
@@ -310,6 +403,27 @@ _GRAPH_CATEGORY_IDS = ("graphcube", "graphmeet", "graphdim", "twcubecat", "twgra
 CATEGORY_IDS = ("bch", "bchop") + _GRAPH_CATEGORY_IDS + ("ternary", "semi")
 
 
+def _graph_view(
+    name: str,
+    build: Callable[[int], Graph],
+    hom: Callable[[int, int], Sequence],
+    matrices: Callable[[int, int], np.ndarray],
+) -> FiniteCategoryView:
+    return FiniteCategoryView(
+        name,
+        hom,
+        lambda n: identity_graph_morphism(build(n)),
+        compose_graph_morphisms,
+        graph=build,
+        matrices=matrices,
+    )
+
+
+def _graphmeet_matrix(m: int, n: int) -> np.ndarray:
+    homs = enumerate_graphmeet(m, n)
+    return np.array([f.vmap for f in homs], dtype=np.uint8).reshape(len(homs), 2**m)
+
+
 def category_view(cat_id: str) -> FiniteCategoryView:
     """The nine categories by name, as brute-forceable views."""
     if cat_id == "bch":
@@ -322,39 +436,29 @@ def category_view(cat_id: str) -> FiniteCategoryView:
             lambda g, f: bch_compose(f, g),
         )
     if cat_id == "graphcube":
-        return FiniteCategoryView(
+        return _graph_view(
             "graphcube",
+            standard_cube,
             lambda m, n: enumerate_graph_homs(standard_cube(m), standard_cube(n)),
-            lambda n: identity_graph_morphism(standard_cube(n)),
-            compose_graph_morphisms,
+            lambda m, n: hom_matrix(standard_cube(m), standard_cube(n)),
         )
     if cat_id == "graphmeet":
-        return FiniteCategoryView(
-            "graphmeet",
-            enumerate_graphmeet,
-            lambda n: identity_graph_morphism(standard_cube(n)),
-            compose_graph_morphisms,
-        )
+        return _graph_view("graphmeet", standard_cube, enumerate_graphmeet, _graphmeet_matrix)
     if cat_id == "graphdim":
-        return FiniteCategoryView(
-            "graphdim",
-            enumerate_graphdim,
-            lambda n: identity_graph_morphism(standard_cube(n)),
-            compose_graph_morphisms,
-        )
+        return _graph_view("graphdim", standard_cube, enumerate_graphdim, graphdim_matrix)
     if cat_id == "twcubecat":
-        return FiniteCategoryView(
+        return _graph_view(
             "twcubecat",
+            twisted_cube,
             lambda m, n: enumerate_graph_homs(twisted_cube(m), twisted_cube(n)),
-            lambda n: identity_graph_morphism(twisted_cube(n)),
-            compose_graph_morphisms,
+            lambda m, n: hom_matrix(twisted_cube(m), twisted_cube(n)),
         )
     if cat_id == "twgraphdim":
-        return FiniteCategoryView(
+        return _graph_view(
             "twgraphdim",
+            twisted_cube,
             enumerate_twgraphdim,
-            lambda n: identity_graph_morphism(twisted_cube(n)),
-            compose_graph_morphisms,
+            lambda m, n: graphdim_matrix(m, n, twisted=True),
         )
     if cat_id == "ternary":
         return FiniteCategoryView(
@@ -373,7 +477,8 @@ def hom_table(cat_id: str, max_dim: int) -> list[list[int]]:
     elif max_dim > 6:
         raise CapacityError(f"{cat_id} tables are limited to max_dim 6")
     view = category_view(cat_id)
-    return [[len(view.hom(m, n)) for n in range(max_dim + 1)] for m in range(max_dim + 1)]
+    rows = view.hom if view.matrices is None else view.matrices
+    return [[len(rows(m, n)) for n in range(max_dim + 1)] for m in range(max_dim + 1)]
 
 
 # --- theorem-specific suites -------------------------------------------------

@@ -37,7 +37,7 @@ from .graphs import (
     bits_to_int,
     int_to_bits,
 )
-from .cubes import base_subgraph, standard_cube
+from .cubes import base_subgraph, standard_cube, twisted_cube
 
 
 class BchMorphism:
@@ -201,7 +201,11 @@ def enumerate_partial_injections(m: int, n: int) -> tuple[PartialInjection, ...]
 
 
 class GraphMorphism:
-    """Vertex map between graphs sending every edge to an edge."""
+    """Vertex map between graphs sending every edge to an edge.
+
+    vmap holds the target vertex index of each source vertex; the hash
+    is computed on first use.
+    """
 
     __slots__ = ("source", "target", "vmap", "_hash")
 
@@ -210,7 +214,6 @@ class GraphMorphism:
         source: Graph,
         target: Graph,
         mapping: Union[dict[Vertex, Vertex], Sequence[Vertex]],
-        _trusted: bool = False,
     ):
         if isinstance(mapping, dict):
             images = tuple(mapping[v] for v in source.vertices)
@@ -222,24 +225,27 @@ class GraphMorphism:
         self.source = source
         self.target = target
         self.vmap = tuple(tgt_index[v] for v in images)
-        if not _trusted:
-            src_index = source.index
-            for u, v in source.edges:
-                if not target.adjacency[self.vmap[src_index[u]], self.vmap[src_index[v]]]:
-                    raise ValueError(
-                        f"edge ({u}, {v}) maps to ({images[src_index[u]]}, "
-                        f"{images[src_index[v]]}), not an edge of the target"
-                    )
-        self._hash = hash((source, target, self.vmap))
+        self._hash = None
+        src_index = source.index
+        for u, v in source.edges:
+            if not target.adjacency[self.vmap[src_index[u]], self.vmap[src_index[v]]]:
+                raise ValueError(
+                    f"edge ({u}, {v}) maps to ({images[src_index[u]]}, "
+                    f"{images[src_index[v]]}), not an edge of the target"
+                )
 
     @classmethod
     def from_indices(cls, source: Graph, target: Graph, vmap: Sequence[int]) -> "GraphMorphism":
-        """Trusted constructor from target vertex indices (no edge check)."""
+        """Trusted constructor from target vertex indices (no edge check).
+
+        A tuple is taken to hold Python ints and is kept as it is; any
+        other sequence is converted.
+        """
         self = object.__new__(cls)
         self.source = source
         self.target = target
-        self.vmap = tuple(int(i) for i in vmap)
-        self._hash = hash((source, target, self.vmap))
+        self.vmap = vmap if type(vmap) is tuple else tuple(map(int, vmap))
+        self._hash = None
         return self
 
     def __call__(self, v: Vertex) -> Vertex:
@@ -254,12 +260,14 @@ class GraphMorphism:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, GraphMorphism)
+            and self.vmap == other.vmap
             and self.source == other.source
             and self.target == other.target
-            and self.vmap == other.vmap
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.source, self.target, self.vmap))
         return self._hash
 
     def __repr__(self) -> str:
@@ -267,6 +275,7 @@ class GraphMorphism:
         return f"GraphMorphism({body})"
 
 
+@lru_cache(maxsize=None)
 def identity_graph_morphism(g: Graph) -> GraphMorphism:
     return GraphMorphism.from_indices(g, g, range(len(g.vertices)))
 
@@ -275,7 +284,7 @@ def compose_graph_morphisms(outer: GraphMorphism, inner: GraphMorphism) -> Graph
     if inner.target != outer.source:
         raise ValueError("inner target and outer source differ")
     return GraphMorphism.from_indices(
-        inner.source, outer.target, tuple(outer.vmap[i] for i in inner.vmap)
+        inner.source, outer.target, tuple(map(outer.vmap.__getitem__, inner.vmap))
     )
 
 
@@ -481,12 +490,19 @@ def _dim_table(g: Graph) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def enumerate_graphdim(m: int, n: int, twisted: bool = False) -> tuple[GraphMorphism, ...]:
-    """Dimension-preserving cube morphisms via the naive filter."""
-    from .cubes import twisted_cube
-
+def graphdim_matrix(m: int, n: int, twisted: bool = False) -> np.ndarray:
+    """Dimension-preserving cube morphisms as rows of hom_matrix, in its order."""
     build = twisted_cube if twisted else standard_cube
     src, tgt = build(m), build(n)
     mat = hom_matrix(src, tgt)
-    mask = kernels.dimension_preserving_mask(mat, _dim_classes(src), _dim_table(tgt))
-    return tuple(GraphMorphism.from_indices(src, tgt, row) for row in mat[mask])
+    out = mat[kernels.dimension_preserving_mask(mat, _dim_classes(src), _dim_table(tgt))]
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def enumerate_graphdim(m: int, n: int, twisted: bool = False) -> tuple[GraphMorphism, ...]:
+    """Dimension-preserving cube morphisms via the naive filter."""
+    build = twisted_cube if twisted else standard_cube
+    src, tgt = build(m), build(n)
+    return tuple(GraphMorphism.from_indices(src, tgt, row) for row in graphdim_matrix(m, n, twisted))

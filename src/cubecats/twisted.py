@@ -269,8 +269,12 @@ def untwisted_ternary_compose(g: TernaryMorphism, f: TernaryMorphism) -> Ternary
     return TernaryMorphism(f.m, g.n, "".join(out))
 
 
+@lru_cache(maxsize=None)
 def ternary_to_graphdim(t: TernaryMorphism) -> GraphMorphism:
-    """Face injection after the unique surjection onto the star count."""
+    """Face injection after the unique surjection onto the star count.
+
+    Cached: both factors are edge-checked once per distinct arrow.
+    """
     inj = face_to_injection(Face(t.n, t.seq))
     surj = unique_surjection(t.m, t.stars)
     return compose_graph_morphisms(inj, surj)

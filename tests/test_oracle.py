@@ -1,12 +1,15 @@
 """The verifiers themselves: reports, law checks, and mutant detection."""
 
+import dataclasses
 import json
 
 import pytest
 
+from cubecats import oracle
 from cubecats.cubes import standard_cube, twisted_cube
 from cubecats.graphs import CapacityError, Graph
 from cubecats.oracle import (
+    _GRAPH_CATEGORY_IDS,
     CATEGORY_IDS,
     CheckReport,
     brute_hamiltonian,
@@ -24,7 +27,7 @@ from cubecats.oracle import (
     check_unique_surjection,
     hom_table,
 )
-from cubecats.standard import enumerate_graphdim
+from cubecats.standard import GraphMorphism, enumerate_graphdim
 from cubecats.twisted import untwisted_ternary_compose
 
 
@@ -78,6 +81,82 @@ def test_broken_composition_fails_associativity():
     rep = check_category_laws(broken, 1, 1)
     assert not rep.passed
     assert rep.counterexample["law"] in ("right identity", "left identity", "associativity")
+
+
+def _raising(exc_type):
+    def compose(g, f):
+        raise exc_type("composition failed")
+
+    return compose
+
+
+def test_compose_type_error_is_a_counterexample():
+    view = dataclasses.replace(category_view("bch"), compose=_raising(TypeError))
+    rep = check_category_laws(view, 1, 1)
+    assert rep.counterexample == {"law": "exception", "error": "TypeError: composition failed"}
+    rep = check_isomorphism(view, view, lambda m, n, f: f, lambda m, n, f: f, max_dim=1)
+    assert rep.counterexample == {"stage": "exception", "error": "TypeError: composition failed"}
+
+
+def test_compose_memory_error_propagates():
+    view = dataclasses.replace(category_view("bch"), compose=_raising(MemoryError))
+    with pytest.raises(MemoryError):
+        check_category_laws(view, 1, 1)
+    with pytest.raises(MemoryError):
+        check_isomorphism(view, view, lambda m, n, f: f, lambda m, n, f: f, max_dim=1)
+
+
+@pytest.mark.parametrize("cat_id", _GRAPH_CATEGORY_IDS)
+def test_gather_and_object_law_paths_agree(cat_id):
+    view = category_view(cat_id)
+    assert view.matrices is not None
+    gathered = check_category_laws(view, 2).to_dict(include_elapsed=False)
+    looped = check_category_laws(dataclasses.replace(view, matrices=None), 2)
+    assert gathered == looped.to_dict(include_elapsed=False)
+    assert gathered["passed"]
+
+
+def test_gather_blocks_give_the_same_counts(monkeypatch):
+    view = category_view("graphcube")
+    whole = check_category_laws(view, 2).to_dict(include_elapsed=False)
+    monkeypatch.setattr(oracle, "GATHER_BYTES", 1)  # one row of h per block
+    assert check_category_laws(view, 2).to_dict(include_elapsed=False) == whole
+
+
+def test_constant_identity_mutant_fails_both_law_paths():
+    def constant(n):
+        g = twisted_cube(n)
+        return GraphMorphism.from_indices(g, g, (0,) * len(g.vertices))
+
+    view = dataclasses.replace(category_view("twcubecat"), identity=constant)
+    gathered = check_category_laws(view, 2).to_dict(include_elapsed=False)
+    looped = check_category_laws(dataclasses.replace(view, matrices=None), 2)
+    assert gathered == looped.to_dict(include_elapsed=False)
+    assert gathered["counterexample"] == {"law": "left identity", "m": 0, "n": 1, "f": "GraphMorphism(>1)"}
+    assert gathered["counts"] == {"identity_checks": 4, "associativity_checks": 0}
+
+
+def test_identity_on_another_graph_is_not_gathered():
+    view = dataclasses.replace(
+        category_view("twcubecat"), identity=category_view("graphcube").identity
+    )
+    rep = check_category_laws(view, 2)
+    assert rep.counterexample["law"] == "exception"
+
+
+def test_graph_laws_and_tables_build_no_morphisms(monkeypatch):
+    views = [category_view(cat_id) for cat_id in _GRAPH_CATEGORY_IDS]
+    for view in views:  # fill the enumeration and identity caches
+        check_category_laws(view, 2)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a GraphMorphism was built")
+
+    monkeypatch.setattr(GraphMorphism, "__init__", refuse)
+    monkeypatch.setattr(GraphMorphism, "from_indices", classmethod(refuse))
+    for cat_id, view in zip(_GRAPH_CATEGORY_IDS, views):
+        assert check_category_laws(view, 2).passed
+        assert hom_table(cat_id, 2)[2][2] > 0
 
 
 def test_isomorphism_check_detects_non_bijection():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubecats.cubes import base_subgraph, standard_cube
-from cubecats.graphs import CapacityError
+from cubecats.cubes import base_subgraph, standard_cube, standard_cube_rec, twisted_cube
+from cubecats.graphs import CapacityError, graph_from_json, graph_to_json
 from cubecats.standard import (
     BchMorphism,
     GraphMorphism,
@@ -208,3 +208,18 @@ def test_graphmeet_counts_match_bch():
     for m in range(4):
         for n in range(4):
             assert len(enumerate_graphmeet(m, n)) == bch_count(n, m)
+
+
+def test_equal_graphs_built_apart_hash_and_compare_equal():
+    pairs = [(standard_cube_rec(n), standard_cube(n)) for n in range(4)]
+    pairs += [(graph_from_json(graph_to_json(g)), g) for g in (standard_cube(2), twisted_cube(3))]
+    for a, b in pairs:
+        assert a is not b
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert identity_graph_morphism(a) == identity_graph_morphism(b)
+        assert hash(identity_graph_morphism(a)) == hash(identity_graph_morphism(b))
+        homs_a, homs_b = enumerate_graph_homs(a, a), enumerate_graph_homs(b, b)
+        assert homs_a == homs_b
+        assert GraphMorphism.from_indices(a, b, homs_a[-1].vmap) == homs_b[-1]
+    assert standard_cube(2) != twisted_cube(2)
