@@ -15,7 +15,6 @@ from .graphs import (
     free_preorder,
     full_subgraph,
     graph_from_json,
-    graph_isomorphic,
     graph_to_json,
     is_total_order,
     join,
@@ -78,7 +77,6 @@ from .twisted import (
     ternary_identity,
     ternary_to_graphdim,
     unique_surjection,
-    untwisted_ternary_compose,
 )
 from .oracle import (
     CATEGORY_IDS,

@@ -1,8 +1,9 @@
 """Builders for standard and twisted cube graphs.
 
-Each cube exists in two forms that are proved isomorphic by the test
-suite: a recursive form (n-fold iteration of a doubling step starting
-from the one-loop graph) and a closed form with labeled edges.
+Each cube exists in two forms, which the rec_nonrec check and the test
+suite compare for equality: a recursive form (n-fold iteration of a
+doubling step starting from the one-loop graph) and a closed form with
+labeled edges.
 
 The closed form has one loop per vertex plus, for every dimension index
 i and every residue bit string x of length n-1, one edge whose endpoints
@@ -10,7 +11,7 @@ insert a bit at position i of x: the standard cube always inserts 0 at
 the source and 1 at the target, while the twisted cube inserts b and
 1-b where b is the parity of zeros among x[0:i].  The recursive twisted
 step reverses every edge of the first copy; flattening prepends the new
-bit at index 0, so the two forms agree up to isomorphism.
+bit at index 0, so the two forms give equal graphs.
 """
 
 from __future__ import annotations

@@ -191,32 +191,6 @@ def full_subgraph(g: Graph, keep: Callable[[Vertex], bool]) -> Graph:
     return Graph(kept, ((u, v) for u, v in g.edges if u in kept and v in kept))
 
 
-def _to_networkx(g: Graph):
-    import networkx as nx
-
-    h = nx.DiGraph()
-    h.add_nodes_from(g.vertices)
-    h.add_edges_from(g.edge_list)
-    return h
-
-
-def graph_isomorphic(g1: Graph, g2: Graph) -> Optional[dict[Vertex, Vertex]]:
-    """A bijection preserving edges in both directions, or None.
-
-    Intended for small graphs only (at most 32 vertices each).
-    """
-    from networkx.algorithms import isomorphism
-
-    if len(g1.vertices) > 32 or len(g2.vertices) > 32:
-        raise CapacityError("graph_isomorphic is limited to 32 vertices")
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return None
-    matcher = isomorphism.DiGraphMatcher(_to_networkx(g1), _to_networkx(g2))
-    if matcher.is_isomorphic():
-        return dict(sorted(matcher.mapping.items()))
-    return None
-
-
 def graph_to_json(g: Graph) -> str:
     """Canonical JSON encoding of a graph, loops included."""
     payload = {

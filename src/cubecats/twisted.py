@@ -225,13 +225,15 @@ def ternary_identity(n: int) -> TernaryMorphism:
     return TernaryMorphism(n, n, STAR * n)
 
 
-def ternary_compose(g: TernaryMorphism, f: TernaryMorphism) -> TernaryMorphism:
+def ternary_compose(g: TernaryMorphism, f: TernaryMorphism, twist: bool = True) -> TernaryMorphism:
     """Composite g ∘ f: copy g's constants, substitute f along g's stars.
 
     A binary value substituted at a star is xored with the parity of
     zeros among g's own constants since g's previous star.  (Counting
     zeros of the composite output instead breaks the identity laws; the
     graph side fixes this rule, and the tests cross-check it there.)
+    With twist=False the value is copied as it is: plain substitution,
+    the standard-cube variant.
     """
     if f.n != g.m:
         raise ValueError(f"cannot compose {g.m}->{g.n} after {f.m}->{f.n}")
@@ -242,8 +244,8 @@ def ternary_compose(g: TernaryMorphism, f: TernaryMorphism) -> TernaryMorphism:
         if ch == STAR:
             value = f.seq[j]
             j += 1
-            if value == STAR:
-                out.append(STAR)
+            if value == STAR or not twist:
+                out.append(value)
             else:
                 out.append(str(int(value) ^ (zeros_since_star & 1)))
             zeros_since_star = 0
@@ -251,21 +253,6 @@ def ternary_compose(g: TernaryMorphism, f: TernaryMorphism) -> TernaryMorphism:
             out.append(ch)
             if ch == "0":
                 zeros_since_star += 1
-    return TernaryMorphism(f.m, g.n, "".join(out))
-
-
-def untwisted_ternary_compose(g: TernaryMorphism, f: TernaryMorphism) -> TernaryMorphism:
-    """Substitution without the parity twist (standard-cube variant)."""
-    if f.n != g.m:
-        raise ValueError(f"cannot compose {g.m}->{g.n} after {f.m}->{f.n}")
-    out = []
-    j = 0
-    for ch in g.seq:
-        if ch == STAR:
-            out.append(f.seq[j])
-            j += 1
-        else:
-            out.append(ch)
     return TernaryMorphism(f.m, g.n, "".join(out))
 
 

@@ -6,6 +6,7 @@ budget.  Run with -v to get one pass/fail line per criterion.
 """
 
 import time
+from functools import partial
 from itertools import product
 
 from cubecats.cubes import standard_cube, twisted_cube
@@ -24,7 +25,7 @@ from cubecats.oracle import (
     check_unique_surjection,
 )
 from cubecats.standard import enumerate_graphdim, enumerate_graphmeet_naive
-from cubecats.twisted import untwisted_ternary_compose
+from cubecats.twisted import ternary_compose
 
 
 def _within(budget, t0):
@@ -110,7 +111,7 @@ def test_criterion_10_mutation_sensitivity():
     t0 = time.perf_counter()
     # mutation A: composition without the parity xor
     broken_iso = check_ternary_iso(
-        max_dim=2, comp_dim=2, comp_samples=0, compose=untwisted_ternary_compose
+        max_dim=2, comp_dim=2, comp_samples=0, compose=partial(ternary_compose, twist=False)
     )
     assert not broken_iso.passed
     # mutation B: cube builder without the zero-parity flip

@@ -1,9 +1,14 @@
 """Command line behaviour: output bytes, exit codes, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cubecats
 from cubecats.cli import main
 
 
@@ -58,6 +63,27 @@ def test_build_verify_iso_flag(capsys):
     assert code == 0
     assert "isomorphic" in err
     json.loads(out)
+
+
+def test_cli_runs_without_networkx():
+    script = (
+        'import sys; sys.modules["networkx"] = None\n'
+        "from cubecats.cli import main\n"
+        'code = main(["check", "--suite", "all", "--max-dim", "2"])\n'
+        'code |= main(["build", "--kind", "twisted", "--n", "3", "--verify-iso"])\n'
+        "sys.exit(code)\n"
+    )
+    src = str(Path(cubecats.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_build_usage_errors(capsys):

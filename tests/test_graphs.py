@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubecats.graphs import (
-    CapacityError,
     Graph,
     bits_to_int,
     free_preorder,
     full_subgraph,
     graph_from_json,
-    graph_isomorphic,
     graph_to_json,
     int_to_bits,
     is_total_order,
@@ -114,22 +112,6 @@ def test_full_subgraph_keeps_induced_edges():
     assert sub.vertices == ("00", "01", "10")
     assert sub.has_edge("00", "01") and sub.has_edge("00", "10")
     assert not any(v == "11" for e in sub.edges for v in e)
-
-
-def test_graph_isomorphic_finds_relabeling():
-    g = Graph(["0", "1"], [("0", "1"), ("0", "0"), ("1", "1")])
-    h = Graph(["0", "1"], [("1", "0"), ("0", "0"), ("1", "1")])
-    iso = graph_isomorphic(g, h)
-    assert iso == {"0": "1", "1": "0"}
-
-
-def test_standard_and_twisted_squares_not_isomorphic():
-    assert graph_isomorphic(standard_cube(2), twisted_cube(2)) is None
-
-
-def test_graph_isomorphic_capacity():
-    with pytest.raises(CapacityError):
-        graph_isomorphic(standard_cube(6), standard_cube(6))
 
 
 def test_json_round_trip_exact():

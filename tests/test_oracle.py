@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from functools import partial
 
 import pytest
 
@@ -28,7 +29,7 @@ from cubecats.oracle import (
     hom_table,
 )
 from cubecats.standard import GraphMorphism, enumerate_graphdim
-from cubecats.twisted import untwisted_ternary_compose
+from cubecats.twisted import ternary_compose
 
 
 def test_check_report_requires_counterexample_iff_failed():
@@ -212,8 +213,21 @@ def test_untwisted_homs_mutant_fails_surjection():
     assert not rep.passed
 
 
+def test_relabelled_rec_builder_fails_rec_nonrec(monkeypatch):
+    # Reversing every vertex's bits gives a graph isomorphic to T^n but,
+    # from n = 2 on, not equal to it.
+    def reversed_bits(n):
+        g = twisted_cube(n)
+        return Graph([v[::-1] for v in g.vertices], [(u[::-1], v[::-1]) for u, v in g.edges])
+
+    monkeypatch.setattr("cubecats.cubes.twisted_cube_rec", reversed_bits)
+    rep = check_rec_nonrec(3)
+    assert not rep.passed
+    assert rep.counterexample == {"kind": "twisted", "n": 2}
+
+
 def test_untwisted_compose_mutant_fails_iso():
-    rep = check_ternary_iso(2, 2, comp_samples=0, compose=untwisted_ternary_compose)
+    rep = check_ternary_iso(2, 2, comp_samples=0, compose=partial(ternary_compose, twist=False))
     assert not rep.passed
     assert rep.counterexample["stage"] == "composition"
 
@@ -235,6 +249,11 @@ def test_hom_table_capacity():
         hom_table("graphcube", 4)
     with pytest.raises(CapacityError):
         hom_table("bch", 7)
+    for cat_id, limit in (("graphcube", 3), ("ternary", 6)):
+        assert oracle.hom_dim_limit(cat_id) == limit
+        assert len(hom_table(cat_id, limit)) == limit + 1
+        with pytest.raises(CapacityError):
+            hom_table(cat_id, limit + 1)
 
 
 def test_unknown_category_id():
