@@ -215,7 +215,10 @@ def _detect_cube(g: Graph) -> Optional[tuple[LabeledCubeGraph, bool]]:
 
 
 def cmd_export(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    text = sys.stdin.read() if args.infile == "-" else Path(args.infile).read_text()
+    try:
+        text = sys.stdin.read() if args.infile == "-" else Path(args.infile).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(f"cannot read {args.infile}: {exc}")
     try:
         graph = graph_from_json(text)
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:

@@ -148,6 +148,7 @@ def twisted_cube(n: int) -> Graph:
     return twisted_cube_nonrec(n).graph
 
 
+@lru_cache(maxsize=None)
 def base_subgraph(n: int) -> Graph:
     """Full subgraph of the standard cube on the origin and the one-hot vertices."""
     return full_subgraph(standard_cube(n), lambda v: v.count("1") <= 1)

@@ -31,7 +31,6 @@ from .graphs import (
 )
 from .cubes import standard_cube, twisted_cube
 from .standard import (
-    GraphMorphism,
     _dim_classes,
     _dim_table,
     bch_compose,
@@ -43,7 +42,6 @@ from .standard import (
     enumerate_graphdim,
     enumerate_graphmeet,
     enumerate_graphmeet_naive,
-    graphdim_matrix,
     graphmeet_to_bchop,
     hom_matrix,
     identity_graph_morphism,
@@ -109,11 +107,6 @@ class FiniteCategoryView:
 
     Objects are the natural numbers up to some bound; hom(m, n) must be
     deterministic and morphism equality structural (==).
-
-    A category of graph morphisms composed by compose_graph_morphisms
-    may also give graph(n), the graph of object n, and matrices(m, n):
-    hom(m, n) as a uint8 matrix whose row i is hom(m, n)[i].vmap.  With
-    both, check_category_laws composes whole hom-sets by numpy gathers.
     """
 
     name: str
@@ -121,8 +114,6 @@ class FiniteCategoryView:
     identity: Callable[[int], object]
     compose: Callable[[object, object], object]
     describe: Callable[[object], str] = repr
-    graph: Optional[Callable[[int], Graph]] = None
-    matrices: Optional[Callable[[int, int], np.ndarray]] = None
 
 
 def _report(name: str, params: dict, t0: float, counterexample: Optional[dict], counts: dict) -> CheckReport:
@@ -147,74 +138,34 @@ def _identity_failure(cat: FiniteCategoryView, m: int, n: int, hom: Sequence):
     return None
 
 
-def _identity_failure_rows(fs: np.ndarray, id_m: np.ndarray, id_n: np.ndarray):
-    """_identity_failure over a vertex-map matrix, composing by gathers."""
-    right = (fs[:, id_m] == fs).all(axis=1)
-    left = (id_n[fs] == fs).all(axis=1)
-    bad = ~(right & left)
-    if not bad.any():
-        return None
-    r = int(bad.argmax())
-    return r, "right identity" if not right[r] else "left identity"
+def _associativity_failure(gf: np.ndarray, hg: np.ndarray, x_f: np.ndarray, h_y: np.ndarray):
+    """(h, g, f) positions of the first triple with (h∘g)∘f != h∘(g∘f), or None.
 
-
-def _associativity_failure(cat: FiniteCategoryView, fs: Sequence, gs: Sequence, hs: Sequence):
-    """(h, g, f) positions of the first triple with (h∘g)∘f != h∘(g∘f), or None."""
-    for ih, h in enumerate(hs):
-        for ig, g in enumerate(gs):
-            hg = cat.compose(h, g)
-            for jf, f in enumerate(fs):
-                if cat.compose(hg, f) != cat.compose(h, cat.compose(g, f)):
-                    return ih, ig, jf
-    return None
-
-
-def _associativity_failure_rows(fs: np.ndarray, gs: np.ndarray, hs: np.ndarray):
-    """_associativity_failure over vertex-map matrices, composing by gathers.
-
-    Rows of hs are taken in blocks of at most GATHER_BYTES composites.
+    gf[g, f] and hg[h, g] index g∘f and h∘g in their hom-sets; x_f[x, f]
+    indexes x∘f for x in the hom-set of h∘g, and h_y[h, y] indexes h∘y
+    for y in the hom-set of g∘f.  Rows of h are compared in blocks of at
+    most GATHER_BYTES bytes per gathered array.
     """
-    gf = gs[:, fs]  # every g∘f, shape (|gs|, |fs|, vertices)
-    step = max(1, GATHER_BYTES // max(1, gf.size))
-    for start in range(0, len(hs), step):
-        h = hs[start : start + step]
-        ok = (h[:, gs][:, :, fs] == h[:, gf]).all(axis=-1)
+    step = max(1, GATHER_BYTES // max(1, gf.nbytes))
+    for start in range(0, len(hg), step):
+        stop = start + step
+        ok = x_f[hg[start:stop]] == h_y[start:stop][:, gf]
         if not ok.all():
             ih, ig, jf = np.unravel_index(int(ok.argmin()), ok.shape)
             return start + int(ih), int(ig), int(jf)
     return None
 
 
-def _graph_identities(cat: FiniteCategoryView, objs: range) -> Optional[list[np.ndarray]]:
-    """Identity vmaps for the gather path, or None when it does not apply.
-
-    The gathers compose vmaps alone, so they need every identity to be a
-    graph morphism from graph(n) to itself; anything else goes through
-    the object loop, where compose_graph_morphisms checks the graphs.
-    """
-    if cat.matrices is None or cat.graph is None:
-        return None
-    ids = [cat.identity(n) for n in objs]
-    if not all(
-        isinstance(i, GraphMorphism) and i.source == cat.graph(n) == i.target
-        for n, i in zip(objs, ids)
-    ):
-        return None
-    return [np.array(i.vmap, dtype=np.intp) for i in ids]
-
-
 def check_category_laws(
-    cat: FiniteCategoryView,
-    max_dim: int,
-    max_assoc_dim: Optional[int] = None,
-    hom_cap: int = DEFAULT_HOM_CAP,
-    triple_cap: int = DEFAULT_TRIPLE_CAP,
+    cat: FiniteCategoryView, max_dim: int, max_assoc_dim: Optional[int] = None
 ) -> CheckReport:
-    """Exhaustive identity laws up to max_dim, associativity up to max_assoc_dim.
+    """Exhaustive identity laws up to max_dim; closure and associativity up to max_assoc_dim.
 
-    Views with graph and matrices set are checked over whole vertex-map
-    matrices; the others, one composite object at a time.  Both give the
-    same counts and the same first counterexample in loop order.
+    Every composable pair with objects up to max_assoc_dim is composed
+    once and its composite looked up by == in the target hom-set, which
+    checks closure and fills a table of hom-set indices.  Associativity
+    is then checked on those tables, so it assumes that compose respects
+    ==: equal arguments give equal composites.
     """
     t0 = time.perf_counter()
     if max_assoc_dim is None:
@@ -230,23 +181,15 @@ def check_category_laws(
         return _report(name, params, t0, {"law": kind, **data}, counts)
 
     try:
-        ids = _graph_identities(cat, objs)
-        homs = {(m, n): (cat.hom if ids is None else cat.matrices)(m, n) for m in objs for n in objs}
-
-        def member(m: int, n: int, r: int) -> str:
-            return cat.describe((homs[(m, n)] if ids is None else cat.hom(m, n))[r])
-
-        if any(len(h) > hom_cap for h in homs.values()):
-            raise CapacityError(f"{name}: a hom-set exceeds {hom_cap} morphisms")
+        homs = {(m, n): cat.hom(m, n) for m in objs for n in objs}
+        if any(len(h) > DEFAULT_HOM_CAP for h in homs.values()):
+            raise CapacityError(f"{name}: a hom-set exceeds {DEFAULT_HOM_CAP} morphisms")
         for (m, n), hom in homs.items():
-            if ids is None:
-                bad = _identity_failure(cat, m, n, hom)
-            else:
-                bad = _identity_failure_rows(hom, ids[m], ids[n])
+            bad = _identity_failure(cat, m, n, hom)
             if bad is not None:
                 r, law = bad
                 counts["identity_checks"] += 2 * r
-                return fail(law, m=m, n=n, f=member(m, n, r))
+                return fail(law, m=m, n=n, f=cat.describe(hom[r]))
             counts["identity_checks"] += 2 * len(hom)
         aobjs = range(max_assoc_dim + 1)
         triples = sum(
@@ -256,26 +199,49 @@ def check_category_laws(
             for n in aobjs
             for p in aobjs
         )
-        if triples > triple_cap:
-            raise CapacityError(f"{name}: {triples} associativity triples exceed {triple_cap}")
+        if triples > DEFAULT_TRIPLE_CAP:
+            raise CapacityError(
+                f"{name}: {triples} associativity triples exceed {DEFAULT_TRIPLE_CAP}"
+            )
+        index = {(m, p): {f: i for i, f in enumerate(homs[(m, p)])} for m in aobjs for p in aobjs}
+        tables = {}  # tables[m, n, p][h, g]: index of h∘g in hom(m, p)
+        for m in aobjs:
+            for n in aobjs:
+                for p in aobjs:
+                    gs, hs = homs[(m, n)], homs[(n, p)]
+                    table = np.empty((len(hs), len(gs)), dtype=np.intp)
+                    for ih, h in enumerate(hs):
+                        for ig, g in enumerate(gs):
+                            i = index[(m, p)].get(cat.compose(h, g))
+                            if i is None:
+                                return fail(
+                                    "closure",
+                                    dims=[m, n, p],
+                                    g=cat.describe(g),
+                                    h=cat.describe(h),
+                                )
+                            table[ih, ig] = i
+                    tables[(m, n, p)] = table
         for k in aobjs:
             for m in aobjs:
                 for n in aobjs:
                     for p in aobjs:
                         fs, gs, hs = homs[(k, m)], homs[(m, n)], homs[(n, p)]
-                        if ids is None:
-                            bad = _associativity_failure(cat, fs, gs, hs)
-                        else:
-                            bad = _associativity_failure_rows(fs, gs, hs)
+                        bad = _associativity_failure(
+                            tables[(k, m, n)],
+                            tables[(m, n, p)],
+                            tables[(k, m, p)],
+                            tables[(k, n, p)],
+                        )
                         if bad is not None:
                             ih, ig, jf = bad
                             counts["associativity_checks"] += (ih * len(gs) + ig) * len(fs) + jf
                             return fail(
                                 "associativity",
                                 dims=[k, m, n, p],
-                                f=member(k, m, jf),
-                                g=member(m, n, ig),
-                                h=member(n, p, ih),
+                                f=cat.describe(fs[jf]),
+                                g=cat.describe(gs[ig]),
+                                h=cat.describe(hs[ih]),
                             )
                         counts["associativity_checks"] += len(hs) * len(gs) * len(fs)
     except (CapacityError, MemoryError):
@@ -403,24 +369,11 @@ CATEGORY_IDS = ("bch", "bchop") + _GRAPH_CATEGORY_IDS + ("ternary", "semi")
 
 
 def _graph_view(
-    name: str,
-    build: Callable[[int], Graph],
-    hom: Callable[[int, int], Sequence],
-    matrices: Callable[[int, int], np.ndarray],
+    name: str, build: Callable[[int], Graph], hom: Callable[[int, int], Sequence]
 ) -> FiniteCategoryView:
     return FiniteCategoryView(
-        name,
-        hom,
-        lambda n: identity_graph_morphism(build(n)),
-        compose_graph_morphisms,
-        graph=build,
-        matrices=matrices,
+        name, hom, lambda n: identity_graph_morphism(build(n)), compose_graph_morphisms
     )
-
-
-def _graphmeet_matrix(m: int, n: int) -> np.ndarray:
-    homs = enumerate_graphmeet(m, n)
-    return np.array([f.vmap for f in homs], dtype=np.uint8).reshape(len(homs), 2**m)
 
 
 def category_view(cat_id: str) -> FiniteCategoryView:
@@ -439,26 +392,19 @@ def category_view(cat_id: str) -> FiniteCategoryView:
             "graphcube",
             standard_cube,
             lambda m, n: enumerate_graph_homs(standard_cube(m), standard_cube(n)),
-            lambda m, n: hom_matrix(standard_cube(m), standard_cube(n)),
         )
     if cat_id == "graphmeet":
-        return _graph_view("graphmeet", standard_cube, enumerate_graphmeet, _graphmeet_matrix)
+        return _graph_view("graphmeet", standard_cube, enumerate_graphmeet)
     if cat_id == "graphdim":
-        return _graph_view("graphdim", standard_cube, enumerate_graphdim, graphdim_matrix)
+        return _graph_view("graphdim", standard_cube, enumerate_graphdim)
     if cat_id == "twcubecat":
         return _graph_view(
             "twcubecat",
             twisted_cube,
             lambda m, n: enumerate_graph_homs(twisted_cube(m), twisted_cube(n)),
-            lambda m, n: hom_matrix(twisted_cube(m), twisted_cube(n)),
         )
     if cat_id == "twgraphdim":
-        return _graph_view(
-            "twgraphdim",
-            twisted_cube,
-            enumerate_twgraphdim,
-            lambda m, n: graphdim_matrix(m, n, twisted=True),
-        )
+        return _graph_view("twgraphdim", twisted_cube, enumerate_twgraphdim)
     if cat_id == "ternary":
         return FiniteCategoryView(
             "ternary", enumerate_ternary, ternary_identity, ternary_compose
@@ -479,8 +425,7 @@ def hom_table(cat_id: str, max_dim: int) -> list[list[int]]:
     if max_dim > limit:
         raise CapacityError(f"{cat_id} tables are limited to max_dim {limit}")
     view = category_view(cat_id)
-    rows = view.hom if view.matrices is None else view.matrices
-    return [[len(rows(m, n)) for n in range(max_dim + 1)] for m in range(max_dim + 1)]
+    return [[len(view.hom(m, n)) for n in range(max_dim + 1)] for m in range(max_dim + 1)]
 
 
 # --- theorem-specific suites -------------------------------------------------

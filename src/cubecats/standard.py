@@ -101,15 +101,13 @@ def bch_from_json(text: str) -> BchMorphism:
     m, n = int(payload["m"]), int(payload["n"])
     entries = []
     for pos, item in enumerate(payload["map"]):
-        kind, value = item[0], int(item[1:])
-        if kind == "j":
-            entries.append(value)
-        elif kind == "b":
-            if value not in (0, 1):
-                raise ValueError(f"map entry {pos}: constant must be b0 or b1, got {item!r}")
-            entries.append(n + value)
-        else:
+        kind = item[:1]
+        if kind not in ("j", "b"):
             raise ValueError(f"map entry {pos}: expected j<k> or b<k>, got {item!r}")
+        value = int(item[1:])
+        if kind == "b" and value not in (0, 1):
+            raise ValueError(f"map entry {pos}: constant must be b0 or b1, got {item!r}")
+        entries.append(value if kind == "j" else n + value)
     return BchMorphism(m, n, entries)
 
 
@@ -490,19 +488,10 @@ def _dim_table(g: Graph) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def graphdim_matrix(m: int, n: int, twisted: bool = False) -> np.ndarray:
-    """Dimension-preserving cube morphisms as rows of hom_matrix, in its order."""
-    build = twisted_cube if twisted else standard_cube
-    src, tgt = build(m), build(n)
-    mat = hom_matrix(src, tgt)
-    out = mat[kernels.dimension_preserving_mask(mat, _dim_classes(src), _dim_table(tgt))]
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
 def enumerate_graphdim(m: int, n: int, twisted: bool = False) -> tuple[GraphMorphism, ...]:
     """Dimension-preserving cube morphisms via the naive filter."""
     build = twisted_cube if twisted else standard_cube
     src, tgt = build(m), build(n)
-    return tuple(GraphMorphism.from_indices(src, tgt, row) for row in graphdim_matrix(m, n, twisted))
+    mat = hom_matrix(src, tgt)
+    mask = kernels.dimension_preserving_mask(mat, _dim_classes(src), _dim_table(tgt))
+    return tuple(GraphMorphism.from_indices(src, tgt, row) for row in mat[mask])

@@ -154,6 +154,14 @@ def test_compose_parse_error_reports_position(capsys):
     assert "position 0" in err
 
 
+def test_compose_bch_empty_entry_usage_error(capsys):
+    g = '{"m": 1, "n": 1, "map": [""]}'
+    f = '{"m": 1, "n": 1, "map": ["j0"]}'
+    code, err = run_cli_error(capsys, "compose", "--cat", "bch", g, f)
+    assert code == 2
+    assert "map entry 0: expected j<k> or b<k>, got ''" in err
+
+
 def test_compose_dimension_mismatch(capsys):
     # g wants three inputs but f only provides two
     code, err = run_cli_error(capsys, "compose", "--cat", "ternary", "***", "0*")
@@ -229,6 +237,15 @@ def test_export_plain_graph_dot(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "export", "--in", str(path), "--out", "dot")
     assert code == 0
     assert out == 'digraph G {\n  rankdir=LR;\n  "0";\n  "1";\n  "1" -> "0";\n}\n'
+
+
+def test_export_unreadable_input_usage_error(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    for path in (tmp_path / "missing.json", tmp_path, binary):
+        code, err = run_cli_error(capsys, "export", "--in", str(path))
+        assert code == 2
+        assert f"cannot read {path}" in err
 
 
 def test_export_invalid_json_usage_error(tmp_path, capsys):
