@@ -68,7 +68,6 @@ from .twisted import (
     hamiltonian_f,
     hamiltonian_path,
     image_face,
-    monoidal_tensor,
     order_g,
     enumerate_semi,
     enumerate_ternary,

@@ -31,12 +31,11 @@ from .graphs import (
 )
 from .cubes import standard_cube, twisted_cube
 from .standard import (
-    _dim_classes,
-    _dim_table,
     bch_compose,
     bch_identity,
     bchop_to_graphmeet,
     compose_graph_morphisms,
+    dimension_constraints,
     enumerate_bch,
     enumerate_graph_homs,
     enumerate_graphdim,
@@ -44,6 +43,7 @@ from .standard import (
     enumerate_graphmeet_naive,
     graphmeet_to_bchop,
     hom_matrix,
+    hom_rows,
     identity_graph_morphism,
 )
 from .twisted import (
@@ -116,6 +116,28 @@ class FiniteCategoryView:
     describe: Callable[[object], str] = repr
 
 
+class _CallbackError(Exception):
+    """An exception raised by a callback of the category or functor under check."""
+
+
+def _guarded(fn: Callable) -> Callable:
+    """fn, with any exception but CapacityError and MemoryError raised as _CallbackError."""
+
+    def call(*args):
+        try:
+            return fn(*args)
+        except (CapacityError, MemoryError):
+            raise
+        except Exception as exc:
+            raise _CallbackError(f"{type(exc).__name__}: {exc}") from exc
+
+    return call
+
+
+def _guarded_view(cat: FiniteCategoryView) -> FiniteCategoryView:
+    return FiniteCategoryView(cat.name, *map(_guarded, (cat.hom, cat.identity, cat.compose, cat.describe)))
+
+
 def _report(name: str, params: dict, t0: float, counterexample: Optional[dict], counts: dict) -> CheckReport:
     return CheckReport(
         name=name,
@@ -165,9 +187,11 @@ def check_category_laws(
     once and its composite looked up by == in the target hom-set, which
     checks closure and fills a table of hom-set indices.  Associativity
     is then checked on those tables, so it assumes that compose respects
-    ==: equal arguments give equal composites.
+    ==: equal arguments give equal composites.  An exception from a
+    callback of the view is an "exception" counterexample.
     """
     t0 = time.perf_counter()
+    cat = _guarded_view(cat)
     if max_assoc_dim is None:
         max_assoc_dim = max_dim
     if max_assoc_dim > max_dim:
@@ -244,10 +268,8 @@ def check_category_laws(
                                 h=cat.describe(hs[ih]),
                             )
                         counts["associativity_checks"] += len(hs) * len(gs) * len(fs)
-    except (CapacityError, MemoryError):
-        raise
-    except Exception as exc:  # a broken composition rule may not even type-check
-        return fail("exception", error=f"{type(exc).__name__}: {exc}")
+    except _CallbackError as exc:  # a broken composition rule may not even type-check
+        return fail("exception", error=str(exc))
     return _report(name, params, t0, None, counts)
 
 
@@ -267,9 +289,12 @@ def check_isomorphism(
     max_dim; composition preservation runs exhaustively on all
     composable pairs with objects up to comp_dim (default max_dim) and,
     when comp_samples > 0, on that many seeded random pairs with objects
-    up to max_dim.
+    up to max_dim.  An exception from forward, backward or a callback of
+    either view is an "exception" counterexample.
     """
     t0 = time.perf_counter()
+    cat_a, cat_b = _guarded_view(cat_a), _guarded_view(cat_b)
+    forward, backward = _guarded(forward), _guarded(backward)
     if comp_dim is None:
         comp_dim = max_dim
     name = f"isomorphism[{cat_a.name}~{cat_b.name}]"
@@ -281,19 +306,18 @@ def check_isomorphism(
 
     objs = range(max_dim + 1)
     try:
-        for m in objs:
-            for n in objs:
-                ha, hb = cat_a.hom(m, n), cat_b.hom(m, n)
-                if len(ha) != len(hb):
-                    return fail("hom size", m=m, n=n, a=len(ha), b=len(hb))
-                for f in ha:
-                    if backward(m, n, forward(m, n, f)) != f:
-                        return fail("round trip a->b->a", m=m, n=n, f=cat_a.describe(f))
-                    counts["round_trips"] += 1
-                for g in hb:
-                    if forward(m, n, backward(m, n, g)) != g:
-                        return fail("round trip b->a->b", m=m, n=n, g=cat_b.describe(g))
-                    counts["round_trips"] += 1
+        homs = {(m, n): (cat_a.hom(m, n), cat_b.hom(m, n)) for m in objs for n in objs}
+        for (m, n), (ha, hb) in homs.items():
+            if len(ha) != len(hb):
+                return fail("hom size", m=m, n=n, a=len(ha), b=len(hb))
+            for f in ha:
+                if backward(m, n, forward(m, n, f)) != f:
+                    return fail("round trip a->b->a", m=m, n=n, f=cat_a.describe(f))
+                counts["round_trips"] += 1
+            for g in hb:
+                if forward(m, n, backward(m, n, g)) != g:
+                    return fail("round trip b->a->b", m=m, n=n, g=cat_b.describe(g))
+                counts["round_trips"] += 1
         for n in objs:
             if forward(n, n, cat_a.identity(n)) != cat_b.identity(n):
                 return fail("identity", n=n)
@@ -317,7 +341,7 @@ def check_isomorphism(
             rng = random.Random(seed)
             for _ in range(comp_samples):
                 k, m, n = (rng.randrange(max_dim + 1) for _ in range(3))
-                ha, hb = cat_a.hom(m, n), cat_a.hom(k, m)
+                ha, hb = homs[(m, n)][0], homs[(k, m)][0]
                 if not ha or not hb:
                     continue
                 g, f = rng.choice(ha), rng.choice(hb)
@@ -330,10 +354,8 @@ def check_isomorphism(
                         g=cat_a.describe(g),
                     )
                 counts["sampled_pairs"] += 1
-    except (CapacityError, MemoryError):
-        raise
-    except Exception as exc:
-        return fail("exception", error=f"{type(exc).__name__}: {exc}")
+    except _CallbackError as exc:
+        return fail("exception", error=str(exc))
     return _report(name, params, t0, None, counts)
 
 
@@ -466,7 +488,7 @@ def check_bchop_graphmeet_iso(max_dim: int = 3, comp_dim: int = 2) -> CheckRepor
 def check_meet_equals_dim(max_dim: int = 3) -> CheckReport:
     """Meet-and-join preservation and dimension preservation pick the same maps.
 
-    Both sides come from the naive all-candidates filter.
+    Both sides come from the hom enumeration, each under its own constraints.
     """
     t0 = time.perf_counter()
     params = {"max_dim": max_dim}
@@ -654,7 +676,8 @@ def check_fibre_dimension(
             equal = (
                 np.where(fibres == 0, biggest[:, None], fibres).min(axis=1) == biggest
             )
-            dimpres = kernels.dimension_preserving_mask(mat, _dim_classes(src), _dim_table(tgt))
+            dim_rows = {row.tobytes() for row in hom_rows(src, tgt, dimension_constraints(src))}
+            dimpres = np.array([row.tobytes() in dim_rows for row in mat], dtype=bool)
             if (equal != dimpres).any():
                 row = int(np.nonzero(equal != dimpres)[0][0])
                 return _report(

@@ -286,27 +286,30 @@ def compose_graph_morphisms(outer: GraphMorphism, inner: GraphMorphism) -> Graph
     )
 
 
-@lru_cache(maxsize=None)
-def hom_matrix(src: Graph, tgt: Graph) -> np.ndarray:
-    """All edge-preserving vertex maps as rows of target indices.
-
-    Partial maps are extended one source vertex at a time and pruned by
-    the edges they already fix; limited to 8 vertices a side.
-    """
+def hom_rows(src: Graph, tgt: Graph, constraints: Sequence[tuple] = ()) -> np.ndarray:
+    """Edge-preserving vertex maps passing the constraints, as lexicographic
+    uint8 rows of target indices; limited to 8 vertices a side."""
     ns, nt = len(src.vertices), len(tgt.vertices)
     if ns > 8 or nt > 8:
         raise CapacityError(
             f"hom enumeration needs at most 8 vertices a side, got {ns} and {nt}"
         )
-    idx = src.index
-    edges = np.array([(idx[u], idx[v]) for u, v in src.edge_list], dtype=np.int64).reshape(-1, 2)
-    mat = kernels.edge_preserving_maps(ns, nt, edges, tgt.adjacency)
+    edges = [(src.index[u], src.index[v]) for u, v in src.edge_list]
+    return kernels.edge_preserving_maps(ns, nt, edges, tgt.adjacency, constraints)
+
+
+@lru_cache(maxsize=None)
+def hom_matrix(src: Graph, tgt: Graph) -> np.ndarray:
+    """All edge-preserving vertex maps as read-only rows of target indices."""
+    mat = hom_rows(src, tgt)
     mat.setflags(write=False)
     return mat
 
-def enumerate_graph_homs(src: Graph, tgt: Graph) -> list[GraphMorphism]:
+
+@lru_cache(maxsize=None)
+def enumerate_graph_homs(src: Graph, tgt: Graph) -> tuple[GraphMorphism, ...]:
     """All edge-preserving vertex maps, lexicographic in the vertex order."""
-    return [GraphMorphism.from_indices(src, tgt, row) for row in hom_matrix(src, tgt)]
+    return tuple(GraphMorphism.from_indices(src, tgt, row) for row in hom_matrix(src, tgt))
 
 
 def preserves_meets(f: GraphMorphism) -> bool:
@@ -444,8 +447,8 @@ def enumerate_graphmeet(m: int, n: int) -> tuple[GraphMorphism, ...]:
     """Meet-and-join-preserving cube morphisms, built structurally.
 
     Enumerates the (z, d) data (one opposite-category arrow each) rather
-    than filtering all vertex maps; the naive filter stays available as
-    an oracle in enumerate_graphmeet_naive.
+    than searching vertex maps; the constrained search stays available
+    as an oracle in enumerate_graphmeet_naive.
     """
     out = [bchop_to_graphmeet(a) for a in enumerate_bch(n, m)]
     out.sort(key=lambda f: f.vmap)
@@ -454,44 +457,51 @@ def enumerate_graphmeet(m: int, n: int) -> tuple[GraphMorphism, ...]:
     return tuple(out)
 
 
+def bound_constraints(src: Graph, tgt: Graph) -> list[tuple]:
+    """f(i ⊓ j) = f(i) ⊓ f(j) and f(i ⊔ j) = f(i) ⊔ f(j) for each pair i < j
+    with a source bound, as hom enumeration constraints into a poset.  A pair
+    whose bound is i or j is comparable; an edge-preserving map keeps it
+    comparable, so the condition holds and the pair is left out."""
+    out = []
+    for src_table, tgt_table in zip(_bound_tables(src), _bound_tables(tgt)):
+        for i, j in zip(*np.triu_indices(len(src_table), 1)):
+            w = int(src_table[i, j])
+            if w >= 0 and w != i and w != j:
+                test = lambda f, i=i, j=j, w=w, t=tgt_table: t[f[:, i], f[:, j]] == f[:, w]
+                out.append(((i, j, w), test))
+    return out
+
+
 @lru_cache(maxsize=None)
 def enumerate_graphmeet_naive(m: int, n: int) -> tuple[GraphMorphism, ...]:
-    """Oracle path: filter every vertex map for meet and join preservation."""
+    """Oracle path: search all vertex maps for meet and join preservation."""
     src, tgt = standard_cube(m), standard_cube(n)
-    mat = hom_matrix(src, tgt)
-    mask = kernels.bound_preserving_mask(
-        mat, _bound_tables(src)[0], _bound_tables(tgt)[0]
-    ) & kernels.bound_preserving_mask(mat, _bound_tables(src)[1], _bound_tables(tgt)[1])
-    return tuple(GraphMorphism.from_indices(src, tgt, row) for row in mat[mask])
+    rows = hom_rows(src, tgt, bound_constraints(src, tgt))
+    return tuple(GraphMorphism.from_indices(src, tgt, row) for row in rows)
 
 
-def _dim_classes(g: Graph) -> list[np.ndarray]:
-    """Non-loop edges grouped by dimension, as index-pair arrays."""
-    idx = g.index
-    classes: dict[int, list[tuple[int, int]]] = {}
-    for u, w in g.edge_list:
-        d = edge_dim(u, w)
-        if d is not None:
-            classes.setdefault(d, []).append((idx[u], idx[w]))
-    return [np.array(classes[d], dtype=np.int64) for d in sorted(classes)]
-
-
-def _dim_table(g: Graph) -> np.ndarray:
-    """Edge dimension lookup: table[i, j] = dimension, n for loops, -2 otherwise."""
-    nv = len(g.vertices)
-    table = np.full((nv, nv), -2, dtype=np.int8)
-    idx = g.index
-    for u, w in g.edge_list:
-        d = edge_dim(u, w)
-        table[idx[u], idx[w]] = g.dimension if d is None else d
-    return table
+def dimension_constraints(src: Graph) -> list[tuple]:
+    """Each non-loop edge of the cube src changes the same target bits as the
+    first edge of its dimension class, as hom enumeration constraints into a
+    cube: a cube vertex index is its binary value, so the bits an edge
+    changes name its dimension."""
+    idx = src.index
+    first: dict[int, tuple[int, int]] = {}
+    out = []
+    for u, w in src.edge_list:
+        s, t = idx[u], idx[w]
+        if s == t:
+            continue
+        s0, t0 = first.setdefault(s ^ t, (s, t))
+        test = lambda f, s=s, t=t, s0=s0, t0=t0: f[:, s] ^ f[:, t] == f[:, s0] ^ f[:, t0]
+        out.append(((s, t, s0, t0), test))
+    return out
 
 
 @lru_cache(maxsize=None)
 def enumerate_graphdim(m: int, n: int, twisted: bool = False) -> tuple[GraphMorphism, ...]:
-    """Dimension-preserving cube morphisms via the naive filter."""
+    """Dimension-preserving cube morphisms, by constrained hom enumeration."""
     build = twisted_cube if twisted else standard_cube
     src, tgt = build(m), build(n)
-    mat = hom_matrix(src, tgt)
-    mask = kernels.dimension_preserving_mask(mat, _dim_classes(src), _dim_table(tgt))
-    return tuple(GraphMorphism.from_indices(src, tgt, row) for row in mat[mask])
+    rows = hom_rows(src, tgt, dimension_constraints(src))
+    return tuple(GraphMorphism.from_indices(src, tgt, row) for row in rows)

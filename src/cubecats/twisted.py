@@ -295,10 +295,5 @@ def enumerate_semi(m: int, n: int) -> tuple[TernaryMorphism, ...]:
 
 
 def enumerate_twgraphdim(m: int, n: int) -> tuple[GraphMorphism, ...]:
-    """Dimension-preserving twisted-cube morphisms via the naive filter."""
+    """Dimension-preserving twisted-cube morphisms, by constrained hom enumeration."""
     return enumerate_graphdim(m, n, twisted=True)
-
-
-def monoidal_tensor(x: Vertex, y: Vertex) -> Vertex:
-    """Concatenate, flipping y when x has an odd number of zeros."""
-    return x + (rev(y) if x.count("0") % 2 else y)

@@ -199,6 +199,16 @@ def test_check_stdout_byte_stable(capsys):
     assert len(first.splitlines()) == 9
 
 
+@pytest.mark.parametrize("max_dim, exit_code", [(3, 0), (4, 3)])
+def test_check_all_stdout_matches_golden(capsys, max_dim, exit_code):
+    # stdout recorded before the meet/join and dimension masks became
+    # constraints of the hom enumeration; it must not change
+    golden = Path(__file__).parent / "golden" / f"check_all_max_dim_{max_dim}.txt"
+    code, out, _ = run_cli(capsys, "check", "--suite", "all", "--max-dim", str(max_dim))
+    assert code == exit_code
+    assert out.encode() == golden.read_bytes()
+
+
 def test_check_capacity_skip_exit_three(capsys):
     code, out, err = run_cli(capsys, "check", "--suite", "twisted", "--max-dim", "4")
     assert code == 3

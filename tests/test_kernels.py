@@ -1,4 +1,4 @@
-"""Hom enumeration kernel: brute-force agreement, ordering, capacity, post-filters."""
+"""Hom enumeration kernel: brute-force agreement, ordering, capacity, constraints."""
 
 import tracemalloc
 from collections import Counter
@@ -9,13 +9,16 @@ import pytest
 
 from cubecats import kernels
 from cubecats.cubes import standard_cube, twisted_cube
-from cubecats.graphs import CapacityError, _bound_tables
+from cubecats.graphs import CapacityError
 from cubecats.standard import (
     GraphMorphism,
-    _dim_classes,
-    _dim_table,
+    bound_constraints,
+    dimension_constraints,
     enumerate_graph_homs,
+    enumerate_graphdim,
+    enumerate_graphmeet_naive,
     hom_matrix,
+    hom_rows,
     is_dimension_preserving,
     preserves_joins,
     preserves_meets,
@@ -101,24 +104,46 @@ def test_empty_source_yields_single_empty_map():
     assert maps.shape == (1, 0)
 
 
-def test_bound_preserving_mask_matches_slow_path():
-    src, tgt = standard_cube(2), standard_cube(2)
+def _kept_rows(src, tgt, keep):
+    """hom_matrix rows whose morphism passes a reference predicate."""
     mat = hom_matrix(src, tgt)
-    meet_mask = kernels.bound_preserving_mask(mat, _bound_tables(src)[0], _bound_tables(tgt)[0])
-    join_mask = kernels.bound_preserving_mask(mat, _bound_tables(src)[1], _bound_tables(tgt)[1])
-    for row, keep_m, keep_j in zip(mat, meet_mask, join_mask):
-        f = GraphMorphism.from_indices(src, tgt, tuple(int(x) for x in row))
-        assert keep_m == preserves_meets(f)
-        assert keep_j == preserves_joins(f)
+    return mat[[keep(GraphMorphism.from_indices(src, tgt, row)) for row in mat]]
 
 
-def test_dimension_preserving_mask_matches_slow_path():
-    src, tgt = twisted_cube(2), twisted_cube(2)
-    mat = hom_matrix(src, tgt)
-    mask = kernels.dimension_preserving_mask(mat, _dim_classes(src), _dim_table(tgt))
-    for row, keep in zip(mat, mask):
-        f = GraphMorphism.from_indices(src, tgt, tuple(int(x) for x in row))
-        assert keep == is_dimension_preserving(f)
+def _assert_same_rows(got, expected):
+    assert got.dtype == expected.dtype == np.uint8
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("build", [standard_cube, twisted_cube])
+def test_constrained_enumeration_matches_reference_predicates(build):
+    def meets_and_joins(f):
+        return preserves_meets(f) and preserves_joins(f)
+
+    for m in range(4):
+        for n in range(4):
+            src, tgt = build(m), build(n)
+            dim = _kept_rows(src, tgt, is_dimension_preserving)
+            _assert_same_rows(hom_rows(src, tgt, dimension_constraints(src)), dim)
+            bound = _kept_rows(src, tgt, meets_and_joins)
+            _assert_same_rows(hom_rows(src, tgt, bound_constraints(src, tgt)), bound)
+            homs = enumerate_graphdim(m, n, twisted=build is twisted_cube)
+            assert [f.vmap for f in homs] == [tuple(r) for r in dim]
+            if build is standard_cube:
+                homs = enumerate_graphmeet_naive(m, n)
+                assert [f.vmap for f in homs] == [tuple(r) for r in bound]
+
+
+def test_constrained_kernel_dimension_four_counts():
+    c4, t4 = standard_cube(4), twisted_cube(4)
+    for src, constraints, count in [
+        (c4, dimension_constraints(c4), 648),
+        (t4, dimension_constraints(t4), 81),
+        (c4, bound_constraints(c4, c4), 648),
+    ]:
+        maps = kernels.edge_preserving_maps(*_args(src, src), constraints)
+        assert maps.shape == (count, 16)
 
 
 def test_fibre_counts_matches_counter():

@@ -246,6 +246,34 @@ def test_compose_memory_error_propagates():
         check_isomorphism(view, view, lambda m, n, f: f, lambda m, n, f: f, max_dim=1)
 
 
+def test_oracle_bug_propagates(monkeypatch):
+    # only the view's own callbacks may turn an exception into a counterexample
+    def broken(*args):
+        raise IndexError("oracle bug")
+
+    monkeypatch.setattr(oracle, "_associativity_failure", broken)
+    with pytest.raises(IndexError, match="oracle bug"):
+        check_category_laws(category_view("bch"), 1, 1)
+    monkeypatch.setattr(oracle, "random", None)
+    view = category_view("ternary")
+    with pytest.raises(AttributeError):
+        check_isomorphism(
+            view, view, lambda m, n, t: t, lambda m, n, t: t, max_dim=1, comp_samples=1
+        )
+
+
+@pytest.mark.parametrize("cat_id", ["graphcube", "twcubecat"])
+def test_warm_hom_table_builds_no_morphisms(monkeypatch, cat_id):
+    hom_table(cat_id, 3)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a GraphMorphism was built")
+
+    monkeypatch.setattr(GraphMorphism, "__init__", refuse)
+    monkeypatch.setattr(GraphMorphism, "from_indices", classmethod(refuse))
+    assert hom_table(cat_id, 3)[3][3] == (686 if cat_id == "graphcube" else 111)
+
+
 def test_constant_identity_mutant_fails_both_law_paths():
     # The table check and the reference loop report the same failure.
     def constant(n):

@@ -19,7 +19,6 @@ from cubecats.twisted import (
     hamiltonian_f,
     hamiltonian_path,
     image_face,
-    monoidal_tensor,
     order_g,
     rev,
     enumerate_semi,
@@ -224,35 +223,3 @@ def test_fibres_of_dimension_preserving_maps_are_uniform():
                 for v in f.source.vertices:
                     sizes[f(v)] = sizes.get(f(v), 0) + 1
                 assert set(sizes.values()) == {2 ** (m - k)}
-
-
-def test_monoidal_tensor_values():
-    assert monoidal_tensor("0", "01") == "010"
-    assert monoidal_tensor("1", "01") == "101"
-    assert monoidal_tensor("", "01") == "01"
-    assert monoidal_tensor("00", "1") == "001"
-    # odd zeros on the left complement the right block
-    assert monoidal_tensor("011", "1") == "0110"
-
-
-def test_monoidal_tensor_unit_and_nonassociativity():
-    values = ["", "0", "1", "00", "01", "10", "11"]
-    for x in values:
-        assert monoidal_tensor(x, "") == x
-        assert monoidal_tensor("", x) == x
-    a = monoidal_tensor(monoidal_tensor("0", "0"), "0")
-    b = monoidal_tensor("0", monoidal_tensor("0", "0"))
-    assert a == "011" and b == "010"
-
-
-def test_monoidal_tensor_associativity_characterized():
-    # fails exactly when the left block has odd zeros, the middle has odd
-    # length, and the right block is non-empty
-    values = [bits for k in range(3) for bits in ("".join(p) for p in product("01", repeat=k))]
-    for x in values:
-        for y in values:
-            for z in values:
-                lhs = monoidal_tensor(monoidal_tensor(x, y), z)
-                rhs = monoidal_tensor(x, monoidal_tensor(y, z))
-                expected = x.count("0") % 2 == 0 or len(y) % 2 == 0 or z == ""
-                assert (lhs == rhs) == expected
