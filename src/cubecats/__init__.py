@@ -26,7 +26,6 @@ from .cubes import (
     LabeledCubeGraph,
     Loop,
     base_subgraph,
-    edge_dimension,
     ordinary_iteration,
     standard_cube,
     standard_cube_nonrec,
@@ -52,15 +51,11 @@ from .standard import (
     extend_base_morphism,
     graphmeet_to_bchop,
     identity_graph_morphism,
-    is_dimension_preserving,
-    preserves_joins,
-    preserves_meets,
     transpose_partial_injection,
 )
 from .twisted import (
     Face,
     TernaryMorphism,
-    face_count,
     face_to_injection,
     faces,
     factorize,

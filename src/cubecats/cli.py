@@ -44,7 +44,6 @@ from .oracle import (
     check_total_order,
     check_unique_hamiltonian,
     check_unique_surjection,
-    hom_dim_limit,
     hom_table,
 )
 
@@ -98,9 +97,10 @@ def _morphism_line(cat_id: str, f: object) -> str:
 def cmd_homs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.m < 0 or args.n < 0:
         parser.error("dimensions must be non-negative")
-    limit = hom_dim_limit(args.cat)
-    if max(args.m, args.n) > limit:
-        raise CapacityError(f"{args.cat} hom-sets are limited to dimensions <= {limit}")
+    if max(args.m, args.n) > 8:
+        # input bound, not a hom-set bound: the cube graphs are built before
+        # any enumeration, and one of dimension 14 alone takes over 300 MB
+        raise CapacityError("homs builds cubes of dimension at most 8 (256 vertices)")
     view = category_view(args.cat)
     for f in view.hom(args.m, args.n):
         print(_morphism_line(args.cat, f))
@@ -112,7 +112,7 @@ def cmd_compose(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         try:
             g = bch_from_json(args.g)
             f = bch_from_json(args.f)
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             parser.error(f"invalid morphism JSON: {exc}")
         try:
             composite = bch_compose(g, f)
@@ -221,7 +221,7 @@ def cmd_export(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error(f"cannot read {args.infile}: {exc}")
     try:
         graph = graph_from_json(text)
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         parser.error(f"invalid graph JSON: {exc}")
     if args.out == "json":
         sys.stdout.write(graph_to_json(graph))

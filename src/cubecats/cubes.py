@@ -46,11 +46,6 @@ class Dim:
 EdgeLabel = Union[Loop, Dim]
 
 
-def edge_dimension(label: EdgeLabel) -> Optional[int]:
-    """Dimension of a labeled edge; None for loops."""
-    return label.index if isinstance(label, Dim) else None
-
-
 def _insert(residue: str, i: int, bit: int) -> Vertex:
     return residue[:i] + str(bit) + residue[i:]
 

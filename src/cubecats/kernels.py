@@ -20,9 +20,10 @@ import numpy as np
 
 from .graphs import CapacityError
 
-# Largest extended frontier, in rows.  8^8 is the full candidate count
-# of a 3-cube pair, so every request with at most 8 vertices a side fits.
-MAX_FRONTIER = 8**8
+# Largest extended frontier, in bytes of uint8 rows: 8^8 rows of 8
+# columns, the last level of the full candidate set of a 3-cube pair.
+# This is the one bound on a hom-set's size; it holds for any source.
+MAX_FRONTIER = 2**27
 
 
 def edge_preserving_maps(
@@ -37,9 +38,11 @@ def edge_preserving_maps(
     vertex, after that level's edges, each test maps the partial maps to
     a boolean mask of the rows to keep.  Returns a (N, ns) uint8 array
     whose rows are the surviving maps in lexicographic order.  Raises
-    CapacityError before building a frontier of more than MAX_FRONTIER
-    rows.
+    CapacityError when nt > 256, which uint8 rows cannot index, and
+    before building a frontier of more than MAX_FRONTIER bytes.
     """
+    if nt > 256:
+        raise CapacityError(f"hom enumeration needs at most 256 target vertices, got {nt}")
     adj = np.asarray(adj, dtype=np.bool_)
     tests: list[list] = [[] for _ in range(ns)]
     for s, t in np.asarray(edges, dtype=np.int64).reshape(-1, 2).tolist():
@@ -49,10 +52,10 @@ def edge_preserving_maps(
     maps = np.zeros((1, 0), dtype=np.uint8)
     for k in range(ns):
         rows = len(maps) * nt
-        if rows > MAX_FRONTIER:
+        if rows * (k + 1) > MAX_FRONTIER:
             raise CapacityError(
-                f"hom enumeration frontier at source vertex {k} has {rows} rows, "
-                f"over the limit of {MAX_FRONTIER}"
+                f"hom enumeration frontier at source vertex {k} needs {rows * (k + 1)} "
+                f"bytes, over the limit of {MAX_FRONTIER}"
             )
         # each row repeated nt times, the new digit tiled 0..nt-1 beside
         # it: lexicographic order is kept, and no temporaries are built

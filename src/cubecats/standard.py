@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -188,16 +188,6 @@ def transpose_partial_injection(p: PartialInjection) -> PartialInjection:
     return PartialInjection(p.n, p.m, entries)
 
 
-@lru_cache(maxsize=None)
-def enumerate_partial_injections(m: int, n: int) -> tuple[PartialInjection, ...]:
-    out = []
-    for entries in product(range(n + 1), repeat=m):
-        defined = [e for e in entries if e < n]
-        if len(defined) == len(set(defined)):
-            out.append(PartialInjection(m, n, entries))
-    return tuple(out)
-
-
 class GraphMorphism:
     """Vertex map between graphs sending every edge to an edge.
 
@@ -288,14 +278,11 @@ def compose_graph_morphisms(outer: GraphMorphism, inner: GraphMorphism) -> Graph
 
 def hom_rows(src: Graph, tgt: Graph, constraints: Sequence[tuple] = ()) -> np.ndarray:
     """Edge-preserving vertex maps passing the constraints, as lexicographic
-    uint8 rows of target indices; limited to 8 vertices a side."""
-    ns, nt = len(src.vertices), len(tgt.vertices)
-    if ns > 8 or nt > 8:
-        raise CapacityError(
-            f"hom enumeration needs at most 8 vertices a side, got {ns} and {nt}"
-        )
+    uint8 rows of target indices; the kernel's capacity rule applies."""
     edges = [(src.index[u], src.index[v]) for u, v in src.edge_list]
-    return kernels.edge_preserving_maps(ns, nt, edges, tgt.adjacency, constraints)
+    return kernels.edge_preserving_maps(
+        len(src.vertices), len(tgt.vertices), edges, tgt.adjacency, constraints
+    )
 
 
 @lru_cache(maxsize=None)
@@ -310,56 +297,6 @@ def hom_matrix(src: Graph, tgt: Graph) -> np.ndarray:
 def enumerate_graph_homs(src: Graph, tgt: Graph) -> tuple[GraphMorphism, ...]:
     """All edge-preserving vertex maps, lexicographic in the vertex order."""
     return tuple(GraphMorphism.from_indices(src, tgt, row) for row in hom_matrix(src, tgt))
-
-
-def preserves_meets(f: GraphMorphism) -> bool:
-    """f(u ⊓ v) = f(u) ⊓ f(v) for every pair with a source meet."""
-    return _preserves_bounds(f, 0)
-
-
-def preserves_joins(f: GraphMorphism) -> bool:
-    """f(u ⊔ v) = f(u) ⊔ f(v) for every pair with a source join."""
-    return _preserves_bounds(f, 1)
-
-
-def _preserves_bounds(f: GraphMorphism, which: int) -> bool:
-    src_table = _bound_tables(f.source)[which]
-    tgt_table = _bound_tables(f.target)[which]
-    vmap = f.vmap
-    nv = len(f.source.vertices)
-    for i in range(nv):
-        for j in range(i, nv):
-            s = src_table[i, j]
-            if s < 0:
-                continue
-            if tgt_table[vmap[i], vmap[j]] != vmap[s]:
-                return False
-    return True
-
-
-def edge_dim(u: Vertex, w: Vertex) -> Optional[int]:
-    """Dimension of a cube edge: the unique differing position, None for loops."""
-    if u == w:
-        return None
-    diffs = [i for i, (a, b) in enumerate(zip(u, w)) if a != b]
-    if len(diffs) != 1:
-        raise ValueError(f"({u}, {w}) differs in {len(diffs)} positions, not a cube edge")
-    return diffs[0]
-
-
-def is_dimension_preserving(f: GraphMorphism) -> bool:
-    """Edges of one source dimension all map to edges of one target dimension.
-
-    Loops count as the trivial dimension; they always map to loops, so
-    only the non-trivial classes need checking.
-    """
-    image_dims: dict[int, set[Optional[int]]] = {}
-    for u, w in f.source.edge_list:
-        d = edge_dim(u, w)
-        if d is None:
-            continue
-        image_dims.setdefault(d, set()).add(edge_dim(f(u), f(w)))
-    return all(len(dims) == 1 for dims in image_dims.values())
 
 
 def _one_hot(n: int, i: int) -> Vertex:
@@ -389,13 +326,6 @@ def extend_base_morphism(h: GraphMorphism) -> GraphMorphism:
                 val |= basis[i]
         images.append(int_to_bits(val, n))
     return GraphMorphism(source, target, images)
-
-
-def restrict_to_base(f: GraphMorphism) -> GraphMorphism:
-    """Restriction of a cube morphism to the base subgraph of its source."""
-    m = f.source.dimension
-    base = base_subgraph(m)
-    return GraphMorphism(base, f.target, {v: f(v) for v in base.vertices})
 
 
 def bchop_to_graphmeet(a: BchMorphism) -> GraphMorphism:
@@ -499,9 +429,16 @@ def dimension_constraints(src: Graph) -> list[tuple]:
 
 
 @lru_cache(maxsize=None)
+def dimension_rows(src: Graph, tgt: Graph) -> np.ndarray:
+    """Dimension-preserving maps between cubes as read-only hom rows."""
+    mat = hom_rows(src, tgt, dimension_constraints(src))
+    mat.setflags(write=False)
+    return mat
+
+
+@lru_cache(maxsize=None)
 def enumerate_graphdim(m: int, n: int, twisted: bool = False) -> tuple[GraphMorphism, ...]:
     """Dimension-preserving cube morphisms, by constrained hom enumeration."""
     build = twisted_cube if twisted else standard_cube
     src, tgt = build(m), build(n)
-    rows = hom_rows(src, tgt, dimension_constraints(src))
-    return tuple(GraphMorphism.from_indices(src, tgt, row) for row in rows)
+    return tuple(GraphMorphism.from_indices(src, tgt, row) for row in dimension_rows(src, tgt))

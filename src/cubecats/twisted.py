@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional
 
-from .graphs import Vertex, bits_to_int, int_to_bits
+from .graphs import CapacityError, Vertex, bits_to_int, int_to_bits
 from .cubes import twisted_cube
 from .standard import (
     GraphMorphism,
@@ -97,13 +97,6 @@ class Face:
     @property
     def dimension(self) -> int:
         return self.seq.count(STAR)
-
-
-def face_count(n: int, k: int) -> int:
-    """C(n, k) * 2^(n-k)."""
-    from math import comb
-
-    return comb(n, k) * 2 ** (n - k)
 
 
 def faces(n: int, k: int) -> list[Face]:
@@ -278,6 +271,8 @@ def graphdim_to_ternary(f: GraphMorphism) -> TernaryMorphism:
 @lru_cache(maxsize=None)
 def enumerate_ternary(m: int, n: int) -> tuple[TernaryMorphism, ...]:
     """All ternary arrows m -> n in canonical string order (0 < 1 < ⋆)."""
+    if m > 6 or n > 6:
+        raise CapacityError("enumerate_ternary is limited to m, n <= 6")
     return tuple(
         TernaryMorphism(m, n, "".join(chars))
         for chars in product("01" + STAR, repeat=n)

@@ -25,6 +25,18 @@ def run_cli_error(capsys, *argv):
     return exc.value.code, captured.err
 
 
+def run_child(script):
+    src = str(Path(cubecats.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
 def test_build_twisted_square_dot(capsys):
     code, out, _ = run_cli(capsys, "build", "--kind", "twisted", "--n", "2", "--out", "dot")
     assert code == 0
@@ -73,15 +85,7 @@ def test_cli_runs_without_networkx():
         'code |= main(["build", "--kind", "twisted", "--n", "3", "--verify-iso"])\n'
         "sys.exit(code)\n"
     )
-    src = str(Path(cubecats.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
-    )
+    proc = run_child(script)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
 
@@ -116,10 +120,16 @@ def test_homs_ternary_plain_strings(capsys):
 
 
 def test_homs_capacity_exit_three(capsys):
-    code, out, err = run_cli(capsys, "homs", "--cat", "graphcube", "4", "4")
+    # the frontier of partial maps from the 5-cube outgrows MAX_FRONTIER bytes
+    code, out, err = run_cli(capsys, "homs", "--cat", "graphcube", "5", "4")
     assert code == 3
     assert out == ""
     assert "capacity" in err
+    # refused before the 2^20-vertex cube is built
+    code, out, err = run_cli(capsys, "homs", "--cat", "graphcube", "20", "0")
+    assert code == 3
+    assert out == ""
+    assert "dimension at most 8" in err
 
 
 def test_compose_ternary_examples(capsys):
@@ -162,6 +172,27 @@ def test_compose_bch_empty_entry_usage_error(capsys):
     assert "map entry 0: expected j<k> or b<k>, got ''" in err
 
 
+_NESTED = "[" * 100_000
+_BCH_ID = '{"m": 1, "n": 1, "map": ["j0"]}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compose", "--cat", "bch", '{"m": 1e400, "n": 1, "map": ["j0"]}', _BCH_ID],
+        ["compose", "--cat", "bch", _NESTED, _BCH_ID],
+        ["export", "--in", "NESTED_FILE"],
+    ],
+    ids=["bch-overflow", "bch-nesting", "export-nesting"],
+)
+def test_malformed_input_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "nested.json"
+    path.write_text(_NESTED)
+    code, err = run_cli_error(capsys, *(str(path) if a == "NESTED_FILE" else a for a in argv))
+    assert code == 2
+    assert "Traceback" not in err
+
+
 def test_compose_dimension_mismatch(capsys):
     # g wants three inputs but f only provides two
     code, err = run_cli_error(capsys, "compose", "--cat", "ternary", "***", "0*")
@@ -175,8 +206,11 @@ def test_table_ternary(capsys):
 
 
 def test_table_capacity(capsys):
-    code, out, err = run_cli(capsys, "table", "--cat", "twcubecat", "--max-dim", "4")
+    # hom(0, 9) has a 512-vertex target, more than uint8 rows can index
+    code, out, err = run_cli(capsys, "table", "--cat", "twcubecat", "--max-dim", "9")
     assert code == 3
+    assert out == ""
+    assert "at most 256 target vertices" in err
 
 
 def test_check_iso_suite_passes(capsys):
@@ -199,21 +233,31 @@ def test_check_stdout_byte_stable(capsys):
     assert len(first.splitlines()) == 9
 
 
-@pytest.mark.parametrize("max_dim, exit_code", [(3, 0), (4, 3)])
+@pytest.mark.parametrize("max_dim, exit_code", [(3, 0), (4, 0)])
 def test_check_all_stdout_matches_golden(capsys, max_dim, exit_code):
-    # stdout recorded before the meet/join and dimension masks became
-    # constraints of the hom enumeration; it must not change
+    # dimension 3 was recorded before the meet/join and dimension masks
+    # became constraints of the hom enumeration, dimension 4 when its last
+    # capacity skips went; neither may change
     golden = Path(__file__).parent / "golden" / f"check_all_max_dim_{max_dim}.txt"
     code, out, _ = run_cli(capsys, "check", "--suite", "all", "--max-dim", str(max_dim))
     assert code == exit_code
     assert out.encode() == golden.read_bytes()
 
 
-def test_check_capacity_skip_exit_three(capsys):
-    code, out, err = run_cli(capsys, "check", "--suite", "twisted", "--max-dim", "4")
-    assert code == 3
-    skipped = [json.loads(l) for l in out.splitlines() if "skipped" in l]
+def test_check_capacity_skip_exit_three():
+    # a new process, so no hom-set cached by another test hides the limit
+    proc = run_child(
+        "import sys\n"
+        "from cubecats import kernels\n"
+        "from cubecats.cli import main\n"
+        "kernels.MAX_FRONTIER = 2**12\n"
+        'sys.exit(main(["check", "--suite", "twisted", "--max-dim", "4"]))\n'
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    skipped = [json.loads(l) for l in proc.stdout.splitlines() if "skipped" in l]
     assert skipped and all(s["skipped"] == "capacity" for s in skipped)
+    assert all("bytes, over the limit of 4096" in s["reason"] for s in skipped)
 
 
 def test_check_rejects_large_dim(capsys):

@@ -6,7 +6,6 @@ from cubecats.cubes import (
     Dim,
     Loop,
     base_subgraph,
-    edge_dimension,
     ordinary_iteration,
     standard_cube,
     standard_cube_nonrec,
@@ -92,11 +91,6 @@ def test_edge_labels_twisted_flip():
     assert cube.edge_of(Dim(1, "0")) == ("01", "00")
     assert cube.edge_of(Dim(1, "1")) == ("10", "11")
     assert cube.edge_of(Dim(0, "0")) == ("00", "10")
-
-
-def test_edge_dimension_of_labels():
-    assert edge_dimension(Dim(2, "01")) == 2
-    assert edge_dimension(Loop("0")) is None
 
 
 def test_every_label_is_an_edge():

@@ -19,10 +19,9 @@ from cubecats.standard import (
     enumerate_graphmeet_naive,
     hom_matrix,
     hom_rows,
-    is_dimension_preserving,
-    preserves_joins,
-    preserves_meets,
 )
+
+from predicates import is_dimension_preserving, preserves_joins, preserves_meets
 
 
 def _args(src, tgt):
@@ -71,16 +70,23 @@ def test_kernel_dimension_four_counts():
 
 
 def test_frontier_guard_raises_before_allocating():
-    # an edgeless source prunes nothing: 16^7 rows at the seventh vertex
+    # an edgeless source prunes nothing: 16^7 rows of 7 bytes at the seventh vertex
     tgt = standard_cube(4)
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="vertex 6 needs 1879048192 bytes"):
             kernels.edge_preserving_maps(16, 16, np.empty((0, 2), dtype=np.int64), tgt.adjacency)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16**7
+
+
+def test_target_beyond_uint8_rows_raises():
+    # 512 target vertices: uint8 rows would wrap indices 256..511 onto 0..255
+    with pytest.raises(CapacityError, match="at most 256 target vertices"):
+        hom_rows(standard_cube(0), standard_cube(9))
+    assert hom_rows(standard_cube(0), standard_cube(8)).ravel().tolist() == list(range(256))
 
 
 def test_kernel_output_is_lexicographic():

@@ -201,10 +201,6 @@ def test_laws_compose_each_pair_once(cat_id):
 
 
 def test_category_laws_capacity(monkeypatch):
-    monkeypatch.setattr(oracle, "DEFAULT_HOM_CAP", 3)
-    with pytest.raises(CapacityError):
-        check_category_laws(category_view("bch"), 2, 2)
-    monkeypatch.undo()
     monkeypatch.setattr(oracle, "DEFAULT_TRIPLE_CAP", 10)
     with pytest.raises(CapacityError):
         check_category_laws(category_view("bch"), 2, 2)
@@ -380,15 +376,10 @@ def test_hom_tables_of_equivalent_categories_agree():
 
 
 def test_hom_table_capacity():
-    with pytest.raises(CapacityError):
-        hom_table("graphcube", 4)
-    with pytest.raises(CapacityError):
-        hom_table("bch", 7)
-    for cat_id, limit in (("graphcube", 3), ("ternary", 6)):
-        assert oracle.hom_dim_limit(cat_id) == limit
-        assert len(hom_table(cat_id, limit)) == limit + 1
+    for cat_id in ("bch", "ternary", "semi"):
         with pytest.raises(CapacityError):
-            hom_table(cat_id, limit + 1)
+            hom_table(cat_id, 7)
+    assert len(hom_table("ternary", 6)) == 7
 
 
 def test_unknown_category_id():

@@ -1,6 +1,7 @@
 """Twisted-cube structure: the path order, faces, and ternary composition."""
 
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from cubecats.standard import compose_graph_morphisms, identity_graph_morphism
 from cubecats.twisted import (
     Face,
     TernaryMorphism,
-    face_count,
     face_to_injection,
     faces,
     factorize,
@@ -83,10 +83,11 @@ def test_unique_surjection_truncates_bits():
 
 
 def test_face_counts_and_enumeration():
-    assert face_count(2, 1) == 4
     assert [f.seq for f in faces(2, 1)] == ["0*", "1*", "*0", "*1"]
     for n in range(4):
-        assert sum(face_count(n, k) for k in range(n + 1)) == 3**n
+        counts = [len(faces(n, k)) for k in range(n + 1)]
+        assert counts == [comb(n, k) * 2 ** (n - k) for k in range(n + 1)]
+        assert sum(counts) == 3**n
 
 
 def test_face_validation():
@@ -205,7 +206,7 @@ def test_semi_ternary_uses_every_input():
             semi = enumerate_semi(m, n)
             assert all(t.stars == m for t in semi)
             assert all(semi_ternary_check(t) for t in semi)
-            assert len(semi) == face_count(n, m) if m <= n else len(semi) == 0
+            assert len(semi) == comb(n, m) * 2 ** (n - m) if m <= n else len(semi) == 0
 
 
 def test_semi_closed_under_composition():
