@@ -112,7 +112,7 @@ def cmd_compose(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         try:
             g = bch_from_json(args.g)
             f = bch_from_json(args.f)
-        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             parser.error(f"invalid morphism JSON: {exc}")
         try:
             composite = bch_compose(g, f)

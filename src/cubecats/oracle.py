@@ -35,12 +35,11 @@ from .standard import (
     bch_identity,
     bchop_to_graphmeet,
     compose_graph_morphisms,
-    dimension_rows,
+    dimension_constraints,
     enumerate_bch,
     enumerate_graph_homs,
     enumerate_graphdim,
     enumerate_graphmeet,
-    enumerate_graphmeet_naive,
     graphmeet_to_bchop,
     hom_matrix,
     identity_graph_morphism,
@@ -485,7 +484,7 @@ def check_meet_equals_dim(max_dim: int = 3) -> CheckReport:
     counts = {"hom_sets": 0, "morphisms": 0}
     for m in range(max_dim + 1):
         for n in range(max_dim + 1):
-            meets = {f.vmap for f in enumerate_graphmeet_naive(m, n)}
+            meets = {f.vmap for f in enumerate_graphmeet(m, n)}
             dims = {f.vmap for f in enumerate_graphdim(m, n)}
             if meets != dims:
                 diff = sorted(meets ^ dims)[0]
@@ -660,13 +659,13 @@ def check_fibre_dimension(
     for m in range(max_dim + 1):
         for n in range(max_dim + 1):
             src, tgt = build(m), build(n)
-            mat = hom_matrix(src, tgt)
+            mat = hom_matrix(src, tgt, None)
             fibres = kernels.fibre_counts(mat, len(tgt.vertices))
             biggest = fibres.max(axis=1)
             equal = (
                 np.where(fibres == 0, biggest[:, None], fibres).min(axis=1) == biggest
             )
-            dim_rows = {row.tobytes() for row in dimension_rows(src, tgt)}
+            dim_rows = {row.tobytes() for row in hom_matrix(src, tgt, dimension_constraints)}
             dimpres = np.array([row.tobytes() in dim_rows for row in mat], dtype=bool)
             if (equal != dimpres).any():
                 row = int(np.nonzero(equal != dimpres)[0][0])

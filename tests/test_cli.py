@@ -182,14 +182,18 @@ _BCH_ID = '{"m": 1, "n": 1, "map": ["j0"]}'
         ["compose", "--cat", "bch", '{"m": 1e400, "n": 1, "map": ["j0"]}', _BCH_ID],
         ["compose", "--cat", "bch", _NESTED, _BCH_ID],
         ["export", "--in", "NESTED_FILE"],
+        ["compose", "--cat", "bch", '{"m": 1, "n": -1, "map": ["j0"]}', _BCH_ID],
+        ["compose", "--cat", "bch", '{"m": 1.7, "n": 1, "map": ["j0"]}', _BCH_ID],
+        ["compose", "--cat", "bch", '{"m": true, "n": 1, "map": ["j0"]}', _BCH_ID],
     ],
-    ids=["bch-overflow", "bch-nesting", "export-nesting"],
+    ids=["bch-overflow", "bch-nesting", "export-nesting", "bch-negative", "bch-float", "bch-bool"],
 )
 def test_malformed_input_usage_error(capsys, tmp_path, argv):
     path = tmp_path / "nested.json"
     path.write_text(_NESTED)
     code, err = run_cli_error(capsys, *(str(path) if a == "NESTED_FILE" else a for a in argv))
     assert code == 2
+    assert err.startswith("usage:")
     assert "Traceback" not in err
 
 

@@ -16,9 +16,8 @@ from cubecats.standard import (
     dimension_constraints,
     enumerate_graph_homs,
     enumerate_graphdim,
-    enumerate_graphmeet_naive,
+    enumerate_graphmeet,
     hom_matrix,
-    hom_rows,
 )
 
 from predicates import is_dimension_preserving, preserves_joins, preserves_meets
@@ -85,8 +84,8 @@ def test_frontier_guard_raises_before_allocating():
 def test_target_beyond_uint8_rows_raises():
     # 512 target vertices: uint8 rows would wrap indices 256..511 onto 0..255
     with pytest.raises(CapacityError, match="at most 256 target vertices"):
-        hom_rows(standard_cube(0), standard_cube(9))
-    assert hom_rows(standard_cube(0), standard_cube(8)).ravel().tolist() == list(range(256))
+        hom_matrix(standard_cube(0), standard_cube(9))
+    assert hom_matrix(standard_cube(0), standard_cube(8)).ravel().tolist() == list(range(256))
 
 
 def test_kernel_output_is_lexicographic():
@@ -131,21 +130,21 @@ def test_constrained_enumeration_matches_reference_predicates(build):
         for n in range(4):
             src, tgt = build(m), build(n)
             dim = _kept_rows(src, tgt, is_dimension_preserving)
-            _assert_same_rows(hom_rows(src, tgt, dimension_constraints(src)), dim)
+            _assert_same_rows(hom_matrix(src, tgt, dimension_constraints), dim)
             bound = _kept_rows(src, tgt, meets_and_joins)
-            _assert_same_rows(hom_rows(src, tgt, bound_constraints(src, tgt)), bound)
+            _assert_same_rows(hom_matrix(src, tgt, bound_constraints), bound)
             homs = enumerate_graphdim(m, n, twisted=build is twisted_cube)
             assert [f.vmap for f in homs] == [tuple(r) for r in dim]
             if build is standard_cube:
-                homs = enumerate_graphmeet_naive(m, n)
+                homs = enumerate_graphmeet(m, n)
                 assert [f.vmap for f in homs] == [tuple(r) for r in bound]
 
 
 def test_constrained_kernel_dimension_four_counts():
     c4, t4 = standard_cube(4), twisted_cube(4)
     for src, constraints, count in [
-        (c4, dimension_constraints(c4), 648),
-        (t4, dimension_constraints(t4), 81),
+        (c4, dimension_constraints(c4, c4), 648),
+        (t4, dimension_constraints(t4, t4), 81),
         (c4, bound_constraints(c4, c4), 648),
     ]:
         maps = kernels.edge_preserving_maps(*_args(src, src), constraints)

@@ -7,7 +7,7 @@ from functools import partial
 
 import pytest
 
-from cubecats import oracle
+from cubecats import graphs, oracle, standard
 from cubecats.cubes import standard_cube, twisted_cube
 from cubecats.graphs import CapacityError, Graph
 from cubecats.oracle import (
@@ -29,12 +29,16 @@ from cubecats.oracle import (
     hom_table,
 )
 from cubecats.standard import (
+    BchMorphism,
     GraphMorphism,
     bch_compose,
     bch_identity,
+    bchop_to_graphmeet,
+    bound_constraints,
     enumerate_bch,
     enumerate_graph_homs,
     enumerate_graphdim,
+    graphmeet_to_bchop,
 )
 from cubecats.twisted import ternary_compose
 
@@ -298,6 +302,44 @@ def test_isomorphism_check_detects_non_bijection():
     )
     assert not rep.passed
     assert rep.counterexample["stage"].startswith("round trip")
+
+
+def test_meets_only_graphmeet_mutant_fails_hom_size(monkeypatch):
+    def meets_only(src, tgt):
+        # bound_constraints over the meet tables alone: the join half is dropped
+        with monkeypatch.context() as patch:
+            patch.setattr(standard, "_bound_tables", lambda g: graphs._bound_tables(g)[:1])
+            return bound_constraints(src, tgt)
+
+    mutant = dataclasses.replace(
+        category_view("graphmeet"),
+        hom=lambda m, n: enumerate_graph_homs(standard_cube(m), standard_cube(n), meets_only),
+    )
+    rep = check_isomorphism(
+        category_view("bchop"),
+        mutant,
+        lambda m, n, a: bchop_to_graphmeet(a),
+        lambda m, n, g: graphmeet_to_bchop(g),
+        max_dim=2,
+    )
+    assert rep.counterexample == {"stage": "hom size", "m": 2, "n": 1, "a": 4, "b": 5}
+
+
+def test_constant_dropping_forward_mutant_fails_round_trip():
+    def drop_constants(m, n, a):
+        # every constant becomes b0: b1 is lost
+        return bchop_to_graphmeet(BchMorphism(a.m, a.n, [min(e, a.n) for e in a.entries]))
+
+    rep = check_isomorphism(
+        category_view("bchop"),
+        category_view("graphmeet"),
+        drop_constants,
+        lambda m, n, g: graphmeet_to_bchop(g),
+        max_dim=2,
+    )
+    assert rep.counterexample == {
+        "stage": "round trip a->b->a", "m": 0, "n": 1, "f": "BchMorphism(1->0, [b1])"
+    }
 
 
 def test_brute_hamiltonian_counts():

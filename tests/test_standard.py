@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubecats import kernels
 from cubecats.cubes import base_subgraph, standard_cube, standard_cube_rec, twisted_cube
 from cubecats.graphs import CapacityError, graph_from_json, graph_to_json
 from cubecats.standard import (
@@ -22,9 +23,9 @@ from cubecats.standard import (
     enumerate_graph_homs,
     enumerate_graphdim,
     enumerate_graphmeet,
-    enumerate_graphmeet_naive,
     extend_base_morphism,
     graphmeet_to_bchop,
+    hom_matrix,
     identity_graph_morphism,
     transpose_partial_injection,
 )
@@ -50,6 +51,8 @@ def test_bch_validation():
         BchMorphism(2, 1, [0, 0])
     with pytest.raises(ValueError):
         BchMorphism(1, 1, [3])
+    with pytest.raises(ValueError, match="non-negative"):
+        BchMorphism(1, -1, [0])
     BchMorphism(2, 1, [1, 1])
 
 
@@ -136,12 +139,21 @@ def test_meets_alone_admit_more_maps_than_meets_and_joins():
     assert len(meets_only) == 5
 
 
-def test_graphmeet_structured_equals_naive():
+def test_graphmeet_equals_structural_chain():
+    # the (z, d) chain, as a reference independent of the hom enumeration
     for m in range(4):
         for n in range(4):
-            structured = set(enumerate_graphmeet(m, n))
-            naive = set(enumerate_graphmeet_naive(m, n))
-            assert structured == naive
+            chain = {bchop_to_graphmeet(a) for a in enumerate_bch(n, m)}
+            assert chain == set(enumerate_graphmeet(m, n))
+
+
+def test_graphmeet_is_bounded_by_the_kernel_frontier(monkeypatch):
+    # a frontier of 2^12 bytes refuses C^3 -> C^3, which enumerate_bch(3, 3) would answer
+    hom_matrix.cache_clear()
+    enumerate_graph_homs.cache_clear()
+    monkeypatch.setattr(kernels, "MAX_FRONTIER", 2**12)
+    with pytest.raises(CapacityError, match="frontier"):
+        enumerate_graphmeet(3, 3)
 
 
 def test_graphmeet_equals_graphdim_sets():
