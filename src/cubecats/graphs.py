@@ -202,10 +202,18 @@ def graph_to_json(g: Graph) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
+    """The graph of a graph_to_json encoding; each field must have its JSON type."""
     payload = json.loads(text)
-    g = Graph(payload["vertices"], [tuple(e) for e in payload["edges"]])
-    if g.dimension != payload["dimension"]:
+    dimension, vertices, edges = payload["dimension"], payload["vertices"], payload["edges"]
+    if type(dimension) is not int:
+        raise ValueError(f"dimension must be a JSON integer, got {dimension!r}")
+    if type(vertices) is not list or not all(type(v) is str for v in vertices):
+        raise ValueError("vertices must be a list of strings")
+    if type(edges) is not list or not all(type(e) is list and len(e) == 2 for e in edges):
+        raise ValueError("edges must be a list of [source, target] lists")
+    g = Graph(vertices, [tuple(e) for e in edges])
+    if g.dimension != dimension:
         raise ValueError(
-            f"declared dimension {payload['dimension']} does not match vertices of length {g.dimension}"
+            f"declared dimension {dimension} does not match vertices of length {g.dimension}"
         )
     return g

@@ -14,10 +14,11 @@ the checks can fail.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -45,11 +46,9 @@ from .standard import (
     identity_graph_morphism,
 )
 from .twisted import (
-    Face,
     face_to_injection,
     factorize,
     graphdim_to_ternary,
-    hamiltonian_f,
     hamiltonian_path,
     image_face,
     enumerate_semi,
@@ -268,6 +267,24 @@ def check_category_laws(
     return _report(name, params, t0, None, counts)
 
 
+def _composable_pairs(sizes: dict, max_dim: int, comp_dim: int, comp_samples: int, seed: int):
+    """(stage, k, m, n, g, f), g indexing hom(m, n) and f hom(k, m); sizes[m, n] is |hom(m, n)|.
+
+    Every pair with objects up to comp_dim, then comp_samples seeded draws
+    with objects up to max_dim; a draw with an empty hom-set is skipped.
+    """
+    dims = range(comp_dim + 1)
+    for k, m, n in itertools.product(dims, dims, dims):
+        for g, f in itertools.product(range(sizes[(m, n)]), range(sizes[(k, m)])):
+            yield "composition", k, m, n, g, f
+    rng = random.Random(seed)
+    for _ in range(comp_samples):
+        k, m, n = (rng.randrange(max_dim + 1) for _ in range(3))
+        g_size, f_size = sizes[(m, n)], sizes[(k, m)]
+        if g_size and f_size:
+            yield "sampled composition", k, m, n, rng.randrange(g_size), rng.randrange(f_size)
+
+
 def check_isomorphism(
     cat_a: FiniteCategoryView,
     cat_b: FiniteCategoryView,
@@ -278,23 +295,27 @@ def check_isomorphism(
     comp_samples: int = 0,
     seed: int = 0,
 ) -> CheckReport:
-    """Functorial isomorphism check: round trips, identities, composition.
+    """Functorial isomorphism check: round trips, images, identities, composition.
 
-    Round trips and identity preservation run on every hom-set up to
-    max_dim; composition preservation runs exhaustively on all
-    composable pairs with objects up to comp_dim (default max_dim) and,
-    when comp_samples > 0, on that many seeded random pairs with objects
-    up to max_dim.  An exception from forward, backward or a callback of
-    either view is an "exception" counterexample.
+    Round trips, forward images and identity preservation run on every
+    hom-set up to max_dim; composition preservation on all composable
+    pairs with objects up to comp_dim (default max_dim), then on
+    comp_samples seeded random pairs with objects up to max_dim.  forward
+    runs once per morphism of cat_a, so it must respect ==.  An exception
+    from forward, backward or a callback of either view is an
+    "exception" counterexample.
     """
     t0 = time.perf_counter()
     cat_a, cat_b = _guarded_view(cat_a), _guarded_view(cat_b)
     forward, backward = _guarded(forward), _guarded(backward)
     if comp_dim is None:
         comp_dim = max_dim
+    if comp_dim > max_dim:
+        raise ValueError("comp_dim must not exceed max_dim")
     name = f"isomorphism[{cat_a.name}~{cat_b.name}]"
     params = {"max_dim": max_dim, "comp_dim": comp_dim, "comp_samples": comp_samples}
     counts = {"round_trips": 0, "identities": 0, "composition_pairs": 0, "sampled_pairs": 0}
+    counted = {"composition": "composition_pairs", "sampled composition": "sampled_pairs"}
 
     def fail(kind: str, **data: object) -> CheckReport:
         return _report(name, params, t0, {"stage": kind, **data}, counts)
@@ -302,13 +323,20 @@ def check_isomorphism(
     objs = range(max_dim + 1)
     try:
         homs = {(m, n): (cat_a.hom(m, n), cat_b.hom(m, n)) for m in objs for n in objs}
+        image = {}  # image[m, n][i]: forward of the i-th morphism of hom_a(m, n)
         for (m, n), (ha, hb) in homs.items():
             if len(ha) != len(hb):
                 return fail("hom size", m=m, n=n, a=len(ha), b=len(hb))
+            members = set(hb)
+            image[(m, n)] = []
             for f in ha:
-                if backward(m, n, forward(m, n, f)) != f:
+                fb = forward(m, n, f)
+                if backward(m, n, fb) != f:
                     return fail("round trip a->b->a", m=m, n=n, f=cat_a.describe(f))
                 counts["round_trips"] += 1
+                if fb not in members:
+                    return fail("forward image", m=m, n=n, f=cat_a.describe(f))
+                image[(m, n)].append(fb)
             for g in hb:
                 if forward(m, n, backward(m, n, g)) != g:
                     return fail("round trip b->a->b", m=m, n=n, g=cat_b.describe(g))
@@ -317,38 +345,13 @@ def check_isomorphism(
             if forward(n, n, cat_a.identity(n)) != cat_b.identity(n):
                 return fail("identity", n=n)
             counts["identities"] += 1
-        for k in range(comp_dim + 1):
-            for m in range(comp_dim + 1):
-                for n in range(comp_dim + 1):
-                    for g in cat_a.hom(m, n):
-                        fg = forward(m, n, g)
-                        for f in cat_a.hom(k, m):
-                            lhs = forward(k, n, cat_a.compose(g, f))
-                            if lhs != cat_b.compose(fg, forward(k, m, f)):
-                                return fail(
-                                    "composition",
-                                    dims=[k, m, n],
-                                    f=cat_a.describe(f),
-                                    g=cat_a.describe(g),
-                                )
-                            counts["composition_pairs"] += 1
-        if comp_samples:
-            rng = random.Random(seed)
-            for _ in range(comp_samples):
-                k, m, n = (rng.randrange(max_dim + 1) for _ in range(3))
-                ha, hb = homs[(m, n)][0], homs[(k, m)][0]
-                if not ha or not hb:
-                    continue
-                g, f = rng.choice(ha), rng.choice(hb)
-                lhs = forward(k, n, cat_a.compose(g, f))
-                if lhs != cat_b.compose(forward(m, n, g), forward(k, m, f)):
-                    return fail(
-                        "sampled composition",
-                        dims=[k, m, n],
-                        f=cat_a.describe(f),
-                        g=cat_a.describe(g),
-                    )
-                counts["sampled_pairs"] += 1
+        sizes = {mn: len(ha) for mn, (ha, _) in homs.items()}
+        for stage, k, m, n, i, j in _composable_pairs(sizes, max_dim, comp_dim, comp_samples, seed):
+            g, f = homs[(m, n)][0][i], homs[(k, m)][0][j]
+            lhs = forward(k, n, cat_a.compose(g, f))
+            if lhs != cat_b.compose(image[(m, n)][i], image[(k, m)][j]):
+                return fail(stage, dims=[k, m, n], f=cat_a.describe(f), g=cat_a.describe(g))
+            counts[counted[stage]] += 1
     except _CallbackError as exc:
         return fail("exception", error=str(exc))
     return _report(name, params, t0, None, counts)
@@ -424,12 +427,9 @@ def category_view(cat_id: str) -> FiniteCategoryView:
         )
     if cat_id == "twgraphdim":
         return _graph_view("twgraphdim", twisted_cube, enumerate_twgraphdim)
-    if cat_id == "ternary":
-        return FiniteCategoryView(
-            "ternary", enumerate_ternary, ternary_identity, ternary_compose
-        )
-    if cat_id == "semi":
-        return FiniteCategoryView("semi", enumerate_semi, ternary_identity, ternary_compose)
+    if cat_id in ("ternary", "semi"):
+        hom = enumerate_ternary if cat_id == "ternary" else enumerate_semi
+        return FiniteCategoryView(cat_id, hom, ternary_identity, ternary_compose, lambda t: t.seq)
     raise ValueError(f"unknown category id {cat_id!r}; choose one of {', '.join(CATEGORY_IDS)}")
 
 
@@ -634,11 +634,8 @@ def check_ternary_iso(
     compose: Callable = ternary_compose,
 ) -> CheckReport:
     """Ternary notation matches dimension-preserving twisted-cube maps."""
-    ternary = FiniteCategoryView(
-        "ternary", enumerate_ternary, ternary_identity, compose, lambda t: t.seq
-    )
     return check_isomorphism(
-        ternary,
+        replace(category_view("ternary"), compose=compose),
         category_view("twgraphdim"),
         lambda m, n, t: ternary_to_graphdim(t),
         lambda m, n, g: graphdim_to_ternary(g),

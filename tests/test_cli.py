@@ -174,6 +174,13 @@ def test_compose_bch_empty_entry_usage_error(capsys):
 
 _NESTED = "[" * 100_000
 _BCH_ID = '{"m": 1, "n": 1, "map": ["j0"]}'
+# export inputs, written to files named by these keys
+_GRAPH_FILES = {
+    "NESTED_FILE": _NESTED,
+    "STRING_VERTICES": '{"dimension": 1, "vertices": "01", "edges": [["0", "1"]]}',
+    "OBJECT_VERTICES": '{"dimension": 1, "vertices": {"0": 1, "1": 2}, "edges": [["0", "1"]]}',
+    "BOOL_DIMENSION": '{"dimension": true, "vertices": ["0", "1"], "edges": [["0", "1"]]}',
+}
 
 
 @pytest.mark.parametrize(
@@ -185,13 +192,19 @@ _BCH_ID = '{"m": 1, "n": 1, "map": ["j0"]}'
         ["compose", "--cat", "bch", '{"m": 1, "n": -1, "map": ["j0"]}', _BCH_ID],
         ["compose", "--cat", "bch", '{"m": 1.7, "n": 1, "map": ["j0"]}', _BCH_ID],
         ["compose", "--cat", "bch", '{"m": true, "n": 1, "map": ["j0"]}', _BCH_ID],
+        ["export", "--in", "STRING_VERTICES"],
+        ["export", "--in", "OBJECT_VERTICES"],
+        ["export", "--in", "BOOL_DIMENSION"],
     ],
-    ids=["bch-overflow", "bch-nesting", "export-nesting", "bch-negative", "bch-float", "bch-bool"],
+    ids=[
+        "bch-overflow", "bch-nesting", "export-nesting", "bch-negative", "bch-float", "bch-bool",
+        "export-string-vertices", "export-object-vertices", "export-bool-dimension",
+    ],
 )
 def test_malformed_input_usage_error(capsys, tmp_path, argv):
-    path = tmp_path / "nested.json"
-    path.write_text(_NESTED)
-    code, err = run_cli_error(capsys, *(str(path) if a == "NESTED_FILE" else a for a in argv))
+    for name, text in _GRAPH_FILES.items():
+        (tmp_path / name).write_text(text)
+    code, err = run_cli_error(capsys, *(str(tmp_path / a) if a in _GRAPH_FILES else a for a in argv))
     assert code == 2
     assert err.startswith("usage:")
     assert "Traceback" not in err

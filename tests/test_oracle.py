@@ -342,6 +342,63 @@ def test_constant_dropping_forward_mutant_fails_round_trip():
     }
 
 
+def test_forward_outside_the_target_hom_set_fails_forward_image():
+    # Both round trips hold, but f0 is sent to ("w", f0), which is no bch arrow.
+    f0 = BchMorphism(2, 2, [1, 0])
+
+    def forward(m, n, f):
+        if f == f0:
+            return ("w", f0)
+        return f[1] if isinstance(f, tuple) and f[0] == "o" else f
+
+    def backward(m, n, f):
+        if f == f0:
+            return ("o", f0)
+        return f[1] if isinstance(f, tuple) and f[0] == "w" else f
+
+    bch = category_view("bch")
+    rep = check_isomorphism(bch, bch, forward, backward, max_dim=2, comp_dim=1)
+    assert rep.counterexample == {
+        "stage": "forward image", "m": 2, "n": 2, "f": "BchMorphism(2->2, [j1, j0])"
+    }
+
+
+def test_untwisted_compose_mutant_fails_sampled_composition():
+    # pins the seeded draw sequence: comp_dim 0 leaves the samples to find it
+    rep = check_ternary_iso(3, 0, 200, compose=partial(ternary_compose, twist=False))
+    assert rep.counterexample == {
+        "stage": "sampled composition", "dims": [0, 2, 3], "f": "11", "g": "0*1"
+    }
+    assert rep.counts == {
+        "round_trips": 252, "identities": 4, "composition_pairs": 1, "sampled_pairs": 70
+    }
+
+
+def test_isomorphism_runs_forward_once_per_morphism():
+    view = category_view("ternary")
+    calls = 0
+
+    def counted(m, n, t):
+        nonlocal calls
+        calls += 1
+        return t
+
+    rep = check_isomorphism(
+        view, view, counted, lambda m, n, t: t, max_dim=2, comp_dim=1, comp_samples=50
+    )
+    assert rep.passed
+    morphisms = sum(len(view.hom(m, n)) for m in range(3) for n in range(3))
+    # both round trips, the three identities, then one composite per pair
+    pairs = rep.counts["composition_pairs"] + rep.counts["sampled_pairs"]
+    assert calls == 2 * morphisms + 3 + pairs == 143
+
+
+def test_isomorphism_comp_dim_within_max_dim():
+    view = category_view("bch")
+    with pytest.raises(ValueError):
+        check_isomorphism(view, view, lambda m, n, f: f, lambda m, n, f: f, max_dim=1, comp_dim=2)
+
+
 def test_brute_hamiltonian_counts():
     assert brute_hamiltonian(standard_cube(1)) == [["0", "1"]]
     assert brute_hamiltonian(standard_cube(2)) == []
