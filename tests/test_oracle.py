@@ -1,5 +1,6 @@
 """The verifiers themselves: reports, law checks, and mutant detection."""
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -388,15 +389,122 @@ def test_isomorphism_runs_forward_once_per_morphism():
     )
     assert rep.passed
     morphisms = sum(len(view.hom(m, n)) for m in range(3) for n in range(3))
-    # both round trips, the three identities, then one composite per pair
-    pairs = rep.counts["composition_pairs"] + rep.counts["sampled_pairs"]
-    assert calls == 2 * morphisms + 3 + pairs == 143
+    # both round trips and the three identities; every composite is in hom_a,
+    # so its image is read from the round trip's images
+    assert calls == 2 * morphisms + 3 == 67
+
+
+def test_isomorphism_composes_each_distinct_pair_once():
+    calls = collections.Counter()
+
+    def counted(g, f):
+        calls[g, f] += 1
+        return ternary_compose(g, f)
+
+    view = category_view("ternary")
+    rep = check_isomorphism(
+        dataclasses.replace(view, compose=counted),
+        view,
+        lambda m, n, t: t,
+        lambda m, n, t: t,
+        max_dim=2,
+        comp_dim=1,
+        comp_samples=50,
+    )
+    assert rep.passed
+    sizes = {(m, n): len(view.hom(m, n)) for m in range(3) for n in range(3)}
+    stream = list(oracle._composable_pairs(sizes, 2, 1, 50, 0))
+    distinct = {(view.hom(m, n)[g], view.hom(k, m)[f]) for _, k, m, n, g, f in stream}
+    assert len(distinct) < len(stream)  # the draws repeat some pairs
+    assert calls == collections.Counter(distinct)
+    # a repeated draw is still counted
+    sampled = sum(stage == "sampled composition" for stage, *_ in stream)
+    assert rep.counts["sampled_pairs"] == sampled == 50
+    assert rep.counts["composition_pairs"] == len(stream) - sampled
+
+
+def test_composite_outside_hom_a_goes_through_forward():
+    # Composites equal to the swap are wrapped, so they are not in hom_a(2, 2).
+    swap = BchMorphism(2, 2, [1, 0])
+
+    def wrapping(g, f):
+        gf = bch_compose(g, f)
+        return ("w", gf) if gf == swap else gf
+
+    bch = category_view("bch")
+    a = dataclasses.replace(bch, compose=wrapping)
+
+    def check(unwrap):
+        wrapped = []
+
+        def forward(m, n, f):
+            if isinstance(f, tuple):
+                wrapped.append(f)
+                return f[1] if unwrap else f
+            return f
+
+        rep = check_isomorphism(
+            a, bch, forward, lambda m, n, f: f, max_dim=2, comp_dim=2, comp_samples=50
+        )
+        return rep, wrapped
+
+    rep, wrapped = check(unwrap=True)
+    assert rep.passed
+    assert wrapped == [("w", swap)] * 2
+    assert rep.counts == {
+        "round_trips": 76, "identities": 3, "composition_pairs": 623, "sampled_pairs": 50
+    }
+    rep, wrapped = check(unwrap=False)
+    assert wrapped == [("w", swap)]
+    assert rep.counterexample == {
+        "stage": "composition",
+        "dims": [2, 2, 2],
+        "f": "BchMorphism(2->2, [j1, j0])",
+        "g": "BchMorphism(2->2, [j0, j1])",
+    }
+    assert rep.counts == {
+        "round_trips": 76, "identities": 3, "composition_pairs": 430, "sampled_pairs": 0
+    }
+
+
+def test_unhashable_composite_goes_through_forward():
+    bch = category_view("bch")
+    a = dataclasses.replace(bch, compose=lambda g, f: [bch_compose(g, f)])
+    rep = check_isomorphism(
+        a,
+        bch,
+        lambda m, n, f: f[0] if isinstance(f, list) else f,
+        lambda m, n, f: f,
+        max_dim=2,
+        comp_dim=1,
+        comp_samples=20,
+    )
+    assert rep.passed
+    assert rep.counts == {
+        "round_trips": 76, "identities": 3, "composition_pairs": 26, "sampled_pairs": 20
+    }
 
 
 def test_isomorphism_comp_dim_within_max_dim():
     view = category_view("bch")
     with pytest.raises(ValueError):
         check_isomorphism(view, view, lambda m, n, f: f, lambda m, n, f: f, max_dim=1, comp_dim=2)
+
+
+def test_factorize_memory_error_propagates(monkeypatch):
+    def raising(exc_type):
+        def factorize(f):
+            raise exc_type("factorize failed")
+
+        return factorize
+
+    monkeypatch.setattr(oracle, "factorize", raising(MemoryError))
+    with pytest.raises(MemoryError):
+        check_factorization(1)
+    monkeypatch.setattr(oracle, "factorize", raising(ValueError))
+    rep = check_factorization(1)
+    assert rep.counterexample["error"] == "factorize failed"
+    assert rep.counts == {"factored": 0}
 
 
 def test_brute_hamiltonian_counts():
