@@ -102,8 +102,8 @@ def cmd_homs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         # any enumeration, and one of dimension 14 alone takes over 300 MB
         raise CapacityError("homs builds cubes of dimension at most 8 (256 vertices)")
     view = category_view(args.cat)
-    for f in view.hom(args.m, args.n):
-        print(_morphism_line(args.cat, f))
+    for row in view.rows(args.m, args.n):
+        print(_morphism_line(args.cat, view.morphism(args.m, args.n, row)))
     return 0
 
 

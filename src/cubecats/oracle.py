@@ -1,10 +1,16 @@
 """Brute-force verifiers: category laws, isomorphisms, Hamiltonian search.
 
 Every theorem the package implements structurally is re-checked here by
-exhaustive (or, where stated, sampled) computation over small
-dimensions.  Checks return CheckReport values carrying a verdict, the
-first counterexample in canonical order when there is one, and counts
-of the work done; they never assume the statement they are checking.
+exhaustive computation over small dimensions.  Checks return
+CheckReport values carrying a verdict, the first counterexample in
+canonical order when there is one, and counts of the work done; they
+never assume the statement they are checking.
+
+The category laws and the isomorphisms work on morphisms as rows: each
+hom-set is a sorted integer matrix, composition is one batched row
+operation per triple of objects, and a composite is found in its
+hom-set by a binary search of its packed row key.  Morphism objects are
+built only to describe a counterexample.
 
 The check functions take the pieces they verify as parameters where a
 mutation test needs to swap them out (a cube builder, a hom enumerator,
@@ -14,11 +20,11 @@ the checks can fail.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from itertools import product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,33 +37,33 @@ from .graphs import (
     is_total_order,
 )
 from .cubes import standard_cube, twisted_cube
+from .rows import HomRows, RowError, checked_rows
 from .standard import (
-    bch_compose,
-    bch_identity,
-    bchop_to_graphmeet,
-    compose_graph_morphisms,
+    BchMorphism,
+    GraphMorphism,
+    bch_compose_rows,
+    bch_rows,
+    bchop_to_graphmeet_rows,
+    bound_constraints,
+    compose_graph_rows,
     dimension_constraints,
-    enumerate_bch,
-    enumerate_graph_homs,
-    enumerate_graphdim,
-    enumerate_graphmeet,
-    graphmeet_to_bchop,
+    graphmeet_to_bchop_rows,
     hom_matrix,
-    identity_graph_morphism,
 )
 from .twisted import (
+    TernaryMorphism,
     face_to_injection,
     factorize,
-    graphdim_to_ternary,
+    graphdim_to_ternary_rows,
     hamiltonian_path,
     image_face,
-    enumerate_semi,
-    enumerate_ternary,
     enumerate_twgraphdim,
     order_g,
-    ternary_compose,
-    ternary_identity,
-    ternary_to_graphdim,
+    semi_rows,
+    ternary_compose_rows,
+    ternary_rows,
+    ternary_seq,
+    ternary_to_graphdim_rows,
     unique_surjection,
 )
 
@@ -99,17 +105,28 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class FiniteCategoryView:
-    """Just enough of a category to brute-force its laws.
+    """Just enough of a category to brute-force its laws, with morphisms as rows.
 
-    Objects are the natural numbers up to some bound; hom(m, n) must be
-    deterministic and morphism equality structural (==).
+    Objects are the natural numbers up to some bound.  rows(m, n) is
+    hom(m, n) as a 2-D array of non-negative integers, one row per
+    morphism, in strictly increasing lexicographic order; equal rows are
+    equal morphisms.  identity(n) is the row of id_n.
+    compose_rows(m, n, p, h, g) takes rows h of hom(n, p) and rows g of
+    hom(m, n) and returns the (len(h), len(g), w) array of the rows of
+    every h∘g.  morphism(m, n, row) is the morphism object of a row of
+    hom(m, n), and describe names one in a counterexample.
     """
 
     name: str
-    hom: Callable[[int, int], Sequence]
-    identity: Callable[[int], object]
-    compose: Callable[[object, object], object]
+    rows: Callable[[int, int], np.ndarray]
+    identity: Callable[[int], np.ndarray]
+    compose_rows: Callable[[int, int, int, np.ndarray, np.ndarray], np.ndarray]
+    morphism: Callable[[int, int, np.ndarray], object]
     describe: Callable[[object], str] = repr
+
+    def hom(self, m: int, n: int) -> tuple:
+        """The morphism objects of hom(m, n), in row order."""
+        return tuple(self.morphism(m, n, row) for row in self.rows(m, n))
 
 
 class _CallbackError(Exception):
@@ -131,7 +148,7 @@ def _guarded(fn: Callable) -> Callable:
 
 
 def _guarded_view(cat: FiniteCategoryView) -> FiniteCategoryView:
-    return FiniteCategoryView(cat.name, *map(_guarded, (cat.hom, cat.identity, cat.compose, cat.describe)))
+    return replace(cat, **{f.name: _guarded(getattr(cat, f.name)) for f in fields(cat)[1:]})
 
 
 def _report(name: str, params: dict, t0: float, counterexample: Optional[dict], counts: dict) -> CheckReport:
@@ -145,15 +162,31 @@ def _report(name: str, params: dict, t0: float, counterexample: Optional[dict], 
     )
 
 
-def _identity_failure(cat: FiniteCategoryView, m: int, n: int, hom: Sequence):
-    """(row, law) of the first f in hom(m, n) failing an identity law, or None."""
-    id_m, id_n = cat.identity(m), cat.identity(n)
-    for r, f in enumerate(hom):
-        if cat.compose(f, id_m) != f:
-            return r, "right identity"
-        if cat.compose(id_n, f) != f:
-            return r, "left identity"
-    return None
+class _Rows:
+    """A guarded view's hom-sets, identities and composition, checked as they come."""
+
+    def __init__(self, cat: FiniteCategoryView, objs: range):
+        self.cat = cat
+        self.homs = {
+            (m, n): HomRows(cat.rows(m, n), f"rows({m}, {n})") for m in objs for n in objs
+        }
+
+    def identity(self, n: int) -> np.ndarray:
+        return checked_rows(self.cat.identity(n), (self.homs[(n, n)].width,), f"identity({n})")
+
+    def compose(self, m: int, n: int, p: int, h: np.ndarray, g: np.ndarray) -> np.ndarray:
+        shape = (len(h), len(g), self.homs[(m, p)].width)
+        composites = self.cat.compose_rows(m, n, p, h, g)
+        return checked_rows(composites, shape, f"compose_rows({m}, {n}, {p})")
+
+    def describe(self, m: int, n: int, row: np.ndarray) -> str:
+        return self.cat.describe(self.cat.morphism(m, n, row))
+
+
+def _first(bad: np.ndarray) -> Optional[tuple]:
+    """Position of the first True of bad in row-major order, or None."""
+    found = np.argwhere(bad)
+    return tuple(int(i) for i in found[0]) if len(found) else None
 
 
 def _associativity_failure(gf: np.ndarray, hg: np.ndarray, x_f: np.ndarray, h_y: np.ndarray):
@@ -179,12 +212,14 @@ def check_category_laws(
 ) -> CheckReport:
     """Exhaustive identity laws up to max_dim; closure and associativity up to max_assoc_dim.
 
-    Every composable pair with objects up to max_assoc_dim is composed
-    once and its composite looked up by == in the target hom-set, which
-    checks closure and fills a table of hom-set indices.  Associativity
-    is then checked on those tables, so it assumes that compose respects
-    ==: equal arguments give equal composites.  An exception from a
-    callback of the view is an "exception" counterexample.
+    Each hom-set is composed with the identities on both sides in two
+    batched calls.  Then the rows of hom(n, p) and hom(m, n) are
+    composed in one call per (m, n, p) with objects up to max_assoc_dim,
+    and each composite is looked up in hom(m, p) by its row key.  A
+    composite that is not there fails closure; the others fill a table
+    of hom-set indices, on which associativity is checked.  An exception
+    from a callback of the view, or a result of the wrong shape or with
+    a negative value, is an "exception" counterexample.
     """
     t0 = time.perf_counter()
     cat = _guarded_view(cat)
@@ -201,98 +236,89 @@ def check_category_laws(
         return _report(name, params, t0, {"law": kind, **data}, counts)
 
     try:
-        homs = {(m, n): cat.hom(m, n) for m in objs for n in objs}
+        view = _Rows(cat, objs)
+        homs = view.homs
         for (m, n), hom in homs.items():
-            bad = _identity_failure(cat, m, n, hom)
+            f = hom.rows
+            right = view.compose(m, m, n, f, view.identity(m)[None])[:, 0]
+            left = view.compose(m, n, n, view.identity(n)[None], f)[0]
+            bad_right = (right != f).any(axis=1)
+            bad = _first(bad_right | (left != f).any(axis=1))
             if bad is not None:
-                r, law = bad
+                (r,) = bad
                 counts["identity_checks"] += 2 * r
-                return fail(law, m=m, n=n, f=cat.describe(hom[r]))
-            counts["identity_checks"] += 2 * len(hom)
+                law = "right identity" if bad_right[r] else "left identity"
+                return fail(law, m=m, n=n, f=view.describe(m, n, f[r]))
+            counts["identity_checks"] += 2 * len(f)
         aobjs = range(max_assoc_dim + 1)
         triples = sum(
             len(homs[(n, p)]) * len(homs[(m, n)]) * len(homs[(k, m)])
-            for k in aobjs
-            for m in aobjs
-            for n in aobjs
-            for p in aobjs
+            for k, m, n, p in product(aobjs, repeat=4)
         )
         if triples > DEFAULT_TRIPLE_CAP:
             raise CapacityError(
                 f"{name}: {triples} associativity triples exceed {DEFAULT_TRIPLE_CAP}"
             )
-        index = {(m, p): {f: i for i, f in enumerate(homs[(m, p)])} for m in aobjs for p in aobjs}
         tables = {}  # tables[m, n, p][h, g]: index of h∘g in hom(m, p)
-        for m in aobjs:
-            for n in aobjs:
-                for p in aobjs:
-                    gs, hs = homs[(m, n)], homs[(n, p)]
-                    table = np.empty((len(hs), len(gs)), dtype=np.intp)
-                    for ih, h in enumerate(hs):
-                        for ig, g in enumerate(gs):
-                            i = index[(m, p)].get(cat.compose(h, g))
-                            if i is None:
-                                return fail(
-                                    "closure",
-                                    dims=[m, n, p],
-                                    g=cat.describe(g),
-                                    h=cat.describe(h),
-                                )
-                            table[ih, ig] = i
-                    tables[(m, n, p)] = table
-        for k in aobjs:
-            for m in aobjs:
-                for n in aobjs:
-                    for p in aobjs:
-                        fs, gs, hs = homs[(k, m)], homs[(m, n)], homs[(n, p)]
-                        bad = _associativity_failure(
-                            tables[(k, m, n)],
-                            tables[(m, n, p)],
-                            tables[(k, m, p)],
-                            tables[(k, n, p)],
-                        )
-                        if bad is not None:
-                            ih, ig, jf = bad
-                            counts["associativity_checks"] += (ih * len(gs) + ig) * len(fs) + jf
-                            return fail(
-                                "associativity",
-                                dims=[k, m, n, p],
-                                f=cat.describe(fs[jf]),
-                                g=cat.describe(gs[ig]),
-                                h=cat.describe(hs[ih]),
-                            )
-                        counts["associativity_checks"] += len(hs) * len(gs) * len(fs)
-    except _CallbackError as exc:  # a broken composition rule may not even type-check
+        for m, n, p in product(aobjs, repeat=3):
+            hs, gs = homs[(n, p)].rows, homs[(m, n)].rows
+            table = homs[(m, p)].index(view.compose(m, n, p, hs, gs))
+            bad = _first(table < 0)
+            if bad is not None:
+                ih, ig = bad
+                return fail(
+                    "closure",
+                    dims=[m, n, p],
+                    g=view.describe(m, n, gs[ig]),
+                    h=view.describe(n, p, hs[ih]),
+                )
+            tables[(m, n, p)] = table
+        for k, m, n, p in product(aobjs, repeat=4):
+            fs, gs, hs = homs[(k, m)].rows, homs[(m, n)].rows, homs[(n, p)].rows
+            bad = _associativity_failure(
+                tables[(k, m, n)],
+                tables[(m, n, p)],
+                tables[(k, m, p)],
+                tables[(k, n, p)],
+            )
+            if bad is not None:
+                ih, ig, jf = bad
+                counts["associativity_checks"] += (ih * len(gs) + ig) * len(fs) + jf
+                return fail(
+                    "associativity",
+                    dims=[k, m, n, p],
+                    f=view.describe(k, m, fs[jf]),
+                    g=view.describe(m, n, gs[ig]),
+                    h=view.describe(n, p, hs[ih]),
+                )
+            counts["associativity_checks"] += len(hs) * len(gs) * len(fs)
+    except (_CallbackError, RowError) as exc:  # a broken composition rule may not even type-check
         return fail("exception", error=str(exc))
     return _report(name, params, t0, None, counts)
 
 
-def _composable_pairs(sizes: dict, max_dim: int, comp_dim: int, comp_samples: int, seed: int):
-    """(stage, k, m, n, g, f), g indexing hom(m, n) and f hom(k, m); sizes[m, n] is |hom(m, n)|.
+def _sampled_pairs(sizes: dict, max_dim: int, comp_samples: int, seed: int):
+    """(k, m, n, g, f), g indexing hom(m, n) and f hom(k, m); sizes[m, n] is |hom(m, n)|.
 
-    Every pair with objects up to comp_dim, then comp_samples seeded draws
-    with objects up to max_dim; a draw with an empty hom-set is skipped.
-    Draws may repeat a pair.  The stream depends only on its arguments:
-    k, m, n, g and f are drawn in that order by one Random(seed).randrange.
+    comp_samples seeded draws with objects up to max_dim; a draw with an
+    empty hom-set is skipped.  Draws may repeat a pair.  The stream
+    depends only on its arguments: k, m, n, g and f are drawn in that
+    order by one Random(seed).randrange.
     """
-    dims = range(comp_dim + 1)
-    for k, m, n in itertools.product(dims, dims, dims):
-        for g, f in itertools.product(range(sizes[(m, n)]), range(sizes[(k, m)])):
-            yield "composition", k, m, n, g, f
     randrange = random.Random(seed).randrange
     objs = max_dim + 1
     for _ in range(comp_samples):
         k, m, n = randrange(objs), randrange(objs), randrange(objs)
         g_size, f_size = sizes[(m, n)], sizes[(k, m)]
         if g_size and f_size:
-            yield "sampled composition", k, m, n, randrange(g_size), randrange(f_size)
+            yield k, m, n, randrange(g_size), randrange(f_size)
 
 
 def check_isomorphism(
     cat_a: FiniteCategoryView,
     cat_b: FiniteCategoryView,
-    forward: Callable[[int, int, object], object],
-    backward: Callable[[int, int, object], object],
+    forward: Callable[[int, int, np.ndarray], np.ndarray],
+    backward: Callable[[int, int, np.ndarray], np.ndarray],
     max_dim: int,
     comp_dim: Optional[int] = None,
     comp_samples: int = 0,
@@ -300,17 +326,28 @@ def check_isomorphism(
 ) -> CheckReport:
     """Functorial isomorphism check: round trips, images, identities, composition.
 
-    Round trips, forward images and identity preservation run on every
-    hom-set up to max_dim; composition preservation on all composable
-    pairs with objects up to comp_dim (default max_dim), then on
-    comp_samples seeded random pairs with objects up to max_dim.  Each
-    distinct pair is composed and compared once; a repeated draw is only
-    counted.  The image of g∘f is read from the round trip's images by
-    its index in hom_a(k, n); forward runs on g∘f only when it is not in
-    hom_a(k, n).  So when cat_a is closed under composition, forward runs
-    once per morphism of cat_a.  compose and forward must respect ==.
-    An exception from forward, backward or a callback of either view is
-    an "exception" counterexample.
+    forward(m, n, rows) maps rows of hom_a(m, n) to rows of hom_b(m, n),
+    one row each, and backward the other way.  Round trips, forward
+    images and identity preservation run on every hom-set up to max_dim;
+    the forward images give phi[m, n], the index in hom_b(m, n) of the
+    image of each row of hom_a(m, n).  Composition preservation runs on
+    all composable pairs with objects up to comp_dim (default max_dim),
+    then on comp_samples seeded random pairs with objects up to max_dim.
+    For each (k, m, n) it is one comparison of index tables:
+    phi[k, n][T_a] == T_b[phi[m, n], phi[k, m]], where T_a and T_b index
+    the composites of each pair in hom_a(k, n) and hom_b(k, n).  A
+    composite outside hom_a(k, n) goes through forward; one outside
+    hom_b(k, n) matches nothing.
+
+    When comp_samples > 0 the tables cover every (k, m, n) up to
+    max_dim, so a sample can fail only if a pair in them fails.  The
+    seeded stream is drawn only when one does, to find and count the
+    first failing draw, or when a hom-set is empty, to count the draws
+    that are not skipped; otherwise every draw would pass, sampled_pairs
+    is comp_samples and nothing is drawn.  An exception from
+    forward, backward or a callback of either view, or a result of the
+    wrong shape or with a negative value, is an "exception"
+    counterexample.
     """
     t0 = time.perf_counter()
     cat_a, cat_b = _guarded_view(cat_a), _guarded_view(cat_b)
@@ -322,54 +359,89 @@ def check_isomorphism(
     name = f"isomorphism[{cat_a.name}~{cat_b.name}]"
     params = {"max_dim": max_dim, "comp_dim": comp_dim, "comp_samples": comp_samples}
     counts = {"round_trips": 0, "identities": 0, "composition_pairs": 0, "sampled_pairs": 0}
-    counted = {"composition": "composition_pairs", "sampled composition": "sampled_pairs"}
 
     def fail(kind: str, **data: object) -> CheckReport:
         return _report(name, params, t0, {"stage": kind, **data}, counts)
 
+    def mapped(which: str, m: int, n: int, rows: np.ndarray, to: HomRows) -> np.ndarray:
+        fn = forward if which == "forward" else backward
+        return checked_rows(fn(m, n, rows), (len(rows), to.width), f"{which}({m}, {n})")
+
     objs = range(max_dim + 1)
     try:
-        homs = {(m, n): (cat_a.hom(m, n), cat_b.hom(m, n)) for m in objs for n in objs}
-        image = {}  # image[m, n][i]: forward of the i-th morphism of hom_a(m, n)
-        for (m, n), (ha, hb) in homs.items():
+        a, b = _Rows(cat_a, objs), _Rows(cat_b, objs)
+        phi = {}
+        for m, n in product(objs, repeat=2):
+            ha, hb = a.homs[(m, n)], b.homs[(m, n)]
             if len(ha) != len(hb):
                 return fail("hom size", m=m, n=n, a=len(ha), b=len(hb))
-            members = set(hb)
-            image[(m, n)] = []
-            for f in ha:
-                fb = forward(m, n, f)
-                if backward(m, n, fb) != f:
-                    return fail("round trip a->b->a", m=m, n=n, f=cat_a.describe(f))
-                counts["round_trips"] += 1
-                if fb not in members:
-                    return fail("forward image", m=m, n=n, f=cat_a.describe(f))
-                image[(m, n)].append(fb)
-            for g in hb:
-                if forward(m, n, backward(m, n, g)) != g:
-                    return fail("round trip b->a->b", m=m, n=n, g=cat_b.describe(g))
-                counts["round_trips"] += 1
+            image = mapped("forward", m, n, ha.rows, hb)
+            bad_trip = (mapped("backward", m, n, image, ha) != ha.rows).any(axis=1)
+            phi[(m, n)] = hb.index(image)
+            bad = _first(bad_trip | (phi[(m, n)] < 0))
+            if bad is not None:
+                (r,) = bad
+                stage = "round trip a->b->a" if bad_trip[r] else "forward image"
+                counts["round_trips"] += r + (not bad_trip[r])
+                return fail(stage, m=m, n=n, f=a.describe(m, n, ha.rows[r]))
+            counts["round_trips"] += len(ha)
+            again = mapped("forward", m, n, mapped("backward", m, n, hb.rows, ha), hb)
+            bad = _first((again != hb.rows).any(axis=1))
+            if bad is not None:
+                (r,) = bad
+                counts["round_trips"] += r
+                return fail("round trip b->a->b", m=m, n=n, g=b.describe(m, n, hb.rows[r]))
+            counts["round_trips"] += len(hb)
         for n in objs:
-            if forward(n, n, cat_a.identity(n)) != cat_b.identity(n):
+            image = mapped("forward", n, n, a.identity(n)[None], b.homs[(n, n)])
+            if (image[0] != b.identity(n)).any():
                 return fail("identity", n=n)
             counts["identities"] += 1
-        sizes = {mn: len(ha) for mn, (ha, _) in homs.items()}
-        index = {mn: {f: i for i, f in enumerate(ha)} for mn, (ha, _) in homs.items()}
-        compared = set()
-        for stage, k, m, n, i, j in _composable_pairs(sizes, max_dim, comp_dim, comp_samples, seed):
-            pair = (k, m, n, i, j)
-            if pair not in compared:
-                g, f = homs[(m, n)][0][i], homs[(k, m)][0][j]
-                gf = cat_a.compose(g, f)
-                try:
-                    r = index[(k, n)].get(gf)
-                except TypeError:  # an unhashable composite is in no hom-set
-                    r = None
-                lhs = forward(k, n, gf) if r is None else image[(k, n)][r]
-                if lhs != cat_b.compose(image[(m, n)][i], image[(k, m)][j]):
-                    return fail(stage, dims=[k, m, n], f=cat_a.describe(f), g=cat_a.describe(g))
-                compared.add(pair)
-            counts[counted[stage]] += 1
-    except _CallbackError as exc:
+
+        def agree(k: int, m: int, n: int) -> np.ndarray:
+            """agree[g, f]: forward(g∘f) == forward(g)∘forward(f), for g in hom_a(m, n)
+            and f in hom_a(k, m)."""
+            ha_kn, hb_kn = a.homs[(k, n)], b.homs[(k, n)]
+            composites = a.compose(k, m, n, a.homs[(m, n)].rows, a.homs[(k, m)].rows)
+            t_a = ha_kn.index(composites)
+            lhs = np.append(phi[(k, n)], -1)[t_a]
+            outside = t_a < 0
+            if outside.any():
+                lhs[outside] = hb_kn.index(mapped("forward", k, n, composites[outside], hb_kn))
+            t_b = hb_kn.index(b.compose(k, m, n, b.homs[(m, n)].rows, b.homs[(k, m)].rows))
+            rhs = t_b[phi[(m, n)][:, None], phi[(k, m)][None, :]]
+            return (lhs == rhs) & (rhs >= 0)
+
+        def composition_failure(stage: str, k: int, m: int, n: int, g: int, f: int) -> CheckReport:
+            return fail(
+                stage,
+                dims=[k, m, n],
+                f=a.describe(k, m, a.homs[(k, m)].rows[f]),
+                g=a.describe(m, n, a.homs[(m, n)].rows[g]),
+            )
+
+        ok = {}
+        for k, m, n in product(range(comp_dim + 1), repeat=3):
+            ok[(k, m, n)] = agree(k, m, n)
+            bad = _first(~ok[(k, m, n)])
+            if bad is not None:
+                g, f = bad
+                counts["composition_pairs"] += g * ok[(k, m, n)].shape[1] + f
+                return composition_failure("composition", k, m, n, g, f)
+            counts["composition_pairs"] += ok[(k, m, n)].size
+        if comp_samples:
+            for kmn in product(objs, repeat=3):
+                if kmn not in ok:
+                    ok[kmn] = agree(*kmn)
+            sizes = {mn: len(hom) for mn, hom in a.homs.items()}
+            if all(block.all() for block in ok.values()) and all(sizes.values()):
+                counts["sampled_pairs"] = comp_samples
+            else:
+                for k, m, n, g, f in _sampled_pairs(sizes, max_dim, comp_samples, seed):
+                    if not ok[(k, m, n)][g, f]:
+                        return composition_failure("sampled composition", k, m, n, g, f)
+                    counts["sampled_pairs"] += 1
+    except (_CallbackError, RowError) as exc:
         return fail("exception", error=str(exc))
     return _report(name, params, t0, None, counts)
 
@@ -408,52 +480,67 @@ CATEGORY_IDS = (
 
 
 def _graph_view(
-    name: str, build: Callable[[int], Graph], hom: Callable[[int, int], Sequence]
+    name: str, build: Callable[[int], Graph], constraints: Optional[Callable]
 ) -> FiniteCategoryView:
     return FiniteCategoryView(
-        name, hom, lambda n: identity_graph_morphism(build(n)), compose_graph_morphisms
+        name,
+        lambda m, n: hom_matrix(build(m), build(n), constraints),
+        lambda n: np.arange(len(build(n).vertices)),
+        lambda m, n, p, h, g: compose_graph_rows(h, g),
+        lambda m, n, row: GraphMorphism.from_indices(build(m), build(n), row),
+    )
+
+
+def _ternary_view(name: str, rows: Callable[[int, int], np.ndarray]) -> FiniteCategoryView:
+    return FiniteCategoryView(
+        name,
+        rows,
+        lambda n: np.full(n, 2),
+        lambda m, n, p, h, g: ternary_compose_rows(h, g),
+        lambda m, n, row: TernaryMorphism(m, n, ternary_seq(row)),
+        lambda t: t.seq,
     )
 
 
 def category_view(cat_id: str) -> FiniteCategoryView:
     """The nine categories by name, as brute-forceable views."""
     if cat_id == "bch":
-        return FiniteCategoryView("bch", enumerate_bch, bch_identity, bch_compose)
+        return FiniteCategoryView(
+            "bch",
+            bch_rows,
+            np.arange,
+            lambda m, n, p, h, g: bch_compose_rows(h, g, p),
+            BchMorphism,
+        )
     if cat_id == "bchop":
         return FiniteCategoryView(
             "bchop",
-            lambda m, n: enumerate_bch(n, m),
-            bch_identity,
-            lambda g, f: bch_compose(f, g),
+            lambda m, n: bch_rows(n, m),
+            np.arange,
+            lambda m, n, p, h, g: bch_compose_rows(g, h, m).transpose(1, 0, 2),
+            lambda m, n, row: BchMorphism(n, m, row),
         )
     if cat_id == "graphcube":
-        return _graph_view(
-            "graphcube",
-            standard_cube,
-            lambda m, n: enumerate_graph_homs(standard_cube(m), standard_cube(n)),
-        )
+        return _graph_view("graphcube", standard_cube, None)
     if cat_id == "graphmeet":
-        return _graph_view("graphmeet", standard_cube, enumerate_graphmeet)
+        return _graph_view("graphmeet", standard_cube, bound_constraints)
     if cat_id == "graphdim":
-        return _graph_view("graphdim", standard_cube, enumerate_graphdim)
+        return _graph_view("graphdim", standard_cube, dimension_constraints)
     if cat_id == "twcubecat":
-        return _graph_view(
-            "twcubecat",
-            twisted_cube,
-            lambda m, n: enumerate_graph_homs(twisted_cube(m), twisted_cube(n)),
-        )
+        return _graph_view("twcubecat", twisted_cube, None)
     if cat_id == "twgraphdim":
-        return _graph_view("twgraphdim", twisted_cube, enumerate_twgraphdim)
-    if cat_id in ("ternary", "semi"):
-        hom = enumerate_ternary if cat_id == "ternary" else enumerate_semi
-        return FiniteCategoryView(cat_id, hom, ternary_identity, ternary_compose, lambda t: t.seq)
+        return _graph_view("twgraphdim", twisted_cube, dimension_constraints)
+    if cat_id == "ternary":
+        return _ternary_view("ternary", ternary_rows)
+    if cat_id == "semi":
+        return _ternary_view("semi", semi_rows)
     raise ValueError(f"unknown category id {cat_id!r}; choose one of {', '.join(CATEGORY_IDS)}")
 
 
 def hom_table(cat_id: str, max_dim: int) -> list[list[int]]:
     """|hom(m, n)| for m, n in 0..max_dim."""
     view = category_view(cat_id)
-    return [[len(view.hom(m, n)) for n in range(max_dim + 1)] for m in range(max_dim + 1)]
+    return [[len(view.rows(m, n)) for n in range(max_dim + 1)] for m in range(max_dim + 1)]
 
 
 # --- theorem-specific suites -------------------------------------------------
@@ -484,8 +571,8 @@ def check_bchop_graphmeet_iso(max_dim: int = 3, comp_dim: int = 2) -> CheckRepor
     return check_isomorphism(
         category_view("bchop"),
         category_view("graphmeet"),
-        lambda m, n, a: bchop_to_graphmeet(a),
-        lambda m, n, g: graphmeet_to_bchop(g),
+        bchop_to_graphmeet_rows,
+        graphmeet_to_bchop_rows,
         max_dim=max_dim,
         comp_dim=comp_dim,
     )
@@ -494,22 +581,25 @@ def check_bchop_graphmeet_iso(max_dim: int = 3, comp_dim: int = 2) -> CheckRepor
 def check_meet_equals_dim(max_dim: int = 3) -> CheckReport:
     """Meet-and-join preservation and dimension preservation pick the same maps.
 
-    Both sides come from the hom enumeration, each under its own constraints.
+    Both sides come from the hom enumeration, each under its own
+    constraints, as lexicographic rows; equal arrays are equal sets.
     """
     t0 = time.perf_counter()
     params = {"max_dim": max_dim}
     counts = {"hom_sets": 0, "morphisms": 0}
     for m in range(max_dim + 1):
         for n in range(max_dim + 1):
-            meets = {f.vmap for f in enumerate_graphmeet(m, n)}
-            dims = {f.vmap for f in enumerate_graphdim(m, n)}
-            if meets != dims:
-                diff = sorted(meets ^ dims)[0]
+            src, tgt = standard_cube(m), standard_cube(n)
+            meets = hom_matrix(src, tgt, bound_constraints)
+            dims = hom_matrix(src, tgt, dimension_constraints)
+            if not np.array_equal(meets, dims):
+                meet_set, dim_set = set(map(tuple, meets.tolist())), set(map(tuple, dims.tolist()))
+                diff = min(meet_set ^ dim_set)
                 return _report(
                     "meet_equals_dim",
                     params,
                     t0,
-                    {"m": m, "n": n, "vmap": list(diff), "in_meet": diff in meets},
+                    {"m": m, "n": n, "vmap": list(diff), "in_meet": diff in meet_set},
                     counts,
                 )
             counts["hom_sets"] += 1
@@ -650,14 +740,17 @@ def check_ternary_iso(
     comp_dim: int = 2,
     comp_samples: int = 20000,
     seed: int = 20260815,
-    compose: Callable = ternary_compose,
+    compose: Callable[[np.ndarray, np.ndarray], np.ndarray] = ternary_compose_rows,
 ) -> CheckReport:
-    """Ternary notation matches dimension-preserving twisted-cube maps."""
+    """Ternary notation matches dimension-preserving twisted-cube maps.
+
+    compose(g, f) composes digit rows as ternary_compose_rows does.
+    """
     return check_isomorphism(
-        replace(category_view("ternary"), compose=compose),
+        replace(category_view("ternary"), compose_rows=lambda m, n, p, h, g: compose(h, g)),
         category_view("twgraphdim"),
-        lambda m, n, t: ternary_to_graphdim(t),
-        lambda m, n, g: graphdim_to_ternary(g),
+        ternary_to_graphdim_rows,
+        graphdim_to_ternary_rows,
         max_dim=max_dim,
         comp_dim=comp_dim,
         comp_samples=comp_samples,

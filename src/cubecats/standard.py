@@ -11,19 +11,27 @@ Three kinds of arrows live here:
 * ``PartialInjection``: slot map with a single "undefined" constant;
   transposition swaps its two directions.
 
-The executable equivalence between opposite substitution arrows and
-meet-and-join-preserving cube morphisms goes through a six-step chain:
-split an arrow into a constant vector z and a partial injection e,
-transpose e, read the result as a morphism from the base subgraph, and
-extend it join-preservingly to the whole cube.  Each step is invertible
-and the round trips are checked exhaustively by the test suite.
+Each kind of arrow is also a row of integers, and every hom-set is a
+lexicographically sorted matrix of rows: a bch arrow is its entries, a
+graph morphism its vertex map.  Composition and the equivalence below
+work on whole matrices of rows at once; the functions on single
+arrows are one-row calls of the row versions.
+
+The equivalence between opposite substitution arrows and
+meet-and-join-preserving cube morphisms is, as a chain, six invertible
+steps: split an arrow into a constant vector z and a partial injection
+e, transpose e, read the result as a morphism from the base subgraph,
+and extend it join-preservingly to the whole cube.  On rows it is one
+substitution: bit j of the image of a vertex v is bit a(j) of v when
+a(j) is a slot, and the constant a(j) otherwise.  The test suite checks
+the two readings against each other on every arrow up to dimension 3.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import product
+from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -119,30 +127,49 @@ def bch_identity(n: int) -> BchMorphism:
     return BchMorphism(n, n, range(n))
 
 
+def _row(entries: Sequence[int]) -> np.ndarray:
+    """A one-row matrix of an arrow's entries or vertex map."""
+    return np.array(entries, dtype=np.intp).reshape(1, len(entries))
+
+
+def bch_compose_rows(outer: np.ndarray, inner: np.ndarray, n: int) -> np.ndarray:
+    """Composites outer[i] ∘ inner[j] of entry rows, as an (len(outer), len(inner), w) array.
+
+    outer holds arrows into n and inner arrows into their source, of w
+    inputs: each inner entry picks an outer entry, or one of outer's two
+    constants n and n + 1 when it is a constant itself.
+    """
+    outer = np.asarray(outer)
+    constants = np.broadcast_to(np.array([n, n + 1], dtype=outer.dtype), (len(outer), 2))
+    return np.concatenate([outer, constants], axis=1)[:, np.asarray(inner)]
+
+
 def bch_compose(outer: BchMorphism, inner: BchMorphism) -> BchMorphism:
     """Composite outer ∘ inner: apply inner first, constants absorb."""
     if inner.n != outer.m:
         raise ValueError(f"cannot compose {outer.m}->{outer.n} after {inner.m}->{inner.n}")
-    entries = []
-    for e in inner.entries:
-        if e < inner.n:
-            entries.append(outer.entries[e])
-        else:
-            entries.append(e - inner.n + outer.n)
-    return BchMorphism(inner.m, outer.n, entries)
+    row = bch_compose_rows(_row(outer.entries), _row(inner.entries), outer.n)[0, 0]
+    return BchMorphism(inner.m, outer.n, row.tolist())
+
+
+@lru_cache(maxsize=None)
+def bch_rows(m: int, n: int) -> np.ndarray:
+    """Entry rows of all arrows m -> n, as read-only lexicographic uint8 rows."""
+    if m > 6 or n > 6:
+        raise CapacityError("enumerate_bch is limited to m, n <= 6")
+    rows = np.indices((n + 2,) * m, dtype=np.uint8).reshape(m, (n + 2) ** m).T
+    injective = np.ones(len(rows), dtype=bool)
+    for i, j in combinations(range(m), 2):
+        injective &= (rows[:, i] != rows[:, j]) | (rows[:, i] >= n)
+    rows = rows[injective]
+    rows.setflags(write=False)
+    return rows
 
 
 @lru_cache(maxsize=None)
 def enumerate_bch(m: int, n: int) -> tuple[BchMorphism, ...]:
     """All arrows m -> n in lexicographic entry order."""
-    if m > 6 or n > 6:
-        raise CapacityError("enumerate_bch is limited to m, n <= 6")
-    out = []
-    for entries in product(range(n + 2), repeat=m):
-        slots = [e for e in entries if e < n]
-        if len(slots) == len(set(slots)):
-            out.append(BchMorphism(m, n, entries))
-    return tuple(out)
+    return tuple(BchMorphism(m, n, row) for row in bch_rows(m, n).tolist())
 
 
 class PartialInjection:
@@ -272,12 +299,17 @@ def identity_graph_morphism(g: Graph) -> GraphMorphism:
     return GraphMorphism.from_indices(g, g, range(len(g.vertices)))
 
 
+def compose_graph_rows(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Composites outer[i] ∘ inner[j] of vertex-map rows, as a
+    (len(outer), len(inner), w) array."""
+    return np.asarray(outer)[:, np.asarray(inner)]
+
+
 def compose_graph_morphisms(outer: GraphMorphism, inner: GraphMorphism) -> GraphMorphism:
     if inner.target != outer.source:
         raise ValueError("inner target and outer source differ")
-    return GraphMorphism.from_indices(
-        inner.source, outer.target, tuple(map(outer.vmap.__getitem__, inner.vmap))
-    )
+    row = compose_graph_rows(_row(outer.vmap), _row(inner.vmap))[0, 0]
+    return GraphMorphism.from_indices(inner.source, outer.target, tuple(row.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -295,13 +327,13 @@ def hom_matrix(src: Graph, tgt: Graph, constraints: Optional[Callable] = None) -
     return mat
 
 
-@lru_cache(maxsize=None)
 def enumerate_graph_homs(
     src: Graph, tgt: Graph, constraints: Optional[Callable] = None
 ) -> tuple[GraphMorphism, ...]:
     """The morphisms of hom_matrix(src, tgt, constraints), in its row order."""
     return tuple(
-        GraphMorphism.from_indices(src, tgt, row) for row in hom_matrix(src, tgt, constraints)
+        GraphMorphism.from_indices(src, tgt, row)
+        for row in map(tuple, hom_matrix(src, tgt, constraints).tolist())
     )
 
 
@@ -334,48 +366,62 @@ def extend_base_morphism(h: GraphMorphism) -> GraphMorphism:
     return GraphMorphism(source, target, images)
 
 
+def _bit_weights(n: int) -> np.ndarray:
+    """Vertex index weight of each bit of an n-cube vertex, leftmost first."""
+    return 1 << np.arange(n - 1, -1, -1, dtype=np.intp)
+
+
+def bchop_to_graphmeet_rows(m: int, n: int, rows: np.ndarray) -> np.ndarray:
+    """Vertex maps C^m -> C^n of the entry rows of arrows n -> m, one row each.
+
+    Bit j of the image of vertex v is bit a(j) of v when a(j) < m is a
+    slot, and the constant a(j) - m otherwise: the join-preserving
+    extension of the chain, read off in one substitution.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    slot = rows < m
+    shift = np.where(slot, m - 1 - rows, 0)[:, None, :]
+    vertices = np.arange(2**m)[None, :, None]
+    bits = np.where(slot[:, None, :], (vertices >> shift) & 1, rows[:, None, :] - m)
+    return bits @ _bit_weights(n)
+
+
 def bchop_to_graphmeet(a: BchMorphism) -> GraphMorphism:
     """Cube morphism matching an opposite-category arrow.
 
     a maps a.m input slots to a.n output slots; read backwards it is an
     arrow a.n -> a.m, and the returned morphism goes from the
-    a.n-dimensional cube to the a.m-dimensional cube.  Chain: split a
-    into the constant bits z and a partial injection e, transpose e to
-    d, read (z, d) as a base-subgraph morphism, extend join-preservingly.
+    a.n-dimensional cube to the a.m-dimensional cube.
     """
-    src_dim, tgt_dim = a.n, a.m
-    z = "".join("0" if a.is_slot(j) else str(a.entries[j] - a.n) for j in range(a.m))
-    e = PartialInjection(
-        tgt_dim, src_dim, [a.entries[j] if a.is_slot(j) else src_dim for j in range(a.m)]
-    )
-    d = transpose_partial_injection(e)
-    z_int = bits_to_int(z)
-    base = base_subgraph(src_dim)
-    mapping = {int_to_bits(0, src_dim): z}
-    for i in range(src_dim):
-        val = z_int if not d.defined(i) else z_int | (1 << (tgt_dim - 1 - d.entries[i]))
-        mapping[_one_hot(src_dim, i)] = int_to_bits(val, tgt_dim)
-    h = GraphMorphism(base, standard_cube(tgt_dim), mapping)
-    return extend_base_morphism(h)
+    row = bchop_to_graphmeet_rows(a.n, a.m, _row(a.entries))[0]
+    return GraphMorphism.from_indices(standard_cube(a.n), standard_cube(a.m), tuple(row.tolist()))
+
+
+def graphmeet_to_bchop_rows(m: int, n: int, vmaps: np.ndarray) -> np.ndarray:
+    """Entry rows of arrows n -> m read off vertex maps C^m -> C^n, one row each.
+
+    The origin's image gives the constants z.  The image of one-hot
+    vertex i differs from z in no bit, or in one bit j that is 0 in z;
+    then a(j) = i.  Raises ValueError when a map is not of that form,
+    or when two one-hot vertices change the same bit.
+    """
+    vmaps = np.asarray(vmaps, dtype=np.intp)
+    z = vmaps[:, 0]
+    changed = vmaps[:, _bit_weights(m)] ^ z[:, None]  # changed[r, i]: bits one-hot i changes
+    bits = (changed[:, :, None] & _bit_weights(n)) != 0  # bits[r, i, j]: one-hot i changes bit j
+    several = (bits.sum(axis=2) > 1).any() or (bits.sum(axis=1) > 1).any()
+    if several or (changed & z[:, None]).any():
+        raise ValueError("morphism is not in the meet-and-join-preserving class")
+    entries = m + ((z[:, None] & _bit_weights(n)) != 0)
+    for i in range(m):
+        entries = np.where(bits[:, i], i, entries)
+    return entries
 
 
 def graphmeet_to_bchop(g: GraphMorphism) -> BchMorphism:
-    """Inverse chain: read (z, d) off the origin and one-hot images."""
+    """Inverse map: read the constants and the slots off the origin and one-hot images."""
     m, n = g.source.dimension, g.target.dimension
-    z = g(int_to_bits(0, m))
-    d_entries = []
-    for i in range(m):
-        w = g(_one_hot(m, i))
-        diffs = [j for j in range(n) if w[j] != z[j]]
-        if not diffs:
-            d_entries.append(n)
-        elif len(diffs) == 1 and z[diffs[0]] == "0":
-            d_entries.append(diffs[0])
-        else:
-            raise ValueError("morphism is not in the meet-and-join-preserving class")
-    e = transpose_partial_injection(PartialInjection(m, n, d_entries))
-    entries = [e.entries[j] if e.defined(j) else m + int(z[j]) for j in range(n)]
-    return BchMorphism(n, m, entries)
+    return BchMorphism(n, m, graphmeet_to_bchop_rows(m, n, _row(g.vmap))[0].tolist())
 
 
 def bound_constraints(src: Graph, tgt: Graph) -> list[tuple]:

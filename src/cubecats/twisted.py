@@ -14,7 +14,9 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Optional
+from typing import Sequence
+
+import numpy as np
 
 from .graphs import CapacityError, Vertex, bits_to_int, int_to_bits
 from .cubes import twisted_cube
@@ -218,66 +220,128 @@ def ternary_identity(n: int) -> TernaryMorphism:
     return TernaryMorphism(n, n, STAR * n)
 
 
-def ternary_compose(g: TernaryMorphism, f: TernaryMorphism, twist: bool = True) -> TernaryMorphism:
-    """Composite g ∘ f: copy g's constants, substitute f along g's stars.
+DIGITS = "01" + STAR  # a ternary character's digit is its position here
 
-    A binary value substituted at a star is xored with the parity of
-    zeros among g's own constants since g's previous star.  (Counting
-    zeros of the composite output instead breaks the identity laws; the
-    graph side fixes this rule, and the tests cross-check it there.)
-    With twist=False the value is copied as it is: plain substitution,
-    the standard-cube variant.
+
+def ternary_row(seq: str) -> np.ndarray:
+    """The digit row of a ternary string: 0 and 1 for the constants, 2 for ⋆."""
+    return np.array([DIGITS.index(c) for c in seq], dtype=np.uint8)
+
+
+def ternary_seq(row: Sequence[int]) -> str:
+    """The ternary string of a digit row."""
+    return "".join(DIGITS[d] for d in row)
+
+
+def ternary_compose_rows(g: np.ndarray, f: np.ndarray, twist: bool = True) -> np.ndarray:
+    """Composites g[i] ∘ f[j] of digit rows, as a (len(g), len(f), width of g) array.
+
+    Copy g's constants and substitute f along g's stars: the k-th star
+    takes f's k-th digit.  A binary value substituted at a star is xored
+    with the parity of zeros among g's own constants since g's previous
+    star.  (Counting zeros of the composite output instead breaks the
+    identity laws; the graph side fixes this rule, and the tests
+    cross-check it there.)  With twist=False the value is copied as it
+    is: plain substitution, the standard-cube variant.
     """
+    g, f = np.asarray(g), np.asarray(f)
+    star = g == 2
+    # a position that is not a star reads the padding column, which is discarded
+    source = np.where(star, np.cumsum(star, axis=1) - 1, f.shape[1])
+    padded = np.zeros((len(f), f.shape[1] + 1), dtype=f.dtype)
+    padded[:, :-1] = f
+    values = padded[:, source].transpose(1, 0, 2)
+    if twist:
+        values = np.where(values == 2, values, values ^ _zero_parity(g)[:, None, :])
+    return np.where(star[:, None, :], values, g[:, None, :])
+
+
+def _zero_parity(rows: np.ndarray) -> np.ndarray:
+    """At each position, the parity of the zeros of the row since its previous star."""
+    zeros = np.cumsum(rows == 0, axis=1)
+    at_star = np.maximum.accumulate(np.where(rows == 2, zeros, 0), axis=1)
+    before = np.zeros_like(zeros)
+    before[:, 1:] = at_star[:, :-1]
+    return (zeros - before) & 1
+
+
+def ternary_compose(g: TernaryMorphism, f: TernaryMorphism, twist: bool = True) -> TernaryMorphism:
+    """Composite g ∘ f; see ternary_compose_rows."""
     if f.n != g.m:
         raise ValueError(f"cannot compose {g.m}->{g.n} after {f.m}->{f.n}")
-    out = []
-    j = 0
-    zeros_since_star = 0
-    for ch in g.seq:
-        if ch == STAR:
-            value = f.seq[j]
-            j += 1
-            if value == STAR or not twist:
-                out.append(value)
-            else:
-                out.append(str(int(value) ^ (zeros_since_star & 1)))
-            zeros_since_star = 0
-        else:
-            out.append(ch)
-            if ch == "0":
-                zeros_since_star += 1
-    return TernaryMorphism(f.m, g.n, "".join(out))
+    row = ternary_compose_rows(ternary_row(g.seq)[None], ternary_row(f.seq)[None], twist)[0, 0]
+    return TernaryMorphism(f.m, g.n, ternary_seq(row))
 
 
-@lru_cache(maxsize=None)
-def ternary_to_graphdim(t: TernaryMorphism) -> GraphMorphism:
-    """Face injection after the unique surjection onto the star count.
+def ternary_to_graphdim_rows(m: int, n: int, rows: np.ndarray) -> np.ndarray:
+    """Vertex maps T^m -> T^n of the digit rows of ternary arrows m -> n, one row each.
 
-    Cached: both factors are edge-checked once per distinct arrow.
+    The unique surjection onto the star count, then the face injection:
+    bit i of the image of vertex v is the constant at a fixed position,
+    and at the k-th star bit k of v xored with the face's flip there,
+    the parity of the zeros since the previous star (_face_flips).
+    Raises ValueError for a row with more than m stars.
     """
-    inj = face_to_injection(Face(t.n, t.seq))
-    surj = unique_surjection(t.m, t.stars)
-    return compose_graph_morphisms(inj, surj)
+    rows = np.asarray(rows)
+    star = rows == 2
+    if (star.sum(axis=1) > m).any():
+        raise ValueError(f"a ternary arrow from {m} has at most {m} stars")
+    shift = np.where(star, m - np.cumsum(star, axis=1), 0)[:, None, :]
+    vertices = np.arange(2**m)[None, :, None]
+    flipped = ((vertices >> shift) & 1) ^ _zero_parity(rows)[:, None, :]
+    bits = np.where(star[:, None, :], flipped, rows[:, None, :])
+    return bits @ (1 << np.arange(n - 1, -1, -1))
+
+
+def ternary_to_graphdim(t: TernaryMorphism) -> GraphMorphism:
+    """Face injection after the unique surjection onto the star count."""
+    row = ternary_to_graphdim_rows(t.m, t.n, ternary_row(t.seq)[None])[0]
+    return GraphMorphism.from_indices(twisted_cube(t.m), twisted_cube(t.n), tuple(row.tolist()))
+
+
+def graphdim_to_ternary_rows(m: int, n: int, vmaps: np.ndarray) -> np.ndarray:
+    """Digit rows read off vertex maps T^m -> T^n: the image face, with ⋆
+    where the image varies and the constant bit elsewhere.  Raises
+    ValueError when a map is not the one its image face gives back."""
+    vmaps = np.asarray(vmaps)
+    bits = (vmaps[:, :, None] >> np.arange(n - 1, -1, -1)) & 1
+    rows = np.where(bits.min(axis=1) != bits.max(axis=1), 2, bits[:, 0, :])
+    too_many = (rows == 2).sum(axis=1).max(initial=0) > m
+    if too_many or (ternary_to_graphdim_rows(m, n, rows) != vmaps).any():
+        raise ValueError("morphism is not dimension-preserving")
+    return rows.astype(np.uint8)
 
 
 def graphdim_to_ternary(f: GraphMorphism) -> TernaryMorphism:
     """Inverse direction: read the ternary sequence off the image face."""
-    t = TernaryMorphism(f.source.dimension, f.target.dimension, image_face(f).seq)
-    if ternary_to_graphdim(t) != f:
-        raise ValueError("morphism is not dimension-preserving")
-    return t
+    m, n = f.source.dimension, f.target.dimension
+    return TernaryMorphism(m, n, ternary_seq(graphdim_to_ternary_rows(m, n, [f.vmap])[0]))
+
+
+@lru_cache(maxsize=None)
+def ternary_rows(m: int, n: int) -> np.ndarray:
+    """Digit rows of all ternary arrows m -> n, read-only, in canonical order (0 < 1 < ⋆)."""
+    if m > 6 or n > 6:
+        raise CapacityError("enumerate_ternary is limited to m, n <= 6")
+    rows = np.indices((3,) * n, dtype=np.uint8).reshape(n, 3**n).T
+    rows = rows[(rows == 2).sum(axis=1) <= m]
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def semi_rows(m: int, n: int) -> np.ndarray:
+    """Digit rows of the semi variant: ternary arrows with exactly m stars."""
+    rows = ternary_rows(m, n)
+    rows = rows[(rows == 2).sum(axis=1) == m]
+    rows.setflags(write=False)
+    return rows
 
 
 @lru_cache(maxsize=None)
 def enumerate_ternary(m: int, n: int) -> tuple[TernaryMorphism, ...]:
     """All ternary arrows m -> n in canonical string order (0 < 1 < ⋆)."""
-    if m > 6 or n > 6:
-        raise CapacityError("enumerate_ternary is limited to m, n <= 6")
-    return tuple(
-        TernaryMorphism(m, n, "".join(chars))
-        for chars in product("01" + STAR, repeat=n)
-        if chars.count(STAR) <= m
-    )
+    return tuple(TernaryMorphism(m, n, ternary_seq(row)) for row in ternary_rows(m, n).tolist())
 
 
 def semi_ternary_check(t: TernaryMorphism) -> bool:
@@ -286,7 +350,7 @@ def semi_ternary_check(t: TernaryMorphism) -> bool:
 
 
 def enumerate_semi(m: int, n: int) -> tuple[TernaryMorphism, ...]:
-    return tuple(t for t in enumerate_ternary(m, n) if semi_ternary_check(t))
+    return tuple(TernaryMorphism(m, n, ternary_seq(row)) for row in semi_rows(m, n).tolist())
 
 
 def enumerate_twgraphdim(m: int, n: int) -> tuple[GraphMorphism, ...]:

@@ -25,7 +25,7 @@ from cubecats.oracle import (
     check_unique_surjection,
 )
 from cubecats.standard import enumerate_graphdim, enumerate_graphmeet
-from cubecats.twisted import ternary_compose
+from cubecats.twisted import ternary_compose_rows
 
 
 def _within(budget, t0):
@@ -111,9 +111,9 @@ def test_criterion_10_mutation_sensitivity():
     t0 = time.perf_counter()
     # mutation A: composition without the parity xor
     broken_iso = check_ternary_iso(
-        max_dim=2, comp_dim=2, comp_samples=0, compose=partial(ternary_compose, twist=False)
+        max_dim=2, comp_dim=2, comp_samples=0, compose=partial(ternary_compose_rows, twist=False)
     )
-    assert not broken_iso.passed
+    assert broken_iso.counterexample["stage"] == "composition"
     # mutation B: cube builder without the zero-parity flip
     flat_homs = lambda m, n: enumerate_graphdim(m, n, twisted=False)
     broken = [

@@ -6,11 +6,13 @@ import itertools
 import json
 from functools import partial
 
+import numpy as np
 import pytest
 
 from cubecats import graphs, oracle, standard
 from cubecats.cubes import standard_cube, twisted_cube
 from cubecats.graphs import CapacityError, Graph
+from cubecats.rows import HomRows, RowError
 from cubecats.oracle import (
     CATEGORY_IDS,
     CheckReport,
@@ -30,18 +32,23 @@ from cubecats.oracle import (
     hom_table,
 )
 from cubecats.standard import (
-    BchMorphism,
     GraphMorphism,
-    bch_compose,
-    bch_identity,
-    bchop_to_graphmeet,
+    bch_rows,
+    bchop_to_graphmeet_rows,
     bound_constraints,
     enumerate_bch,
     enumerate_graph_homs,
     enumerate_graphdim,
-    graphmeet_to_bchop,
+    enumerate_graphmeet,
+    graphmeet_to_bchop_rows,
+    hom_matrix,
 )
-from cubecats.twisted import ternary_compose
+from cubecats.twisted import (
+    enumerate_semi,
+    enumerate_ternary,
+    enumerate_twgraphdim,
+    ternary_compose_rows,
+)
 
 
 def test_check_report_requires_counterexample_iff_failed():
@@ -69,7 +76,8 @@ def test_check_report_json_shape():
 
 
 def _reference_laws(cat, max_dim, max_assoc_dim):
-    """check_category_laws as a plain triple loop, composing every triple anew.
+    """check_category_laws without its index tables: every triple is composed
+    twice, (h∘g)∘f and h∘(g∘f), and the two composite rows are compared.
 
     It checks no closure, so it agrees with the table check exactly on
     views whose hom-sets are closed under compose.
@@ -86,47 +94,66 @@ def _reference_laws(cat, max_dim, max_assoc_dim):
             "counts": counts,
         }
 
+    def describe(m, n, row):
+        return cat.describe(cat.morphism(m, n, row))
+
     for m in range(max_dim + 1):
         for n in range(max_dim + 1):
-            for f in cat.hom(m, n):
+            for f in cat.rows(m, n):
                 for law, composite in (
-                    ("right identity", cat.compose(f, cat.identity(m))),
-                    ("left identity", cat.compose(cat.identity(n), f)),
+                    ("right identity", cat.compose_rows(m, m, n, f[None], cat.identity(m)[None])),
+                    ("left identity", cat.compose_rows(m, n, n, cat.identity(n)[None], f[None])),
                 ):
-                    if composite != f:
-                        return report({"law": law, "m": m, "n": n, "f": cat.describe(f)})
+                    if (composite[0, 0] != f).any():
+                        return report({"law": law, "m": m, "n": n, "f": describe(m, n, f)})
                 counts["identity_checks"] += 2
     dims = range(max_assoc_dim + 1)
     for k, m, n, p in itertools.product(dims, dims, dims, dims):
-        for h in cat.hom(n, p):
-            for g in cat.hom(m, n):
-                for f in cat.hom(k, m):
-                    if cat.compose(cat.compose(h, g), f) != cat.compose(h, cat.compose(g, f)):
-                        return report(
-                            {
-                                "law": "associativity",
-                                "dims": [k, m, n, p],
-                                "f": cat.describe(f),
-                                "g": cat.describe(g),
-                                "h": cat.describe(h),
-                            }
-                        )
-                    counts["associativity_checks"] += 1
+        hs, gs, fs = cat.rows(n, p), cat.rows(m, n), cat.rows(k, m)
+        shape = (len(hs), len(gs), len(fs), -1)
+        hg = cat.compose_rows(m, n, p, hs, gs)
+        left = cat.compose_rows(k, m, p, hg.reshape(len(hs) * len(gs), hg.shape[2]), fs)
+        gf = cat.compose_rows(k, m, n, gs, fs)
+        right = cat.compose_rows(k, n, p, hs, gf.reshape(len(gs) * len(fs), gf.shape[2]))
+        width = left.shape[2]
+        bad = np.argwhere(
+            (left.reshape(shape[:3] + (width,)) != right.reshape(shape[:3] + (width,))).any(axis=3)
+        )
+        if len(bad):
+            ih, ig, jf = bad[0]
+            counts["associativity_checks"] += int((ih * len(gs) + ig) * len(fs) + jf)
+            return report(
+                {
+                    "law": "associativity",
+                    "dims": [k, m, n, p],
+                    "f": describe(k, m, fs[jf]),
+                    "g": describe(m, n, gs[ig]),
+                    "h": describe(n, p, hs[ih]),
+                }
+            )
+        counts["associativity_checks"] += len(hs) * len(gs) * len(fs)
     return report(None)
 
 
 def _shifted_bch_view():
-    """bch with h∘g moved one place on in its hom-set when h and g are not
+    """bch with h∘g moved one row on in its hom-set when h and g are not
     identities and h is not an endomorphism: closed and unital, not associative."""
+    bch = category_view("bch")
 
-    def shifted(h, g):
-        r = bch_compose(h, g)
-        if h == bch_identity(h.m) or g == bch_identity(g.m) or h.m == h.n:
-            return r
-        hom = enumerate_bch(r.m, r.n)
-        return hom[(hom.index(r) + 1) % len(hom)]
+    def shifted(m, n, p, h, g):
+        out = bch.compose_rows(m, n, p, h, g)
+        if n == p:  # h is an endomorphism
+            return out
+        hom = bch_rows(m, p)
+        position = {row: i for i, row in enumerate(map(tuple, hom.tolist()))}
+        for j, g_row in enumerate(g.tolist()):
+            if m == n and g_row == list(range(m)):  # g is an identity
+                continue
+            for i in range(len(h)):
+                out[i, j] = hom[(position[tuple(out[i, j].tolist())] + 1) % len(hom)]
+        return out
 
-    return dataclasses.replace(category_view("bch"), compose=shifted)
+    return dataclasses.replace(bch, compose_rows=shifted)
 
 
 def test_all_categories_satisfy_laws_small():
@@ -139,7 +166,7 @@ def test_all_categories_satisfy_laws_small():
 
 @pytest.mark.parametrize("cat_id", CATEGORY_IDS)
 def test_gather_and_object_law_paths_agree(cat_id):
-    # The table check gathers hom-set indices; the reference composes objects.
+    # The table check gathers hom-set indices; the reference composes every triple.
     view = category_view(cat_id)
     rep = check_category_laws(view, 2)
     assert rep.to_dict(include_elapsed=False) == _reference_laws(view, 2, 2)
@@ -170,12 +197,10 @@ def test_union_of_closed_families_fails_closure():
     # Origin-fixing maps and top-fixing maps are each closed under
     # composition; their union is not.
     def union(m, n):
-        tgt = standard_cube(n)
-        origin, top = tgt.index["0" * n], tgt.index["1" * n]
-        homs = enumerate_graph_homs(standard_cube(m), tgt)
-        return [f for f in homs if f.vmap[0] == origin or f.vmap[-1] == top]
+        rows = hom_matrix(standard_cube(m), standard_cube(n), None)
+        return rows[(rows[:, 0] == 0) | (rows[:, -1] == 2**n - 1)]
 
-    view = dataclasses.replace(category_view("graphcube"), hom=union)
+    view = dataclasses.replace(category_view("graphcube"), rows=union)
     rep = check_category_laws(view, 2)
     assert rep.counterexample == {
         "law": "closure",
@@ -189,20 +214,20 @@ def test_union_of_closed_families_fails_closure():
 @pytest.mark.parametrize("cat_id", CATEGORY_IDS)
 def test_laws_compose_each_pair_once(cat_id):
     view = category_view(cat_id)
-    calls = 0
+    composed = 0
 
-    def counted(g, f):
-        nonlocal calls
-        calls += 1
-        return view.compose(g, f)
+    def counted(m, n, p, h, g):
+        nonlocal composed
+        composed += len(h) * len(g)
+        return view.compose_rows(m, n, p, h, g)
 
-    assert check_category_laws(dataclasses.replace(view, compose=counted), 2, 1).passed
-    morphisms = sum(len(view.hom(m, n)) for m in range(3) for n in range(3))
+    assert check_category_laws(dataclasses.replace(view, compose_rows=counted), 2, 1).passed
+    morphisms = sum(len(view.rows(m, n)) for m in range(3) for n in range(3))
     pairs = sum(
-        len(view.hom(n, p)) * len(view.hom(m, n))
+        len(view.rows(n, p)) * len(view.rows(m, n))
         for m, n, p in itertools.product(range(2), range(2), range(2))
     )
-    assert calls == 2 * morphisms + pairs
+    assert composed == 2 * morphisms + pairs
 
 
 def test_category_laws_capacity(monkeypatch):
@@ -212,39 +237,42 @@ def test_category_laws_capacity(monkeypatch):
 
 
 def test_broken_composition_fails_associativity():
+    # h∘g ignores g: every g is read as the first arrow of its hom-set
     view = category_view("bch")
-    broken = type(view)(
-        name="broken",
-        hom=view.hom,
-        identity=view.identity,
-        compose=lambda g, f: g,
-    )
+    def ignoring_g(m, n, p, h, g):
+        return view.compose_rows(m, n, p, h, g[:1]).repeat(len(g), axis=1)
+
+    broken = dataclasses.replace(view, name="broken", compose_rows=ignoring_g)
     rep = check_category_laws(broken, 1, 1)
     assert not rep.passed
     assert rep.counterexample["law"] in ("right identity", "left identity", "associativity")
 
 
 def _raising(exc_type):
-    def compose(g, f):
+    def compose(*args):
         raise exc_type("composition failed")
 
     return compose
 
 
+def _same(m, n, rows):
+    return rows
+
+
 def test_compose_type_error_is_a_counterexample():
-    view = dataclasses.replace(category_view("bch"), compose=_raising(TypeError))
+    view = dataclasses.replace(category_view("bch"), compose_rows=_raising(TypeError))
     rep = check_category_laws(view, 1, 1)
     assert rep.counterexample == {"law": "exception", "error": "TypeError: composition failed"}
-    rep = check_isomorphism(view, view, lambda m, n, f: f, lambda m, n, f: f, max_dim=1)
+    rep = check_isomorphism(view, view, _same, _same, max_dim=1)
     assert rep.counterexample == {"stage": "exception", "error": "TypeError: composition failed"}
 
 
 def test_compose_memory_error_propagates():
-    view = dataclasses.replace(category_view("bch"), compose=_raising(MemoryError))
+    view = dataclasses.replace(category_view("bch"), compose_rows=_raising(MemoryError))
     with pytest.raises(MemoryError):
         check_category_laws(view, 1, 1)
     with pytest.raises(MemoryError):
-        check_isomorphism(view, view, lambda m, n, f: f, lambda m, n, f: f, max_dim=1)
+        check_isomorphism(view, view, _same, _same, max_dim=1)
 
 
 def test_oracle_bug_propagates(monkeypatch):
@@ -255,12 +283,10 @@ def test_oracle_bug_propagates(monkeypatch):
     monkeypatch.setattr(oracle, "_associativity_failure", broken)
     with pytest.raises(IndexError, match="oracle bug"):
         check_category_laws(category_view("bch"), 1, 1)
-    monkeypatch.setattr(oracle, "random", None)
+    monkeypatch.setattr(oracle, "_first", broken)  # every round trip stage reaches it
     view = category_view("ternary")
-    with pytest.raises(AttributeError):
-        check_isomorphism(
-            view, view, lambda m, n, t: t, lambda m, n, t: t, max_dim=1, comp_samples=1
-        )
+    with pytest.raises(IndexError, match="oracle bug"):
+        check_isomorphism(view, view, _same, _same, max_dim=1)
 
 
 @pytest.mark.parametrize("cat_id", ["graphcube", "twcubecat"])
@@ -275,13 +301,22 @@ def test_warm_hom_table_builds_no_morphisms(monkeypatch, cat_id):
     assert hom_table(cat_id, 3)[3][3] == (686 if cat_id == "graphcube" else 111)
 
 
+def test_passing_row_checks_build_no_morphisms(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a GraphMorphism was built")
+
+    monkeypatch.setattr(GraphMorphism, "__init__", refuse)
+    monkeypatch.setattr(GraphMorphism, "from_indices", classmethod(refuse))
+    for cat_id in ("graphcube", "twcubecat"):
+        assert check_category_laws(category_view(cat_id), 3, 2).passed
+    assert check_bchop_graphmeet_iso(3, 2).passed
+
+
 def test_constant_identity_mutant_fails_both_law_paths():
     # The table check and the reference loop report the same failure.
-    def constant(n):
-        g = twisted_cube(n)
-        return GraphMorphism.from_indices(g, g, (0,) * len(g.vertices))
-
-    view = dataclasses.replace(category_view("twcubecat"), identity=constant)
+    view = dataclasses.replace(
+        category_view("twcubecat"), identity=lambda n: np.zeros(2**n, dtype=np.intp)
+    )
     rep = check_category_laws(view, 2).to_dict(include_elapsed=False)
     assert rep == _reference_laws(view, 2, 2)
     assert rep["counterexample"] == {"law": "left identity", "m": 0, "n": 1, "f": "GraphMorphism(>1)"}
@@ -289,17 +324,59 @@ def test_constant_identity_mutant_fails_both_law_paths():
 
 
 def test_identity_on_another_graph_is_not_gathered():
+    graphcube = category_view("graphcube")
     view = dataclasses.replace(
-        category_view("twcubecat"), identity=category_view("graphcube").identity
+        category_view("twcubecat"), identity=lambda n: graphcube.identity(n + 1)
     )
     rep = check_category_laws(view, 2)
-    assert rep.counterexample["law"] == "exception"
+    assert rep.counterexample == {
+        "law": "exception", "error": "identity(0) gave shape (2,), expected (1,)"
+    }
+
+
+def test_misshapen_rows_are_an_exception_in_laws():
+    bch = category_view("bch")
+    view = dataclasses.replace(bch, compose_rows=lambda *args: bch.compose_rows(*args)[:, :1])
+    rep = check_category_laws(view, 2)
+    assert rep.counterexample == {
+        "law": "exception",
+        "error": "compose_rows(1, 0, 0) gave shape (1, 1, 1), expected (1, 2, 1)",
+    }
+    view = dataclasses.replace(bch, compose_rows=lambda *args: bch.compose_rows(*args) - 1.0)
+    rep = check_category_laws(view, 2)
+    assert rep.counterexample == {
+        "law": "exception", "error": "compose_rows(1, 1, 0) gave float64 values, expected integers"
+    }
+
+
+def test_misshapen_rows_are_an_exception_in_isomorphism():
+    bch = category_view("bch")
+
+    def shifted_down(m, n, rows):
+        return rows.astype(np.intp) - 1
+
+    rep = check_isomorphism(bch, bch, shifted_down, _same, max_dim=2)
+    assert rep.counterexample == {
+        "stage": "exception", "error": "forward(1, 0) gave the negative value -1"
+    }
+    rep = check_isomorphism(bch, bch, _same, lambda m, n, rows: rows[:, :0], max_dim=2)
+    assert rep.counterexample == {
+        "stage": "exception", "error": "backward(1, 0) gave shape (2, 0), expected (2, 1)"
+    }
+    view = dataclasses.replace(bch, identity=lambda n: [[n]])
+    rep = check_isomorphism(bch, view, _same, _same, max_dim=2)
+    assert rep.counterexample == {
+        "stage": "exception", "error": "identity(0) gave shape (1, 1), expected (0,)"
+    }
+    assert rep.counts == {
+        "round_trips": 76, "identities": 0, "composition_pairs": 0, "sampled_pairs": 0
+    }
 
 
 def test_isomorphism_check_detects_non_bijection():
     a = category_view("ternary")
     rep = check_isomorphism(
-        a, a, lambda m, n, t: t, lambda m, n, t: a.identity(n), max_dim=1
+        a, a, _same, lambda m, n, rows: np.full((len(rows), n), 2), max_dim=1
     )
     assert not rep.passed
     assert rep.counterexample["stage"].startswith("round trip")
@@ -314,28 +391,42 @@ def test_meets_only_graphmeet_mutant_fails_hom_size(monkeypatch):
 
     mutant = dataclasses.replace(
         category_view("graphmeet"),
-        hom=lambda m, n: enumerate_graph_homs(standard_cube(m), standard_cube(n), meets_only),
+        rows=lambda m, n: hom_matrix(standard_cube(m), standard_cube(n), meets_only),
     )
     rep = check_isomorphism(
         category_view("bchop"),
         mutant,
-        lambda m, n, a: bchop_to_graphmeet(a),
-        lambda m, n, g: graphmeet_to_bchop(g),
+        bchop_to_graphmeet_rows,
+        graphmeet_to_bchop_rows,
         max_dim=2,
     )
     assert rep.counterexample == {"stage": "hom size", "m": 2, "n": 1, "a": 4, "b": 5}
 
 
+def test_meets_only_bounds_fail_meet_equals_dim(monkeypatch):
+    # graphmeet cut out by the meet tables alone keeps maps that lose a join
+    monkeypatch.setattr(standard, "_bound_tables", lambda g: graphs._bound_tables(g)[:1])
+    hom_matrix.cache_clear()
+    try:
+        rep = check_meet_equals_dim(2)
+    finally:
+        monkeypatch.undo()
+        hom_matrix.cache_clear()
+    assert rep.counterexample == {"m": 2, "n": 1, "vmap": [0, 0, 0, 1], "in_meet": True}
+    assert rep.counts == {"hom_sets": 7, "morphisms": 20}
+    assert check_meet_equals_dim(2).passed
+
+
 def test_constant_dropping_forward_mutant_fails_round_trip():
-    def drop_constants(m, n, a):
+    def drop_constants(m, n, rows):
         # every constant becomes b0: b1 is lost
-        return bchop_to_graphmeet(BchMorphism(a.m, a.n, [min(e, a.n) for e in a.entries]))
+        return bchop_to_graphmeet_rows(m, n, np.minimum(rows, m))
 
     rep = check_isomorphism(
         category_view("bchop"),
         category_view("graphmeet"),
         drop_constants,
-        lambda m, n, g: graphmeet_to_bchop(g),
+        graphmeet_to_bchop_rows,
         max_dim=2,
     )
     assert rep.counterexample == {
@@ -343,20 +434,24 @@ def test_constant_dropping_forward_mutant_fails_round_trip():
     }
 
 
+def _row_map(at, table):
+    """A row map that, in hom-set at, sends each row in table to its entry, and
+    keeps every other row."""
+
+    def apply(m, n, rows):
+        if (m, n) != at:
+            return rows
+        out = [table.get(row, row) for row in map(tuple, rows.tolist())]
+        return np.array(out, dtype=np.intp).reshape(rows.shape)
+
+    return apply
+
+
 def test_forward_outside_the_target_hom_set_fails_forward_image():
-    # Both round trips hold, but f0 is sent to ("w", f0), which is no bch arrow.
-    f0 = BchMorphism(2, 2, [1, 0])
-
-    def forward(m, n, f):
-        if f == f0:
-            return ("w", f0)
-        return f[1] if isinstance(f, tuple) and f[0] == "o" else f
-
-    def backward(m, n, f):
-        if f == f0:
-            return ("o", f0)
-        return f[1] if isinstance(f, tuple) and f[0] == "w" else f
-
+    # Both round trips hold, but f0 = [j1, j0] is sent to [j0, j0], which is
+    # no bch arrow; backward sends f0 to [j1, j1], which forward sends back.
+    f0, w, o = (1, 0), (0, 0), (1, 1)
+    forward, backward = _row_map((2, 2), {f0: w, o: f0}), _row_map((2, 2), {f0: o, w: f0})
     bch = category_view("bch")
     rep = check_isomorphism(bch, bch, forward, backward, max_dim=2, comp_dim=1)
     assert rep.counterexample == {
@@ -366,7 +461,7 @@ def test_forward_outside_the_target_hom_set_fails_forward_image():
 
 def test_untwisted_compose_mutant_fails_sampled_composition():
     # pins the seeded draw sequence: comp_dim 0 leaves the samples to find it
-    rep = check_ternary_iso(3, 0, 200, compose=partial(ternary_compose, twist=False))
+    rep = check_ternary_iso(3, 0, 200, compose=partial(ternary_compose_rows, twist=False))
     assert rep.counterexample == {
         "stage": "sampled composition", "dims": [0, 2, 3], "f": "11", "g": "0*1"
     }
@@ -375,87 +470,108 @@ def test_untwisted_compose_mutant_fails_sampled_composition():
     }
 
 
+def test_passing_samples_draw_nothing(monkeypatch):
+    # every sample is answered from the tables, so no stream is drawn
+    monkeypatch.setattr(oracle, "random", None)
+    rep = check_ternary_iso(3, 2, 20000)
+    assert rep.passed
+    assert rep.counts["sampled_pairs"] == 20000
+
+
+def test_samples_with_an_empty_hom_set_are_counted_from_the_stream():
+    # semi has no arrow 2 -> 1, so some draws are skipped
+    semi = category_view("semi")
+    rep = check_isomorphism(semi, semi, _same, _same, max_dim=2, comp_dim=0, comp_samples=50)
+    assert rep.passed
+    sizes = {(m, n): len(semi.rows(m, n)) for m in range(3) for n in range(3)}
+    drawn = len(list(oracle._sampled_pairs(sizes, 2, 50, 0)))
+    assert rep.counts["sampled_pairs"] == drawn < 50
+
+
 def test_isomorphism_runs_forward_once_per_morphism():
     view = category_view("ternary")
-    calls = 0
+    rows_mapped = 0
 
-    def counted(m, n, t):
-        nonlocal calls
-        calls += 1
-        return t
+    def counted(m, n, rows):
+        nonlocal rows_mapped
+        rows_mapped += len(rows)
+        return rows
 
     rep = check_isomorphism(
-        view, view, counted, lambda m, n, t: t, max_dim=2, comp_dim=1, comp_samples=50
+        view, view, counted, _same, max_dim=2, comp_dim=1, comp_samples=50
     )
     assert rep.passed
-    morphisms = sum(len(view.hom(m, n)) for m in range(3) for n in range(3))
+    morphisms = sum(len(view.rows(m, n)) for m in range(3) for n in range(3))
     # both round trips and the three identities; every composite is in hom_a,
     # so its image is read from the round trip's images
-    assert calls == 2 * morphisms + 3 == 67
+    assert rows_mapped == 2 * morphisms + 3 == 67
 
 
 def test_isomorphism_composes_each_distinct_pair_once():
-    calls = collections.Counter()
-
-    def counted(g, f):
-        calls[g, f] += 1
-        return ternary_compose(g, f)
-
     view = category_view("ternary")
-    rep = check_isomorphism(
-        dataclasses.replace(view, compose=counted),
-        view,
-        lambda m, n, t: t,
-        lambda m, n, t: t,
-        max_dim=2,
-        comp_dim=1,
-        comp_samples=50,
-    )
-    assert rep.passed
-    sizes = {(m, n): len(view.hom(m, n)) for m in range(3) for n in range(3)}
-    stream = list(oracle._composable_pairs(sizes, 2, 1, 50, 0))
-    distinct = {(view.hom(m, n)[g], view.hom(k, m)[f]) for _, k, m, n, g, f in stream}
-    assert len(distinct) < len(stream)  # the draws repeat some pairs
-    assert calls == collections.Counter(distinct)
-    # a repeated draw is still counted
-    sampled = sum(stage == "sampled composition" for stage, *_ in stream)
-    assert rep.counts["sampled_pairs"] == sampled == 50
-    assert rep.counts["composition_pairs"] == len(stream) - sampled
+    for comp_samples, dims in ((0, range(2)), (50, range(3))):
+        blocks = collections.Counter()
+
+        def counted(m, n, p, h, g):
+            blocks[m, n, p] += 1
+            return view.compose_rows(m, n, p, h, g)
+
+        rep = check_isomorphism(
+            dataclasses.replace(view, compose_rows=counted),
+            view,
+            _same,
+            _same,
+            max_dim=2,
+            comp_dim=1,
+            comp_samples=comp_samples,
+        )
+        assert rep.passed
+        # one call per (k, m, n): the samples need every table up to max_dim
+        assert blocks == collections.Counter(itertools.product(dims, repeat=3))
+        assert rep.counts["composition_pairs"] == sum(
+            len(view.rows(m, n)) * len(view.rows(k, m))
+            for k, m, n in itertools.product(range(2), repeat=3)
+        )
+        assert rep.counts["sampled_pairs"] == comp_samples
 
 
 def test_composite_outside_hom_a_goes_through_forward():
-    # Composites equal to the swap are wrapped, so they are not in hom_a(2, 2).
-    swap = BchMorphism(2, 2, [1, 0])
-
-    def wrapping(g, f):
-        gf = bch_compose(g, f)
-        return ("w", gf) if gf == swap else gf
-
+    # Composites equal to the swap are replaced by [j0, j0], which is not in hom_a(2, 2).
+    swap, outside = [1, 0], [0, 0]
     bch = category_view("bch")
-    a = dataclasses.replace(bch, compose=wrapping)
 
-    def check(unwrap):
-        wrapped = []
+    def replacing(m, n, p, h, g):
+        out = bch.compose_rows(m, n, p, h, g)
+        if (m, p) == (2, 2):
+            out[(out == swap).all(axis=2)] = outside
+        return out
 
-        def forward(m, n, f):
-            if isinstance(f, tuple):
-                wrapped.append(f)
-                return f[1] if unwrap else f
-            return f
+    a = dataclasses.replace(bch, compose_rows=replacing)
 
-        rep = check_isomorphism(
-            a, bch, forward, lambda m, n, f: f, max_dim=2, comp_dim=2, comp_samples=50
-        )
-        return rep, wrapped
+    def check(restore):
+        seen = []
 
-    rep, wrapped = check(unwrap=True)
+        def forward(m, n, rows):
+            if (m, n) != (2, 2):
+                return rows
+            seen.extend(row for row in rows.tolist() if row == outside)
+            if restore:
+                rows = rows.copy()
+                rows[(rows == outside).all(axis=1)] = swap
+            return rows
+
+        rep = check_isomorphism(a, bch, forward, _same, max_dim=2, comp_dim=2, comp_samples=50)
+        return rep, seen
+
+    rep, seen = check(restore=True)
     assert rep.passed
-    assert wrapped == [("w", swap)] * 2
+    assert seen == [outside] * 2
     assert rep.counts == {
         "round_trips": 76, "identities": 3, "composition_pairs": 623, "sampled_pairs": 50
     }
-    rep, wrapped = check(unwrap=False)
-    assert wrapped == [("w", swap)]
+    rep, seen = check(restore=False)
+    # both composites outside hom_a(2, 2) go through forward in one call
+    assert seen == [outside] * 2
     assert rep.counterexample == {
         "stage": "composition",
         "dims": [2, 2, 2],
@@ -464,24 +580,6 @@ def test_composite_outside_hom_a_goes_through_forward():
     }
     assert rep.counts == {
         "round_trips": 76, "identities": 3, "composition_pairs": 430, "sampled_pairs": 0
-    }
-
-
-def test_unhashable_composite_goes_through_forward():
-    bch = category_view("bch")
-    a = dataclasses.replace(bch, compose=lambda g, f: [bch_compose(g, f)])
-    rep = check_isomorphism(
-        a,
-        bch,
-        lambda m, n, f: f[0] if isinstance(f, list) else f,
-        lambda m, n, f: f,
-        max_dim=2,
-        comp_dim=1,
-        comp_samples=20,
-    )
-    assert rep.passed
-    assert rep.counts == {
-        "round_trips": 76, "identities": 3, "composition_pairs": 26, "sampled_pairs": 20
     }
 
 
@@ -565,9 +663,44 @@ def test_relabelled_rec_builder_fails_rec_nonrec(monkeypatch):
 
 
 def test_untwisted_compose_mutant_fails_iso():
-    rep = check_ternary_iso(2, 2, comp_samples=0, compose=partial(ternary_compose, twist=False))
+    untwisted = partial(ternary_compose_rows, twist=False)
+    rep = check_ternary_iso(2, 2, comp_samples=0, compose=untwisted)
     assert not rep.passed
     assert rep.counterexample["stage"] == "composition"
+
+
+@pytest.mark.parametrize("width", [3, 40])
+def test_row_keys_find_members_only(width):
+    # 40 digits of 2 bits need two key words; 3 digits fit in one
+    rng = np.random.default_rng(0)
+    rows = np.unique(rng.integers(0, 4, size=(400, width)), axis=0)
+    hom = HomRows(rows[::2], "rows")
+    expected = np.where(np.arange(len(rows)) % 2 == 0, np.arange(len(rows)) // 2, -1)
+    assert (hom.index(rows) == expected).all()
+    assert (hom.index(rows[None] + 4) == -1).all()  # digits beyond the hom-set's range
+    with pytest.raises(RowError, match="not strictly increasing"):
+        HomRows(rows[::-1], "rows").index(rows)
+
+
+def test_view_hom_matches_the_enumerators():
+    cubes = {"graphcube": standard_cube, "twcubecat": twisted_cube}
+    enumerators = {
+        "bch": enumerate_bch,
+        "bchop": lambda m, n: enumerate_bch(n, m),
+        "graphmeet": enumerate_graphmeet,
+        "graphdim": enumerate_graphdim,
+        "twgraphdim": enumerate_twgraphdim,
+        "ternary": enumerate_ternary,
+        "semi": enumerate_semi,
+        **{
+            cat_id: lambda m, n, build=build: enumerate_graph_homs(build(m), build(n))
+            for cat_id, build in cubes.items()
+        },
+    }
+    for cat_id in CATEGORY_IDS:
+        view = category_view(cat_id)
+        for m, n in itertools.product(range(3), repeat=2):
+            assert view.hom(m, n) == enumerators[cat_id](m, n)
 
 
 def test_hom_table_frozen_rows():

@@ -30,7 +30,15 @@ from cubecats.standard import (
     transpose_partial_injection,
 )
 
-from predicates import is_dimension_preserving, preserves_joins, preserves_meets
+from predicates import (
+    bch_compose_loop,
+    chain_bchop_to_graphmeet,
+    chain_graphmeet_to_bchop,
+    compose_graph_loop,
+    is_dimension_preserving,
+    preserves_joins,
+    preserves_meets,
+)
 
 
 def bch_count(m, n):
@@ -143,14 +151,13 @@ def test_graphmeet_equals_structural_chain():
     # the (z, d) chain, as a reference independent of the hom enumeration
     for m in range(4):
         for n in range(4):
-            chain = {bchop_to_graphmeet(a) for a in enumerate_bch(n, m)}
+            chain = {chain_bchop_to_graphmeet(a) for a in enumerate_bch(n, m)}
             assert chain == set(enumerate_graphmeet(m, n))
 
 
 def test_graphmeet_is_bounded_by_the_kernel_frontier(monkeypatch):
     # a frontier of 2^12 bytes refuses C^3 -> C^3, which enumerate_bch(3, 3) would answer
     hom_matrix.cache_clear()
-    enumerate_graph_homs.cache_clear()
     monkeypatch.setattr(kernels, "MAX_FRONTIER", 2**12)
     with pytest.raises(CapacityError, match="frontier"):
         enumerate_graphmeet(3, 3)
@@ -167,13 +174,47 @@ def test_substitution_shortcut_agrees_with_structured_chain():
     for m in range(3):
         for n in range(3):
             for a in enumerate_bch(n, m):
-                g = bchop_to_graphmeet(a)
+                g = chain_bchop_to_graphmeet(a)
                 src = standard_cube(a.n)
                 for v in src.vertices:
                     direct = "".join(
                         v[e] if e < a.n else str(e - a.n) for e in a.entries
                     )
                     assert g(v) == direct
+
+
+def test_row_maps_match_the_chain():
+    # the package's one-substitution maps against the six-step chain, on
+    # every arrow, and on every cube map for the inverse, which refuses the
+    # maps outside the meet-and-join class as the chain does
+    for m in range(4):
+        for n in range(4):
+            for a in enumerate_bch(n, m):
+                assert bchop_to_graphmeet(a) == chain_bchop_to_graphmeet(a)
+            for g in enumerate_graph_homs(standard_cube(m), standard_cube(n)):
+                try:
+                    expected = chain_graphmeet_to_bchop(g)
+                except ValueError:
+                    with pytest.raises(ValueError, match="meet-and-join"):
+                        graphmeet_to_bchop(g)
+                else:
+                    assert graphmeet_to_bchop(g) == expected
+
+
+def test_bch_compose_matches_the_reference_loop():
+    for k, m, n in product(range(4), repeat=3):
+        for g in enumerate_bch(m, n):
+            for f in enumerate_bch(k, m):
+                assert bch_compose(g, f) == bch_compose_loop(g, f)
+
+
+def test_compose_graph_morphisms_matches_the_reference_loop():
+    for build, top in ((twisted_cube, 3), (standard_cube, 2)):
+        for k, m, n in product(range(top + 1), repeat=3):
+            fs = enumerate_graph_homs(build(k), build(m))
+            for g in enumerate_graph_homs(build(m), build(n)):
+                for f in fs:
+                    assert compose_graph_morphisms(g, f) == compose_graph_loop(g, f)
 
 
 def test_bchop_round_trips():

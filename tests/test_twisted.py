@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubecats.cubes import twisted_cube
-from cubecats.standard import compose_graph_morphisms, identity_graph_morphism
+from cubecats.standard import compose_graph_morphisms, enumerate_graph_homs, identity_graph_morphism
 from cubecats.twisted import (
     Face,
     TernaryMorphism,
@@ -30,6 +30,8 @@ from cubecats.twisted import (
     ternary_to_graphdim,
     unique_surjection,
 )
+
+from predicates import chain_graphdim_to_ternary, chain_ternary_to_graphdim, ternary_compose_loop
 
 
 def test_hamiltonian_f_two_cube_table():
@@ -151,6 +153,31 @@ def test_untwisted_compose_skips_parity():
     g = TernaryMorphism(2, 3, "0**")
     assert ternary_compose(g, f, twist=False).seq == "01*"
     assert ternary_compose(g, f).seq == "00*"
+
+
+def test_row_maps_match_the_face_chain():
+    # every arrow, and for the inverse every twisted cube map, which both
+    # refuse when it is not dimension-preserving
+    for m in range(4):
+        for n in range(4):
+            for t in enumerate_ternary(m, n):
+                assert ternary_to_graphdim(t) == chain_ternary_to_graphdim(t)
+            for f in enumerate_graph_homs(twisted_cube(m), twisted_cube(n)):
+                try:
+                    expected = chain_graphdim_to_ternary(f)
+                except ValueError:
+                    with pytest.raises(ValueError, match="dimension-preserving"):
+                        graphdim_to_ternary(f)
+                else:
+                    assert graphdim_to_ternary(f) == expected
+
+
+def test_ternary_compose_matches_the_reference_loop():
+    for k, m, n in product(range(4), repeat=3):
+        for g in enumerate_ternary(m, n):
+            for f in enumerate_ternary(k, m):
+                for twist in (True, False):
+                    assert ternary_compose(g, f, twist) == ternary_compose_loop(g, f, twist)
 
 
 @settings(max_examples=150, deadline=None)
