@@ -44,10 +44,7 @@ from .standard import (
     bch_identity,
     bchop_to_graphmeet,
     compose_graph_morphisms,
-    enumerate_bch,
     enumerate_graph_homs,
-    enumerate_graphdim,
-    enumerate_graphmeet,
     extend_base_morphism,
     graphmeet_to_bchop,
     identity_graph_morphism,
@@ -64,9 +61,6 @@ from .twisted import (
     hamiltonian_path,
     image_face,
     order_g,
-    enumerate_semi,
-    enumerate_ternary,
-    enumerate_twgraphdim,
     ternary_compose,
     ternary_identity,
     ternary_to_graphdim,

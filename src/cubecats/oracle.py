@@ -9,8 +9,8 @@ never assume the statement they are checking.
 The category laws and the isomorphisms work on morphisms as rows: each
 hom-set is a sorted integer matrix, composition is one batched row
 operation per triple of objects, and a composite is found in its
-hom-set by a binary search of its packed row key.  Morphism objects are
-built only to describe a counterexample.
+hom-set by a binary search of its row key.  Morphism objects are built
+only to describe a counterexample.
 
 The check functions take the pieces they verify as parameters where a
 mutation test needs to swap them out (a cube builder, a hom enumerator,
@@ -57,7 +57,6 @@ from .twisted import (
     graphdim_to_ternary_rows,
     hamiltonian_path,
     image_face,
-    enumerate_twgraphdim,
     order_g,
     semi_rows,
     ternary_compose_rows,
@@ -670,7 +669,7 @@ def check_unique_hamiltonian(
 
 def check_unique_surjection(
     max_dim: int = 3,
-    homs: Callable[[int, int], Sequence] = enumerate_twgraphdim,
+    homs: Callable[[int, int], Sequence] = category_view("twgraphdim").hom,
 ) -> CheckReport:
     """Exactly one surjective dimension-preserving map when m >= n, else none."""
     t0 = time.perf_counter()
@@ -702,7 +701,7 @@ def check_unique_surjection(
 
 def check_factorization(
     max_dim: int = 3,
-    homs: Callable[[int, int], Sequence] = enumerate_twgraphdim,
+    homs: Callable[[int, int], Sequence] = category_view("twgraphdim").hom,
 ) -> CheckReport:
     """Every dimension-preserving map recomposes from its unique factorization."""
     t0 = time.perf_counter()
@@ -774,8 +773,8 @@ def check_fibre_dimension(
             equal = (
                 np.where(fibres == 0, biggest[:, None], fibres).min(axis=1) == biggest
             )
-            dim_rows = {row.tobytes() for row in hom_matrix(src, tgt, dimension_constraints)}
-            dimpres = np.array([row.tobytes() in dim_rows for row in mat], dtype=bool)
+            dim_rows = hom_matrix(src, tgt, dimension_constraints)
+            dimpres = HomRows(dim_rows, "dimension-preserving rows").index(mat) >= 0
             if (equal != dimpres).any():
                 row = int(np.nonzero(equal != dimpres)[0][0])
                 return _report(

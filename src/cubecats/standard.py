@@ -45,7 +45,7 @@ from .graphs import (
     bits_to_int,
     int_to_bits,
 )
-from .cubes import base_subgraph, standard_cube, twisted_cube
+from .cubes import base_subgraph, standard_cube
 
 
 class BchMorphism:
@@ -156,7 +156,7 @@ def bch_compose(outer: BchMorphism, inner: BchMorphism) -> BchMorphism:
 def bch_rows(m: int, n: int) -> np.ndarray:
     """Entry rows of all arrows m -> n, as read-only lexicographic uint8 rows."""
     if m > 6 or n > 6:
-        raise CapacityError("enumerate_bch is limited to m, n <= 6")
+        raise CapacityError("bch_rows is limited to m, n <= 6")
     rows = np.indices((n + 2,) * m, dtype=np.uint8).reshape(m, (n + 2) ** m).T
     injective = np.ones(len(rows), dtype=bool)
     for i, j in combinations(range(m), 2):
@@ -164,12 +164,6 @@ def bch_rows(m: int, n: int) -> np.ndarray:
     rows = rows[injective]
     rows.setflags(write=False)
     return rows
-
-
-@lru_cache(maxsize=None)
-def enumerate_bch(m: int, n: int) -> tuple[BchMorphism, ...]:
-    """All arrows m -> n in lexicographic entry order."""
-    return tuple(BchMorphism(m, n, row) for row in bch_rows(m, n).tolist())
 
 
 class PartialInjection:
@@ -455,15 +449,3 @@ def dimension_constraints(src: Graph, tgt: Graph) -> list[tuple]:
         test = lambda f, s=s, t=t, s0=s0, t0=t0: f[:, s] ^ f[:, t] == f[:, s0] ^ f[:, t0]
         out.append(((s, t, s0, t0), test))
     return out
-
-
-def enumerate_graphmeet(m: int, n: int) -> tuple[GraphMorphism, ...]:
-    """Meet-and-join-preserving cube morphisms C^m -> C^n, by constrained
-    hom enumeration; bchop_to_graphmeet is checked against them, not used."""
-    return enumerate_graph_homs(standard_cube(m), standard_cube(n), bound_constraints)
-
-
-def enumerate_graphdim(m: int, n: int, twisted: bool = False) -> tuple[GraphMorphism, ...]:
-    """Dimension-preserving cube morphisms, by constrained hom enumeration."""
-    build = twisted_cube if twisted else standard_cube
-    return enumerate_graph_homs(build(m), build(n), dimension_constraints)

@@ -20,11 +20,7 @@ import numpy as np
 
 from .graphs import CapacityError, Vertex, bits_to_int, int_to_bits
 from .cubes import twisted_cube
-from .standard import (
-    GraphMorphism,
-    compose_graph_morphisms,
-    enumerate_graphdim,
-)
+from .standard import GraphMorphism, compose_graph_morphisms
 
 STAR = "*"
 
@@ -322,7 +318,7 @@ def graphdim_to_ternary(f: GraphMorphism) -> TernaryMorphism:
 def ternary_rows(m: int, n: int) -> np.ndarray:
     """Digit rows of all ternary arrows m -> n, read-only, in canonical order (0 < 1 < ⋆)."""
     if m > 6 or n > 6:
-        raise CapacityError("enumerate_ternary is limited to m, n <= 6")
+        raise CapacityError("ternary_rows is limited to m, n <= 6")
     rows = np.indices((3,) * n, dtype=np.uint8).reshape(n, 3**n).T
     rows = rows[(rows == 2).sum(axis=1) <= m]
     rows.setflags(write=False)
@@ -336,23 +332,3 @@ def semi_rows(m: int, n: int) -> np.ndarray:
     rows = rows[(rows == 2).sum(axis=1) == m]
     rows.setflags(write=False)
     return rows
-
-
-@lru_cache(maxsize=None)
-def enumerate_ternary(m: int, n: int) -> tuple[TernaryMorphism, ...]:
-    """All ternary arrows m -> n in canonical string order (0 < 1 < ⋆)."""
-    return tuple(TernaryMorphism(m, n, ternary_seq(row)) for row in ternary_rows(m, n).tolist())
-
-
-def semi_ternary_check(t: TernaryMorphism) -> bool:
-    """Membership in the semi variant: star count exactly m."""
-    return t.stars == t.m
-
-
-def enumerate_semi(m: int, n: int) -> tuple[TernaryMorphism, ...]:
-    return tuple(TernaryMorphism(m, n, ternary_seq(row)) for row in semi_rows(m, n).tolist())
-
-
-def enumerate_twgraphdim(m: int, n: int) -> tuple[GraphMorphism, ...]:
-    """Dimension-preserving twisted-cube morphisms, by constrained hom enumeration."""
-    return enumerate_graphdim(m, n, twisted=True)

@@ -9,7 +9,7 @@ import time
 from functools import partial
 from itertools import product
 
-from cubecats.cubes import standard_cube, twisted_cube
+from cubecats.cubes import standard_cube
 from cubecats.oracle import (
     CATEGORY_IDS,
     category_view,
@@ -24,7 +24,6 @@ from cubecats.oracle import (
     check_unique_hamiltonian,
     check_unique_surjection,
 )
-from cubecats.standard import enumerate_graphdim, enumerate_graphmeet
 from cubecats.twisted import ternary_compose_rows
 
 
@@ -54,7 +53,8 @@ def test_criterion_02_substitution_category_matches_meet_maps():
 def test_criterion_03_meet_maps_equal_dimension_maps():
     t0 = time.perf_counter()
     # both hom-sets at (3, 3), each under its own constraints, before comparing
-    assert len(enumerate_graphmeet(3, 3)) == len(enumerate_graphdim(3, 3)) == 86
+    meets, dims = category_view("graphmeet"), category_view("graphdim")
+    assert len(meets.rows(3, 3)) == len(dims.rows(3, 3)) == 86
     report = check_meet_equals_dim(max_dim=3)
     assert report.passed, report.counterexample
     _within(120, t0)
@@ -115,7 +115,7 @@ def test_criterion_10_mutation_sensitivity():
     )
     assert broken_iso.counterexample["stage"] == "composition"
     # mutation B: cube builder without the zero-parity flip
-    flat_homs = lambda m, n: enumerate_graphdim(m, n, twisted=False)
+    flat_homs = category_view("graphdim").hom
     broken = [
         check_total_order(max_n=3, build=standard_cube),
         check_unique_hamiltonian(max_n=3, build=standard_cube),
@@ -132,8 +132,9 @@ def test_criterion_11_equal_fibres_characterize_dimension_preservation():
     report = check_fibre_dimension(max_dim=3)
     assert report.passed, report.counterexample
     # spot-check the fibre arithmetic against plain counting
+    twgraphdim = category_view("twgraphdim")
     for m, n in product(range(3), repeat=2):
-        for f in enumerate_graphdim(m, n, twisted=True):
+        for f in twgraphdim.hom(m, n):
             counts = {}
             for v in f.source.vertices:
                 counts[f(v)] = counts.get(f(v), 0) + 1

@@ -15,10 +15,9 @@ from cubecats.standard import (
     bound_constraints,
     dimension_constraints,
     enumerate_graph_homs,
-    enumerate_graphdim,
-    enumerate_graphmeet,
     hom_matrix,
 )
+from cubecats.oracle import category_view
 
 from predicates import is_dimension_preserving, preserves_joins, preserves_meets
 
@@ -126,6 +125,8 @@ def test_constrained_enumeration_matches_reference_predicates(build):
     def meets_and_joins(f):
         return preserves_meets(f) and preserves_joins(f)
 
+    graphdim = category_view("graphdim" if build is standard_cube else "twgraphdim")
+
     for m in range(4):
         for n in range(4):
             src, tgt = build(m), build(n)
@@ -133,10 +134,10 @@ def test_constrained_enumeration_matches_reference_predicates(build):
             _assert_same_rows(hom_matrix(src, tgt, dimension_constraints), dim)
             bound = _kept_rows(src, tgt, meets_and_joins)
             _assert_same_rows(hom_matrix(src, tgt, bound_constraints), bound)
-            homs = enumerate_graphdim(m, n, twisted=build is twisted_cube)
+            homs = graphdim.hom(m, n)
             assert [f.vmap for f in homs] == [tuple(r) for r in dim]
             if build is standard_cube:
-                homs = enumerate_graphmeet(m, n)
+                homs = category_view("graphmeet").hom(m, n)
                 assert [f.vmap for f in homs] == [tuple(r) for r in bound]
 
 

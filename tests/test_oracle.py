@@ -36,19 +36,12 @@ from cubecats.standard import (
     bch_rows,
     bchop_to_graphmeet_rows,
     bound_constraints,
-    enumerate_bch,
+    dimension_constraints,
     enumerate_graph_homs,
-    enumerate_graphdim,
-    enumerate_graphmeet,
     graphmeet_to_bchop_rows,
     hom_matrix,
 )
-from cubecats.twisted import (
-    enumerate_semi,
-    enumerate_ternary,
-    enumerate_twgraphdim,
-    ternary_compose_rows,
-)
+from cubecats.twisted import ternary_compose_rows
 
 
 def test_check_report_requires_counterexample_iff_failed():
@@ -643,9 +636,7 @@ def test_untwisted_builder_mutant_fails_hamiltonian():
 
 
 def test_untwisted_homs_mutant_fails_surjection():
-    rep = check_unique_surjection(
-        2, homs=lambda m, n: enumerate_graphdim(m, n, twisted=False)
-    )
+    rep = check_unique_surjection(2, homs=category_view("graphdim").hom)
     assert not rep.passed
 
 
@@ -669,38 +660,45 @@ def test_untwisted_compose_mutant_fails_iso():
     assert rep.counterexample["stage"] == "composition"
 
 
-@pytest.mark.parametrize("width", [3, 40])
-def test_row_keys_find_members_only(width):
-    # 40 digits of 2 bits need two key words; 3 digits fit in one
+@pytest.mark.parametrize("width, top", [(3, 4), (40, 4), (3, 1000)], ids=["3", "40", "3-wide"])
+def test_row_keys_find_members_only(width, top):
+    # digits below 4 key as one byte each, digits up to 999 as two
     rng = np.random.default_rng(0)
-    rows = np.unique(rng.integers(0, 4, size=(400, width)), axis=0)
+    rows = np.unique(rng.integers(0, top, size=(400, width)), axis=0)
     hom = HomRows(rows[::2], "rows")
     expected = np.where(np.arange(len(rows)) % 2 == 0, np.arange(len(rows)) // 2, -1)
     assert (hom.index(rows) == expected).all()
-    assert (hom.index(rows[None] + 4) == -1).all()  # digits beyond the hom-set's range
+    assert (hom.index(rows[None] + top) == -1).all()  # digits beyond the hom-set's range
+    # digits beyond the key's byte width, which would wrap onto members
+    assert (hom.index(rows + (256 if top <= 256 else 2**16)) == -1).all()
     with pytest.raises(RowError, match="not strictly increasing"):
         HomRows(rows[::-1], "rows").index(rows)
+    with pytest.raises(RowError, match="not strictly increasing"):
+        HomRows(np.repeat(rows, 2, axis=0), "rows").index(rows)
+
+
+def test_row_keys_find_members_only_of_width_zero():
+    # the one arrow of bch hom(0, n) and of ternary hom(m, 0) is an empty row
+    empty = np.zeros((1, 0), dtype=np.uint8)
+    query = np.zeros((2, 3, 0), dtype=np.intp)
+    assert HomRows(empty, "rows").index(query).tolist() == [[0] * 3] * 2
+    assert HomRows(empty[:0], "rows").index(empty).tolist() == [-1]
+    with pytest.raises(RowError, match="not strictly increasing"):
+        HomRows(np.repeat(empty, 2, axis=0), "rows").index(empty)
 
 
 def test_view_hom_matches_the_enumerators():
-    cubes = {"graphcube": standard_cube, "twcubecat": twisted_cube}
-    enumerators = {
-        "bch": enumerate_bch,
-        "bchop": lambda m, n: enumerate_bch(n, m),
-        "graphmeet": enumerate_graphmeet,
-        "graphdim": enumerate_graphdim,
-        "twgraphdim": enumerate_twgraphdim,
-        "ternary": enumerate_ternary,
-        "semi": enumerate_semi,
-        **{
-            cat_id: lambda m, n, build=build: enumerate_graph_homs(build(m), build(n))
-            for cat_id, build in cubes.items()
-        },
+    graph_views = {
+        "graphcube": (standard_cube, None),
+        "graphmeet": (standard_cube, bound_constraints),
+        "graphdim": (standard_cube, dimension_constraints),
+        "twcubecat": (twisted_cube, None),
+        "twgraphdim": (twisted_cube, dimension_constraints),
     }
-    for cat_id in CATEGORY_IDS:
+    for cat_id, (build, constraints) in graph_views.items():
         view = category_view(cat_id)
         for m, n in itertools.product(range(3), repeat=2):
-            assert view.hom(m, n) == enumerators[cat_id](m, n)
+            assert view.hom(m, n) == enumerate_graph_homs(build(m), build(n), constraints)
 
 
 def test_hom_table_frozen_rows():

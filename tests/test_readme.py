@@ -1,13 +1,21 @@
-"""The README's Python examples run and give the values their comments show."""
+"""The README's Python examples run and give the values their comments show,
+and the package names it quotes exist."""
 
 import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import cubecats
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"```python\n(.*?)```", TEXT, re.S)
+# inline code spans, with the fenced blocks taken out first
+SPANS = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", TEXT, flags=re.S))
 
 
 def _expected(lines, node):
@@ -35,3 +43,20 @@ def test_readme_python_block(block):
             assert eval(code, namespace) == _expected(lines, node), code
         else:
             exec(code, namespace)
+
+
+def test_readme_names_resolve():
+    # a backticked module.name of a cubecats module, and a backticked
+    # enumerate_* name, must name something the package has
+    modules = {"cubecats": cubecats}
+    for info in pkgutil.iter_modules(cubecats.__path__):
+        modules[info.name] = importlib.import_module(f"cubecats.{info.name}")
+    missing = []
+    for span in SPANS:
+        for module, name in re.findall(r"(?<![\w.])(?:cubecats\.)?(\w+)\.(\w+)", span):
+            if module in modules and not hasattr(modules[module], name):
+                missing.append(f"{module}.{name}")
+        for name in re.findall(r"\benumerate_\w+", span):
+            if not any(hasattr(mod, name) for mod in modules.values()):
+                missing.append(name)
+    assert not missing, missing

@@ -19,16 +19,14 @@ from cubecats.standard import (
     bch_identity,
     bchop_to_graphmeet,
     compose_graph_morphisms,
-    enumerate_bch,
     enumerate_graph_homs,
-    enumerate_graphdim,
-    enumerate_graphmeet,
     extend_base_morphism,
     graphmeet_to_bchop,
     hom_matrix,
     identity_graph_morphism,
     transpose_partial_injection,
 )
+from cubecats.oracle import category_view
 
 from predicates import (
     bch_compose_loop,
@@ -40,6 +38,8 @@ from predicates import (
     preserves_meets,
 )
 
+bch, graphmeet, graphdim = map(category_view, ("bch", "graphmeet", "graphdim"))
+
 
 def bch_count(m, n):
     # choose which inputs hit outputs, an injection for them, constants elsewhere
@@ -49,9 +49,9 @@ def bch_count(m, n):
 def test_bch_counts_match_formula():
     for m in range(4):
         for n in range(4):
-            assert len(enumerate_bch(m, n)) == bch_count(m, n)
-    assert len(enumerate_bch(1, 1)) == 3
-    assert len(enumerate_bch(3, 3)) == 86
+            assert len(bch.rows(m, n)) == bch_count(m, n)
+    assert len(bch.rows(1, 1)) == 3
+    assert len(bch.rows(3, 3)) == 86
 
 
 def test_bch_validation():
@@ -66,7 +66,7 @@ def test_bch_validation():
 
 def test_bch_enumeration_capacity():
     with pytest.raises(CapacityError):
-        enumerate_bch(7, 1)
+        bch.rows(7, 1)
 
 
 def test_bch_compose_absorbs_constants():
@@ -79,7 +79,7 @@ def test_bch_compose_absorbs_constants():
 
 
 def test_bch_json_round_trip():
-    for a in enumerate_bch(2, 2):
+    for a in bch.hom(2, 2):
         assert bch_from_json(a.to_json()) == a
     with pytest.raises(ValueError):
         bch_from_json('{"m": 1, "n": 1, "map": ["q0"]}')
@@ -90,11 +90,11 @@ def test_bch_json_round_trip():
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
 def test_bch_category_laws_sampled(k, m, n, data):
-    f = data.draw(st.sampled_from(enumerate_bch(k, m)))
-    g = data.draw(st.sampled_from(enumerate_bch(m, n)))
+    f = data.draw(st.sampled_from(bch.hom(k, m)))
+    g = data.draw(st.sampled_from(bch.hom(m, n)))
     assert bch_compose(g, bch_identity(m)) == g
     assert bch_compose(bch_identity(n), g) == g
-    h = data.draw(st.sampled_from(enumerate_bch(n, 3)))
+    h = data.draw(st.sampled_from(bch.hom(n, 3)))
     assert bch_compose(bch_compose(h, g), f) == bch_compose(h, bch_compose(g, f))
 
 
@@ -136,12 +136,12 @@ def test_connection_map_is_a_hom_preserving_meets_only():
     assert preserves_meets(f)
     # 01 v 10 = 11 maps to 1 while the images join to 0
     assert not preserves_joins(f)
-    assert f not in enumerate_graphmeet(2, 1)
+    assert f not in graphmeet.hom(2, 1)
     assert not is_dimension_preserving(f)
 
 
 def test_meets_alone_admit_more_maps_than_meets_and_joins():
-    both = enumerate_graphmeet(2, 1)
+    both = graphmeet.hom(2, 1)
     meets_only = [f for f in enumerate_graph_homs(standard_cube(2), standard_cube(1)) if preserves_meets(f)]
     assert len(both) == 4
     assert len(meets_only) == 5
@@ -151,29 +151,29 @@ def test_graphmeet_equals_structural_chain():
     # the (z, d) chain, as a reference independent of the hom enumeration
     for m in range(4):
         for n in range(4):
-            chain = {chain_bchop_to_graphmeet(a) for a in enumerate_bch(n, m)}
-            assert chain == set(enumerate_graphmeet(m, n))
+            chain = {chain_bchop_to_graphmeet(a) for a in bch.hom(n, m)}
+            assert chain == set(graphmeet.hom(m, n))
 
 
 def test_graphmeet_is_bounded_by_the_kernel_frontier(monkeypatch):
-    # a frontier of 2^12 bytes refuses C^3 -> C^3, which enumerate_bch(3, 3) would answer
+    # a frontier of 2^12 bytes refuses C^3 -> C^3, which bch_rows(3, 3) would answer
     hom_matrix.cache_clear()
     monkeypatch.setattr(kernels, "MAX_FRONTIER", 2**12)
     with pytest.raises(CapacityError, match="frontier"):
-        enumerate_graphmeet(3, 3)
+        graphmeet.rows(3, 3)
 
 
 def test_graphmeet_equals_graphdim_sets():
     for m in range(3):
         for n in range(3):
-            assert set(enumerate_graphmeet(m, n)) == set(enumerate_graphdim(m, n))
+            assert set(graphmeet.hom(m, n)) == set(graphdim.hom(m, n))
 
 
 def test_substitution_shortcut_agrees_with_structured_chain():
     # independent reading of an arrow: substitute vertex bits into each slot
     for m in range(3):
         for n in range(3):
-            for a in enumerate_bch(n, m):
+            for a in bch.hom(n, m):
                 g = chain_bchop_to_graphmeet(a)
                 src = standard_cube(a.n)
                 for v in src.vertices:
@@ -189,7 +189,7 @@ def test_row_maps_match_the_chain():
     # maps outside the meet-and-join class as the chain does
     for m in range(4):
         for n in range(4):
-            for a in enumerate_bch(n, m):
+            for a in bch.hom(n, m):
                 assert bchop_to_graphmeet(a) == chain_bchop_to_graphmeet(a)
             for g in enumerate_graph_homs(standard_cube(m), standard_cube(n)):
                 try:
@@ -202,9 +202,10 @@ def test_row_maps_match_the_chain():
 
 
 def test_bch_compose_matches_the_reference_loop():
+    homs = {(m, n): bch.hom(m, n) for m, n in product(range(4), repeat=2)}
     for k, m, n in product(range(4), repeat=3):
-        for g in enumerate_bch(m, n):
-            for f in enumerate_bch(k, m):
+        for g in homs[(m, n)]:
+            for f in homs[(k, m)]:
                 assert bch_compose(g, f) == bch_compose_loop(g, f)
 
 
@@ -220,17 +221,18 @@ def test_compose_graph_morphisms_matches_the_reference_loop():
 def test_bchop_round_trips():
     for m in range(4):
         for n in range(4):
-            for a in enumerate_bch(n, m):
+            for a in bch.hom(n, m):
                 assert graphmeet_to_bchop(bchop_to_graphmeet(a)) == a
-            for g in enumerate_graphmeet(m, n):
+            for g in graphmeet.hom(m, n):
                 assert bchop_to_graphmeet(graphmeet_to_bchop(g)) == g
 
 
 def test_bchop_functoriality_exhaustive_dim_two():
+    homs = {(m, n): bch.hom(m, n) for m, n in product(range(3), repeat=2)}
     for k, m, n in product(range(3), repeat=3):
-        for g_arr in enumerate_bch(n, m):
+        for g_arr in homs[(n, m)]:
             lhs_outer = bchop_to_graphmeet(g_arr)
-            for f_arr in enumerate_bch(m, k):
+            for f_arr in homs[(m, k)]:
                 composite = bch_compose(f_arr, g_arr)
                 assert bchop_to_graphmeet(composite) == compose_graph_morphisms(
                     lhs_outer, bchop_to_graphmeet(f_arr)
@@ -245,13 +247,13 @@ def _restrict_to_base(f):
 def test_extend_restrict_round_trip():
     for m in range(4):
         for n in range(3):
-            for a in enumerate_bch(n, m):
+            for a in bch.hom(n, m):
                 g = bchop_to_graphmeet(a)
                 assert extend_base_morphism(_restrict_to_base(g)) == g
 
 
 def test_extension_is_join_reconstruction():
-    g = bchop_to_graphmeet(enumerate_bch(2, 2)[5])
+    g = bchop_to_graphmeet(bch.hom(2, 2)[5])
     ext = extend_base_morphism(_restrict_to_base(g))
     origin = "0" * g.source.dimension
     assert ext(origin) == g(origin)
@@ -260,7 +262,7 @@ def test_extension_is_join_reconstruction():
 def test_graphmeet_counts_match_bch():
     for m in range(4):
         for n in range(4):
-            assert len(enumerate_graphmeet(m, n)) == bch_count(n, m)
+            assert len(graphmeet.rows(m, n)) == bch_count(n, m)
 
 
 def test_equal_graphs_built_apart_hash_and_compare_equal():

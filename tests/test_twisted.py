@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubecats.cubes import twisted_cube
+from cubecats.oracle import category_view
 from cubecats.standard import compose_graph_morphisms, enumerate_graph_homs, identity_graph_morphism
 from cubecats.twisted import (
     Face,
@@ -21,10 +22,6 @@ from cubecats.twisted import (
     image_face,
     order_g,
     rev,
-    enumerate_semi,
-    enumerate_ternary,
-    enumerate_twgraphdim,
-    semi_ternary_check,
     ternary_compose,
     ternary_identity,
     ternary_to_graphdim,
@@ -32,6 +29,8 @@ from cubecats.twisted import (
 )
 
 from predicates import chain_graphdim_to_ternary, chain_ternary_to_graphdim, ternary_compose_loop
+
+ternary, semi, twgraphdim = map(category_view, ("ternary", "semi", "twgraphdim"))
 
 
 def test_hamiltonian_f_two_cube_table():
@@ -79,7 +78,7 @@ def test_single_dimension_zero_step_at_midpoint():
 def test_unique_surjection_truncates_bits():
     s = unique_surjection(2, 1)
     assert s.as_dict() == {"00": "0", "01": "0", "10": "1", "11": "1"}
-    assert s in enumerate_twgraphdim(2, 1)
+    assert s in twgraphdim.hom(2, 1)
     with pytest.raises(ValueError):
         unique_surjection(1, 2)
 
@@ -119,7 +118,7 @@ def test_face_injection_image_recovers_face():
 def test_factorize_recomposes():
     for m in range(4):
         for n in range(4):
-            for f in enumerate_twgraphdim(m, n):
+            for f in twgraphdim.hom(m, n):
                 k, surj, inj = factorize(f)
                 assert k == image_face(f).dimension
                 assert surj == unique_surjection(m, k)
@@ -160,7 +159,7 @@ def test_row_maps_match_the_face_chain():
     # refuse when it is not dimension-preserving
     for m in range(4):
         for n in range(4):
-            for t in enumerate_ternary(m, n):
+            for t in ternary.hom(m, n):
                 assert ternary_to_graphdim(t) == chain_ternary_to_graphdim(t)
             for f in enumerate_graph_homs(twisted_cube(m), twisted_cube(n)):
                 try:
@@ -173,9 +172,10 @@ def test_row_maps_match_the_face_chain():
 
 
 def test_ternary_compose_matches_the_reference_loop():
+    homs = {(m, n): ternary.hom(m, n) for m, n in product(range(4), repeat=2)}
     for k, m, n in product(range(4), repeat=3):
-        for g in enumerate_ternary(m, n):
-            for f in enumerate_ternary(k, m):
+        for g in homs[(m, n)]:
+            for f in homs[(k, m)]:
                 for twist in (True, False):
                     assert ternary_compose(g, f, twist) == ternary_compose_loop(g, f, twist)
 
@@ -183,7 +183,7 @@ def test_ternary_compose_matches_the_reference_loop():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 3), st.integers(0, 3), st.data())
 def test_ternary_identity_laws(m, n, data):
-    t = data.draw(st.sampled_from(enumerate_ternary(m, n)))
+    t = data.draw(st.sampled_from(ternary.hom(m, n)))
     assert ternary_compose(t, ternary_identity(m)) == t
     assert ternary_compose(ternary_identity(n), t) == t
 
@@ -191,17 +191,17 @@ def test_ternary_identity_laws(m, n, data):
 def test_ternary_to_graphdim_is_bijection_small():
     for m in range(4):
         for n in range(4):
-            ternary = enumerate_ternary(m, n)
-            graphs = enumerate_twgraphdim(m, n)
-            assert len(ternary) == len(graphs)
-            image = {ternary_to_graphdim(t) for t in ternary}
+            arrows = ternary.hom(m, n)
+            graphs = twgraphdim.hom(m, n)
+            assert len(arrows) == len(graphs)
+            image = {ternary_to_graphdim(t) for t in arrows}
             assert image == set(graphs)
-            for t in ternary:
+            for t in arrows:
                 assert graphdim_to_ternary(ternary_to_graphdim(t)) == t
 
 
 def test_ternary_counts_frozen():
-    table = [[len(enumerate_ternary(m, n)) for n in range(4)] for m in range(4)]
+    table = [[len(ternary.rows(m, n)) for n in range(4)] for m in range(4)]
     assert table == [
         [1, 2, 4, 8],
         [1, 3, 8, 20],
@@ -211,10 +211,11 @@ def test_ternary_counts_frozen():
 
 
 def test_ternary_functorial_exhaustive_dim_two():
+    homs = {(m, n): ternary.hom(m, n) for m, n in product(range(3), repeat=2)}
     for k, m, n in product(range(3), repeat=3):
-        for g in enumerate_ternary(m, n):
+        for g in homs[(m, n)]:
             phi_g = ternary_to_graphdim(g)
-            for f in enumerate_ternary(k, m):
+            for f in homs[(k, m)]:
                 lhs = ternary_to_graphdim(ternary_compose(g, f))
                 rhs = compose_graph_morphisms(phi_g, ternary_to_graphdim(f))
                 assert lhs == rhs
@@ -230,22 +231,23 @@ def test_identity_ternary_maps_to_identity_morphism():
 def test_semi_ternary_uses_every_input():
     for m in range(4):
         for n in range(4):
-            semi = enumerate_semi(m, n)
-            assert all(t.stars == m for t in semi)
-            assert all(semi_ternary_check(t) for t in semi)
-            assert len(semi) == comb(n, m) * 2 ** (n - m) if m <= n else len(semi) == 0
+            arrows = semi.hom(m, n)
+            assert all(t.stars == m for t in arrows)
+            assert all(t.stars == t.m for t in arrows)
+            assert len(arrows) == comb(n, m) * 2 ** (n - m) if m <= n else len(arrows) == 0
 
 
 def test_semi_closed_under_composition():
-    for f in enumerate_semi(1, 2):
-        for g in enumerate_semi(2, 3):
+    gs = semi.hom(2, 3)
+    for f in semi.hom(1, 2):
+        for g in gs:
             assert ternary_compose(g, f).stars == 1
 
 
 def test_fibres_of_dimension_preserving_maps_are_uniform():
     for m in range(4):
         for n in range(4):
-            for f in enumerate_twgraphdim(m, n):
+            for f in twgraphdim.hom(m, n):
                 k = image_face(f).dimension
                 sizes = {}
                 for v in f.source.vertices:
