@@ -65,10 +65,12 @@ def cmd_build(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             parser.error("dot output is limited to --n 4")
         if args.definition == "rec":
             parser.error("dot output needs --def nonrec; edge labels come from the closed form")
+    rec, nonrec, labeled = {
+        "standard": (standard_cube_rec, standard_cube, standard_cube_nonrec),
+        "twisted": (twisted_cube_rec, twisted_cube, twisted_cube_nonrec),
+    }[kind]
     if args.verify_iso:
-        rec = (standard_cube_rec if kind == "standard" else twisted_cube_rec)(n)
-        nonrec = (standard_cube if kind == "standard" else twisted_cube)(n)
-        if rec != nonrec:
+        if rec(n) != nonrec(n):
             print(f"rec and nonrec {kind} cubes differ at n={n}", file=sys.stderr)
             return 1
         print(
@@ -76,15 +78,10 @@ def cmd_build(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             file=sys.stderr,
         )
     if args.out == "json":
-        if args.definition == "rec":
-            graph = (standard_cube_rec if kind == "standard" else twisted_cube_rec)(n)
-        else:
-            graph = (standard_cube if kind == "standard" else twisted_cube)(n)
-        sys.stdout.write(graph_to_json(graph))
+        sys.stdout.write(graph_to_json((rec if args.definition == "rec" else nonrec)(n)))
     else:
-        labeled = (standard_cube_nonrec if kind == "standard" else twisted_cube_nonrec)(n)
         order = _twisted_vertex_order(n) if kind == "twisted" else None
-        sys.stdout.write(to_dot(labeled, order))
+        sys.stdout.write(to_dot(labeled(n), order))
     return 0
 
 
@@ -171,7 +168,7 @@ def cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             print(f"SKIP {name}: {exc}", file=sys.stderr)
             continue
         for report in result if isinstance(result, list) else [result]:
-            print(report.to_json(include_elapsed=False))
+            print(report.to_json())
             status = "PASS" if report.passed else "FAIL"
             print(f"{status} {report.name} ({report.elapsed:.2f}s)", file=sys.stderr)
             reports.append(report)

@@ -1,16 +1,22 @@
 """Brute-force verifiers: category laws, isomorphisms, Hamiltonian search.
 
 Every theorem the package implements structurally is re-checked here by
-exhaustive computation over small dimensions.  Checks return
-CheckReport values carrying a verdict, the first counterexample in
-canonical order when there is one, and counts of the work done; they
-never assume the statement they are checking.
+exhaustive computation over small dimensions.  Each check keeps its
+loops in one first_failure() that returns the first counterexample in
+canonical order, or None, and counts the work done as it goes; _run
+times it and builds the CheckReport.  No check assumes the statement
+it is checking.
 
 The category laws and the isomorphisms work on morphisms as rows: each
 hom-set is a sorted integer matrix, composition is one batched row
 operation per triple of objects, and a composite is found in its
 hom-set by a binary search of its row key.  Morphism objects are built
 only to describe a counterexample.
+
+Every call into the code under check, a view's callbacks and an
+isomorphism's functors, goes through _call, so an exception there
+becomes a RowError and an "exception" counterexample, while an
+exception in the oracle's own code propagates.
 
 The check functions take the pieces they verify as parameters where a
 mutation test needs to swap them out (a cube builder, a hom enumerator,
@@ -23,7 +29,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Callable, Optional, Sequence
 
@@ -86,7 +92,10 @@ class CheckReport:
         if self.passed == (self.counterexample is not None):
             raise ValueError("counterexample must be present exactly when the check fails")
 
-    def to_dict(self, include_elapsed: bool = True) -> dict:
+    def to_dict(self, include_elapsed: bool = False) -> dict:
+        """The report as check prints it, without elapsed, so that stdout is
+        byte-stable.  The keyword stays because perfbench/oracle_child.py
+        passes include_elapsed=False."""
         out = {
             "check": self.name,
             "params": self.params,
@@ -98,8 +107,8 @@ class CheckReport:
             out["elapsed"] = self.elapsed
         return out
 
-    def to_json(self, include_elapsed: bool = True) -> str:
-        return json.dumps(self.to_dict(include_elapsed), separators=(", ", ": "))
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), separators=(", ", ": "))
 
 
 @dataclass(frozen=True)
@@ -128,58 +137,49 @@ class FiniteCategoryView:
         return tuple(self.morphism(m, n, row) for row in self.rows(m, n))
 
 
-class _CallbackError(Exception):
-    """An exception raised by a callback of the category or functor under check."""
-
-
-def _guarded(fn: Callable) -> Callable:
-    """fn, with any exception but CapacityError and MemoryError raised as _CallbackError."""
-
-    def call(*args):
-        try:
-            return fn(*args)
-        except (CapacityError, MemoryError):
-            raise
-        except Exception as exc:
-            raise _CallbackError(f"{type(exc).__name__}: {exc}") from exc
-
-    return call
-
-
-def _guarded_view(cat: FiniteCategoryView) -> FiniteCategoryView:
-    return replace(cat, **{f.name: _guarded(getattr(cat, f.name)) for f in fields(cat)[1:]})
-
-
-def _report(name: str, params: dict, t0: float, counterexample: Optional[dict], counts: dict) -> CheckReport:
+def _run(
+    name: str, params: dict, counts: dict, first_failure: Callable[[], Optional[dict]]
+) -> CheckReport:
+    """The report of a check whose first_failure() gives its first counterexample,
+    or None when it passes, and fills counts as it goes."""
+    t0 = time.perf_counter()
+    counterexample = first_failure()
     return CheckReport(
-        name=name,
-        params=params,
-        passed=counterexample is None,
-        counterexample=counterexample,
-        counts=counts,
-        elapsed=time.perf_counter() - t0,
+        name, params, counterexample is None, counterexample, counts, time.perf_counter() - t0
     )
 
 
+def _call(fn: Callable, *args):
+    """fn(*args), a call into the code under check: any exception but
+    CapacityError and MemoryError is raised as a RowError."""
+    try:
+        return fn(*args)
+    except (CapacityError, MemoryError):
+        raise
+    except Exception as exc:
+        raise RowError(f"{type(exc).__name__}: {exc}") from exc
+
+
 class _Rows:
-    """A guarded view's hom-sets, identities and composition, checked as they come."""
+    """A view's hom-sets, identities and composition, checked as they come."""
 
     def __init__(self, cat: FiniteCategoryView, objs: range):
         self.cat = cat
         self.homs = {
-            (m, n): HomRows(cat.rows(m, n), f"rows({m}, {n})") for m in objs for n in objs
+            (m, n): HomRows(_call(cat.rows, m, n), f"rows({m}, {n})") for m in objs for n in objs
         }
 
     def identity(self, n: int) -> np.ndarray:
-        return checked_rows(self.cat.identity(n), (self.homs[(n, n)].width,), f"identity({n})")
+        identity = _call(self.cat.identity, n)
+        return checked_rows(identity, (self.homs[(n, n)].width,), f"identity({n})")
 
     def compose(self, m: int, n: int, p: int, h: np.ndarray, g: np.ndarray) -> np.ndarray:
         shape = (len(h), len(g), self.homs[(m, p)].width)
-        composites = self.cat.compose_rows(m, n, p, h, g)
+        composites = _call(self.cat.compose_rows, m, n, p, h, g)
         return checked_rows(composites, shape, f"compose_rows({m}, {n}, {p})")
 
     def describe(self, m: int, n: int, row: np.ndarray) -> str:
-        return self.cat.describe(self.cat.morphism(m, n, row))
+        return _call(self.cat.describe, _call(self.cat.morphism, m, n, row))
 
 
 def _first(bad: np.ndarray) -> Optional[tuple]:
@@ -220,80 +220,77 @@ def check_category_laws(
     from a callback of the view, or a result of the wrong shape or with
     a negative value, is an "exception" counterexample.
     """
-    t0 = time.perf_counter()
-    cat = _guarded_view(cat)
     if max_assoc_dim is None:
         max_assoc_dim = max_dim
     if max_assoc_dim > max_dim:
         raise ValueError("max_assoc_dim must not exceed max_dim")
     name = f"category_laws[{cat.name}]"
-    params = {"max_dim": max_dim, "max_assoc_dim": max_assoc_dim}
     counts = {"identity_checks": 0, "associativity_checks": 0}
     objs = range(max_dim + 1)
 
-    def fail(kind: str, **data: object) -> CheckReport:
-        return _report(name, params, t0, {"law": kind, **data}, counts)
+    def first_failure() -> Optional[dict]:
+        try:
+            view = _Rows(cat, objs)
+            homs = view.homs
+            for (m, n), hom in homs.items():
+                f = hom.rows
+                right = view.compose(m, m, n, f, view.identity(m)[None])[:, 0]
+                left = view.compose(m, n, n, view.identity(n)[None], f)[0]
+                bad_right = (right != f).any(axis=1)
+                bad = _first(bad_right | (left != f).any(axis=1))
+                if bad is not None:
+                    (r,) = bad
+                    counts["identity_checks"] += 2 * r
+                    law = "right identity" if bad_right[r] else "left identity"
+                    return {"law": law, "m": m, "n": n, "f": view.describe(m, n, f[r])}
+                counts["identity_checks"] += 2 * len(f)
+            aobjs = range(max_assoc_dim + 1)
+            triples = sum(
+                len(homs[(n, p)]) * len(homs[(m, n)]) * len(homs[(k, m)])
+                for k, m, n, p in product(aobjs, repeat=4)
+            )
+            if triples > DEFAULT_TRIPLE_CAP:
+                raise CapacityError(
+                    f"{name}: {triples} associativity triples exceed {DEFAULT_TRIPLE_CAP}"
+                )
+            tables = {}  # tables[m, n, p][h, g]: index of h∘g in hom(m, p)
+            for m, n, p in product(aobjs, repeat=3):
+                hs, gs = homs[(n, p)].rows, homs[(m, n)].rows
+                table = homs[(m, p)].index(view.compose(m, n, p, hs, gs))
+                bad = _first(table < 0)
+                if bad is not None:
+                    ih, ig = bad
+                    return {
+                        "law": "closure",
+                        "dims": [m, n, p],
+                        "g": view.describe(m, n, gs[ig]),
+                        "h": view.describe(n, p, hs[ih]),
+                    }
+                tables[(m, n, p)] = table
+            for k, m, n, p in product(aobjs, repeat=4):
+                fs, gs, hs = homs[(k, m)].rows, homs[(m, n)].rows, homs[(n, p)].rows
+                bad = _associativity_failure(
+                    tables[(k, m, n)],
+                    tables[(m, n, p)],
+                    tables[(k, m, p)],
+                    tables[(k, n, p)],
+                )
+                if bad is not None:
+                    ih, ig, jf = bad
+                    counts["associativity_checks"] += (ih * len(gs) + ig) * len(fs) + jf
+                    return {
+                        "law": "associativity",
+                        "dims": [k, m, n, p],
+                        "f": view.describe(k, m, fs[jf]),
+                        "g": view.describe(m, n, gs[ig]),
+                        "h": view.describe(n, p, hs[ih]),
+                    }
+                counts["associativity_checks"] += len(hs) * len(gs) * len(fs)
+        except RowError as exc:  # a broken composition rule may not even type-check
+            return {"law": "exception", "error": str(exc)}
+        return None
 
-    try:
-        view = _Rows(cat, objs)
-        homs = view.homs
-        for (m, n), hom in homs.items():
-            f = hom.rows
-            right = view.compose(m, m, n, f, view.identity(m)[None])[:, 0]
-            left = view.compose(m, n, n, view.identity(n)[None], f)[0]
-            bad_right = (right != f).any(axis=1)
-            bad = _first(bad_right | (left != f).any(axis=1))
-            if bad is not None:
-                (r,) = bad
-                counts["identity_checks"] += 2 * r
-                law = "right identity" if bad_right[r] else "left identity"
-                return fail(law, m=m, n=n, f=view.describe(m, n, f[r]))
-            counts["identity_checks"] += 2 * len(f)
-        aobjs = range(max_assoc_dim + 1)
-        triples = sum(
-            len(homs[(n, p)]) * len(homs[(m, n)]) * len(homs[(k, m)])
-            for k, m, n, p in product(aobjs, repeat=4)
-        )
-        if triples > DEFAULT_TRIPLE_CAP:
-            raise CapacityError(
-                f"{name}: {triples} associativity triples exceed {DEFAULT_TRIPLE_CAP}"
-            )
-        tables = {}  # tables[m, n, p][h, g]: index of h∘g in hom(m, p)
-        for m, n, p in product(aobjs, repeat=3):
-            hs, gs = homs[(n, p)].rows, homs[(m, n)].rows
-            table = homs[(m, p)].index(view.compose(m, n, p, hs, gs))
-            bad = _first(table < 0)
-            if bad is not None:
-                ih, ig = bad
-                return fail(
-                    "closure",
-                    dims=[m, n, p],
-                    g=view.describe(m, n, gs[ig]),
-                    h=view.describe(n, p, hs[ih]),
-                )
-            tables[(m, n, p)] = table
-        for k, m, n, p in product(aobjs, repeat=4):
-            fs, gs, hs = homs[(k, m)].rows, homs[(m, n)].rows, homs[(n, p)].rows
-            bad = _associativity_failure(
-                tables[(k, m, n)],
-                tables[(m, n, p)],
-                tables[(k, m, p)],
-                tables[(k, n, p)],
-            )
-            if bad is not None:
-                ih, ig, jf = bad
-                counts["associativity_checks"] += (ih * len(gs) + ig) * len(fs) + jf
-                return fail(
-                    "associativity",
-                    dims=[k, m, n, p],
-                    f=view.describe(k, m, fs[jf]),
-                    g=view.describe(m, n, gs[ig]),
-                    h=view.describe(n, p, hs[ih]),
-                )
-            counts["associativity_checks"] += len(hs) * len(gs) * len(fs)
-    except (_CallbackError, RowError) as exc:  # a broken composition rule may not even type-check
-        return fail("exception", error=str(exc))
-    return _report(name, params, t0, None, counts)
+    return _run(name, {"max_dim": max_dim, "max_assoc_dim": max_assoc_dim}, counts, first_failure)
 
 
 def _sampled_pairs(sizes: dict, max_dim: int, comp_samples: int, seed: int):
@@ -348,101 +345,99 @@ def check_isomorphism(
     wrong shape or with a negative value, is an "exception"
     counterexample.
     """
-    t0 = time.perf_counter()
-    cat_a, cat_b = _guarded_view(cat_a), _guarded_view(cat_b)
-    forward, backward = _guarded(forward), _guarded(backward)
     if comp_dim is None:
         comp_dim = max_dim
     if comp_dim > max_dim:
         raise ValueError("comp_dim must not exceed max_dim")
-    name = f"isomorphism[{cat_a.name}~{cat_b.name}]"
-    params = {"max_dim": max_dim, "comp_dim": comp_dim, "comp_samples": comp_samples}
     counts = {"round_trips": 0, "identities": 0, "composition_pairs": 0, "sampled_pairs": 0}
 
-    def fail(kind: str, **data: object) -> CheckReport:
-        return _report(name, params, t0, {"stage": kind, **data}, counts)
-
     def mapped(which: str, m: int, n: int, rows: np.ndarray, to: HomRows) -> np.ndarray:
-        fn = forward if which == "forward" else backward
-        return checked_rows(fn(m, n, rows), (len(rows), to.width), f"{which}({m}, {n})")
+        image = _call(forward if which == "forward" else backward, m, n, rows)
+        return checked_rows(image, (len(rows), to.width), f"{which}({m}, {n})")
 
     objs = range(max_dim + 1)
-    try:
-        a, b = _Rows(cat_a, objs), _Rows(cat_b, objs)
-        phi = {}
-        for m, n in product(objs, repeat=2):
-            ha, hb = a.homs[(m, n)], b.homs[(m, n)]
-            if len(ha) != len(hb):
-                return fail("hom size", m=m, n=n, a=len(ha), b=len(hb))
-            image = mapped("forward", m, n, ha.rows, hb)
-            bad_trip = (mapped("backward", m, n, image, ha) != ha.rows).any(axis=1)
-            phi[(m, n)] = hb.index(image)
-            bad = _first(bad_trip | (phi[(m, n)] < 0))
-            if bad is not None:
-                (r,) = bad
-                stage = "round trip a->b->a" if bad_trip[r] else "forward image"
-                counts["round_trips"] += r + (not bad_trip[r])
-                return fail(stage, m=m, n=n, f=a.describe(m, n, ha.rows[r]))
-            counts["round_trips"] += len(ha)
-            again = mapped("forward", m, n, mapped("backward", m, n, hb.rows, ha), hb)
-            bad = _first((again != hb.rows).any(axis=1))
-            if bad is not None:
-                (r,) = bad
-                counts["round_trips"] += r
-                return fail("round trip b->a->b", m=m, n=n, g=b.describe(m, n, hb.rows[r]))
-            counts["round_trips"] += len(hb)
-        for n in objs:
-            image = mapped("forward", n, n, a.identity(n)[None], b.homs[(n, n)])
-            if (image[0] != b.identity(n)).any():
-                return fail("identity", n=n)
-            counts["identities"] += 1
 
-        def agree(k: int, m: int, n: int) -> np.ndarray:
-            """agree[g, f]: forward(g∘f) == forward(g)∘forward(f), for g in hom_a(m, n)
-            and f in hom_a(k, m)."""
-            ha_kn, hb_kn = a.homs[(k, n)], b.homs[(k, n)]
-            composites = a.compose(k, m, n, a.homs[(m, n)].rows, a.homs[(k, m)].rows)
-            t_a = ha_kn.index(composites)
-            lhs = np.append(phi[(k, n)], -1)[t_a]
-            outside = t_a < 0
-            if outside.any():
-                lhs[outside] = hb_kn.index(mapped("forward", k, n, composites[outside], hb_kn))
-            t_b = hb_kn.index(b.compose(k, m, n, b.homs[(m, n)].rows, b.homs[(k, m)].rows))
-            rhs = t_b[phi[(m, n)][:, None], phi[(k, m)][None, :]]
-            return (lhs == rhs) & (rhs >= 0)
+    def first_failure() -> Optional[dict]:
+        try:
+            a, b = _Rows(cat_a, objs), _Rows(cat_b, objs)
+            phi = {}
+            for m, n in product(objs, repeat=2):
+                ha, hb = a.homs[(m, n)], b.homs[(m, n)]
+                if len(ha) != len(hb):
+                    return {"stage": "hom size", "m": m, "n": n, "a": len(ha), "b": len(hb)}
+                image = mapped("forward", m, n, ha.rows, hb)
+                bad_trip = (mapped("backward", m, n, image, ha) != ha.rows).any(axis=1)
+                phi[(m, n)] = hb.index(image)
+                bad = _first(bad_trip | (phi[(m, n)] < 0))
+                if bad is not None:
+                    (r,) = bad
+                    stage = "round trip a->b->a" if bad_trip[r] else "forward image"
+                    counts["round_trips"] += r + (not bad_trip[r])
+                    return {"stage": stage, "m": m, "n": n, "f": a.describe(m, n, ha.rows[r])}
+                counts["round_trips"] += len(ha)
+                again = mapped("forward", m, n, mapped("backward", m, n, hb.rows, ha), hb)
+                bad = _first((again != hb.rows).any(axis=1))
+                if bad is not None:
+                    (r,) = bad
+                    counts["round_trips"] += r
+                    g = b.describe(m, n, hb.rows[r])
+                    return {"stage": "round trip b->a->b", "m": m, "n": n, "g": g}
+                counts["round_trips"] += len(hb)
+            for n in objs:
+                image = mapped("forward", n, n, a.identity(n)[None], b.homs[(n, n)])
+                if (image[0] != b.identity(n)).any():
+                    return {"stage": "identity", "n": n}
+                counts["identities"] += 1
 
-        def composition_failure(stage: str, k: int, m: int, n: int, g: int, f: int) -> CheckReport:
-            return fail(
-                stage,
-                dims=[k, m, n],
-                f=a.describe(k, m, a.homs[(k, m)].rows[f]),
-                g=a.describe(m, n, a.homs[(m, n)].rows[g]),
-            )
+            def agree(k: int, m: int, n: int) -> np.ndarray:
+                """agree[g, f]: forward(g∘f) == forward(g)∘forward(f), for g in hom_a(m, n)
+                and f in hom_a(k, m)."""
+                ha_kn, hb_kn = a.homs[(k, n)], b.homs[(k, n)]
+                composites = a.compose(k, m, n, a.homs[(m, n)].rows, a.homs[(k, m)].rows)
+                t_a = ha_kn.index(composites)
+                lhs = np.append(phi[(k, n)], -1)[t_a]
+                outside = t_a < 0
+                if outside.any():
+                    lhs[outside] = hb_kn.index(mapped("forward", k, n, composites[outside], hb_kn))
+                t_b = hb_kn.index(b.compose(k, m, n, b.homs[(m, n)].rows, b.homs[(k, m)].rows))
+                rhs = t_b[phi[(m, n)][:, None], phi[(k, m)][None, :]]
+                return (lhs == rhs) & (rhs >= 0)
 
-        ok = {}
-        for k, m, n in product(range(comp_dim + 1), repeat=3):
-            ok[(k, m, n)] = agree(k, m, n)
-            bad = _first(~ok[(k, m, n)])
-            if bad is not None:
-                g, f = bad
-                counts["composition_pairs"] += g * ok[(k, m, n)].shape[1] + f
-                return composition_failure("composition", k, m, n, g, f)
-            counts["composition_pairs"] += ok[(k, m, n)].size
-        if comp_samples:
-            for kmn in product(objs, repeat=3):
-                if kmn not in ok:
-                    ok[kmn] = agree(*kmn)
-            sizes = {mn: len(hom) for mn, hom in a.homs.items()}
-            if all(block.all() for block in ok.values()) and all(sizes.values()):
-                counts["sampled_pairs"] = comp_samples
-            else:
-                for k, m, n, g, f in _sampled_pairs(sizes, max_dim, comp_samples, seed):
-                    if not ok[(k, m, n)][g, f]:
-                        return composition_failure("sampled composition", k, m, n, g, f)
-                    counts["sampled_pairs"] += 1
-    except (_CallbackError, RowError) as exc:
-        return fail("exception", error=str(exc))
-    return _report(name, params, t0, None, counts)
+            def composition_failure(stage: str, k: int, m: int, n: int, g: int, f: int) -> dict:
+                return {
+                    "stage": stage,
+                    "dims": [k, m, n],
+                    "f": a.describe(k, m, a.homs[(k, m)].rows[f]),
+                    "g": a.describe(m, n, a.homs[(m, n)].rows[g]),
+                }
+
+            ok = {}
+            for k, m, n in product(range(comp_dim + 1), repeat=3):
+                ok[(k, m, n)] = agree(k, m, n)
+                bad = _first(~ok[(k, m, n)])
+                if bad is not None:
+                    g, f = bad
+                    counts["composition_pairs"] += g * ok[(k, m, n)].shape[1] + f
+                    return composition_failure("composition", k, m, n, g, f)
+                counts["composition_pairs"] += ok[(k, m, n)].size
+            if comp_samples:
+                for kmn in product(objs, repeat=3):
+                    if kmn not in ok:
+                        ok[kmn] = agree(*kmn)
+                sizes = {mn: len(hom) for mn, hom in a.homs.items()}
+                if all(block.all() for block in ok.values()) and all(sizes.values()):
+                    counts["sampled_pairs"] = comp_samples
+                else:
+                    for k, m, n, g, f in _sampled_pairs(sizes, max_dim, comp_samples, seed):
+                        if not ok[(k, m, n)][g, f]:
+                            return composition_failure("sampled composition", k, m, n, g, f)
+                        counts["sampled_pairs"] += 1
+        except RowError as exc:
+            return {"stage": "exception", "error": str(exc)}
+        return None
+
+    params = {"max_dim": max_dim, "comp_dim": comp_dim, "comp_samples": comp_samples}
+    return _run(f"isomorphism[{cat_a.name}~{cat_b.name}]", params, counts, first_failure)
 
 
 def brute_hamiltonian(g: Graph) -> list[list[str]]:
@@ -547,22 +542,22 @@ def hom_table(cat_id: str, max_dim: int) -> list[list[int]]:
 
 def check_rec_nonrec(max_n: int = 4) -> CheckReport:
     """Recursive and closed-form builders give equal graphs."""
-    t0 = time.perf_counter()
     from .cubes import standard_cube_rec, twisted_cube_rec
 
-    params = {"max_n": max_n}
     counts = {"isomorphisms": 0}
-    for n in range(max_n + 1):
-        for kind, rec, nonrec in (
-            ("standard", standard_cube_rec(n), standard_cube(n)),
-            ("twisted", twisted_cube_rec(n), twisted_cube(n)),
-        ):
-            if rec != nonrec:
-                return _report(
-                    "rec_nonrec", params, t0, {"kind": kind, "n": n}, counts
-                )
-            counts["isomorphisms"] += 1
-    return _report("rec_nonrec", params, t0, None, counts)
+
+    def first_failure() -> Optional[dict]:
+        for n in range(max_n + 1):
+            for kind, rec, nonrec in (
+                ("standard", standard_cube_rec(n), standard_cube(n)),
+                ("twisted", twisted_cube_rec(n), twisted_cube(n)),
+            ):
+                if rec != nonrec:
+                    return {"kind": kind, "n": n}
+                counts["isomorphisms"] += 1
+        return None
+
+    return _run("rec_nonrec", {"max_n": max_n}, counts, first_failure)
 
 
 def check_bchop_graphmeet_iso(max_dim: int = 3, comp_dim: int = 2) -> CheckReport:
@@ -583,88 +578,73 @@ def check_meet_equals_dim(max_dim: int = 3) -> CheckReport:
     Both sides come from the hom enumeration, each under its own
     constraints, as lexicographic rows; equal arrays are equal sets.
     """
-    t0 = time.perf_counter()
-    params = {"max_dim": max_dim}
     counts = {"hom_sets": 0, "morphisms": 0}
-    for m in range(max_dim + 1):
-        for n in range(max_dim + 1):
-            src, tgt = standard_cube(m), standard_cube(n)
-            meets = hom_matrix(src, tgt, bound_constraints)
-            dims = hom_matrix(src, tgt, dimension_constraints)
-            if not np.array_equal(meets, dims):
-                meet_set, dim_set = set(map(tuple, meets.tolist())), set(map(tuple, dims.tolist()))
-                diff = min(meet_set ^ dim_set)
-                return _report(
-                    "meet_equals_dim",
-                    params,
-                    t0,
-                    {"m": m, "n": n, "vmap": list(diff), "in_meet": diff in meet_set},
-                    counts,
-                )
-            counts["hom_sets"] += 1
-            counts["morphisms"] += len(meets)
-    return _report("meet_equals_dim", params, t0, None, counts)
+
+    def first_failure() -> Optional[dict]:
+        for m in range(max_dim + 1):
+            for n in range(max_dim + 1):
+                src, tgt = standard_cube(m), standard_cube(n)
+                meets = hom_matrix(src, tgt, bound_constraints)
+                dims = hom_matrix(src, tgt, dimension_constraints)
+                if not np.array_equal(meets, dims):
+                    meet_set = set(map(tuple, meets.tolist()))
+                    diff = min(meet_set ^ set(map(tuple, dims.tolist())))
+                    return {"m": m, "n": n, "vmap": list(diff), "in_meet": diff in meet_set}
+                counts["hom_sets"] += 1
+                counts["morphisms"] += len(meets)
+        return None
+
+    return _run("meet_equals_dim", {"max_dim": max_dim}, counts, first_failure)
 
 
 def check_total_order(max_n: int = 5, build: Callable[[int], Graph] = twisted_cube) -> CheckReport:
     """The free preorder is total and order_g is an order isomorphism."""
-    t0 = time.perf_counter()
-    params = {"max_n": max_n}
     counts = {"vertices": 0}
-    for n in range(max_n + 1):
-        g = build(n)
-        pre = free_preorder(g)
-        if not is_total_order(pre):
-            return _report("total_order", params, t0, {"n": n, "reason": "not total"}, counts)
-        ranks = np.array([order_g(n, v) for v in g.vertices])
-        expected = ranks[:, None] <= ranks[None, :]
-        if not (pre.matrix == expected).all():
-            i, j = np.argwhere(pre.matrix != expected)[0]
-            return _report(
-                "total_order",
-                params,
-                t0,
-                {"n": n, "u": g.vertices[i], "v": g.vertices[j], "reason": "order_g not an order isomorphism"},
-                counts,
-            )
-        counts["vertices"] += len(g.vertices)
-    return _report("total_order", params, t0, None, counts)
+
+    def first_failure() -> Optional[dict]:
+        for n in range(max_n + 1):
+            g = build(n)
+            pre = free_preorder(g)
+            if not is_total_order(pre):
+                return {"n": n, "reason": "not total"}
+            ranks = np.array([order_g(n, v) for v in g.vertices])
+            expected = ranks[:, None] <= ranks[None, :]
+            if not (pre.matrix == expected).all():
+                i, j = np.argwhere(pre.matrix != expected)[0]
+                return {
+                    "n": n,
+                    "u": g.vertices[i],
+                    "v": g.vertices[j],
+                    "reason": "order_g not an order isomorphism",
+                }
+            counts["vertices"] += len(g.vertices)
+        return None
+
+    return _run("total_order", {"max_n": max_n}, counts, first_failure)
 
 
 def check_unique_hamiltonian(
     max_n: int = 4, build: Callable[[int], Graph] = twisted_cube
 ) -> CheckReport:
     """Exhaustive search finds exactly the one constructed Hamiltonian path."""
-    t0 = time.perf_counter()
-    params = {"max_n": max_n}
     counts = {"paths_searched": 0}
-    for n in range(1, max_n + 1):
-        found = brute_hamiltonian(build(n))
-        counts["paths_searched"] += len(found)
-        constructed = hamiltonian_path(n)
-        vertex_order = [constructed[0][0]] + [t for _, t in constructed]
-        if len(found) != 1:
-            return _report(
-                "unique_hamiltonian", params, t0, {"n": n, "count": len(found)}, counts
-            )
-        if found[0] != vertex_order:
-            return _report(
-                "unique_hamiltonian",
-                params,
-                t0,
-                {"n": n, "found": found[0], "constructed": vertex_order},
-                counts,
-            )
-        newest = [k for k, (s, tv) in enumerate(constructed) if s[0] != tv[0]]
-        if newest != [2 ** (n - 1) - 1]:
-            return _report(
-                "unique_hamiltonian",
-                params,
-                t0,
-                {"n": n, "dimension_zero_steps": newest},
-                counts,
-            )
-    return _report("unique_hamiltonian", params, t0, None, counts)
+
+    def first_failure() -> Optional[dict]:
+        for n in range(1, max_n + 1):
+            found = brute_hamiltonian(build(n))
+            counts["paths_searched"] += len(found)
+            constructed = hamiltonian_path(n)
+            vertex_order = [constructed[0][0]] + [t for _, t in constructed]
+            if len(found) != 1:
+                return {"n": n, "count": len(found)}
+            if found[0] != vertex_order:
+                return {"n": n, "found": found[0], "constructed": vertex_order}
+            newest = [k for k, (s, tv) in enumerate(constructed) if s[0] != tv[0]]
+            if newest != [2 ** (n - 1) - 1]:
+                return {"n": n, "dimension_zero_steps": newest}
+        return None
+
+    return _run("unique_hamiltonian", {"max_n": max_n}, counts, first_failure)
 
 
 def check_unique_surjection(
@@ -672,31 +652,21 @@ def check_unique_surjection(
     homs: Callable[[int, int], Sequence] = category_view("twgraphdim").hom,
 ) -> CheckReport:
     """Exactly one surjective dimension-preserving map when m >= n, else none."""
-    t0 = time.perf_counter()
-    params = {"max_dim": max_dim}
     counts = {"surjective_found": 0}
-    for m in range(max_dim + 1):
-        for n in range(max_dim + 1):
-            surjective = [f for f in homs(m, n) if len(set(f.vmap)) == 2**n]
-            expected = 1 if m >= n else 0
-            if len(surjective) != expected:
-                return _report(
-                    "unique_surjection",
-                    params,
-                    t0,
-                    {"m": m, "n": n, "count": len(surjective), "expected": expected},
-                    counts,
-                )
-            counts["surjective_found"] += len(surjective)
-            if m >= n and surjective[0] != unique_surjection(m, n):
-                return _report(
-                    "unique_surjection",
-                    params,
-                    t0,
-                    {"m": m, "n": n, "found": surjective[0].as_dict()},
-                    counts,
-                )
-    return _report("unique_surjection", params, t0, None, counts)
+
+    def first_failure() -> Optional[dict]:
+        for m in range(max_dim + 1):
+            for n in range(max_dim + 1):
+                surjective = [f for f in homs(m, n) if len(set(f.vmap)) == 2**n]
+                expected = 1 if m >= n else 0
+                if len(surjective) != expected:
+                    return {"m": m, "n": n, "count": len(surjective), "expected": expected}
+                counts["surjective_found"] += len(surjective)
+                if m >= n and surjective[0] != unique_surjection(m, n):
+                    return {"m": m, "n": n, "found": surjective[0].as_dict()}
+        return None
+
+    return _run("unique_surjection", {"max_dim": max_dim}, counts, first_failure)
 
 
 def check_factorization(
@@ -704,34 +674,24 @@ def check_factorization(
     homs: Callable[[int, int], Sequence] = category_view("twgraphdim").hom,
 ) -> CheckReport:
     """Every dimension-preserving map recomposes from its unique factorization."""
-    t0 = time.perf_counter()
-    params = {"max_dim": max_dim}
     counts = {"factored": 0}
-    for m in range(max_dim + 1):
-        for n in range(max_dim + 1):
-            for f in homs(m, n):
-                try:
-                    k, surj, inj = factorize(f)
-                except (CapacityError, MemoryError):
-                    raise
-                except Exception as exc:
-                    return _report(
-                        "factorization",
-                        params,
-                        t0,
-                        {"m": m, "n": n, "f": f.as_dict(), "error": str(exc)},
-                        counts,
-                    )
-                if inj != face_to_injection(image_face(f)) or k != image_face(f).dimension:
-                    return _report(
-                        "factorization",
-                        params,
-                        t0,
-                        {"m": m, "n": n, "f": f.as_dict(), "reason": "wrong factors"},
-                        counts,
-                    )
-                counts["factored"] += 1
-    return _report("factorization", params, t0, None, counts)
+
+    def first_failure() -> Optional[dict]:
+        for m in range(max_dim + 1):
+            for n in range(max_dim + 1):
+                for f in homs(m, n):
+                    try:
+                        k, surj, inj = factorize(f)
+                    except (CapacityError, MemoryError):
+                        raise
+                    except Exception as exc:
+                        return {"m": m, "n": n, "f": f.as_dict(), "error": str(exc)}
+                    if inj != face_to_injection(image_face(f)) or k != image_face(f).dimension:
+                        return {"m": m, "n": n, "f": f.as_dict(), "reason": "wrong factors"}
+                    counts["factored"] += 1
+        return None
+
+    return _run("factorization", {"max_dim": max_dim}, counts, first_failure)
 
 
 def check_ternary_iso(
@@ -761,37 +721,33 @@ def check_fibre_dimension(
     max_dim: int = 3, build: Callable[[int], Graph] = twisted_cube
 ) -> CheckReport:
     """Equal non-empty fibre sizes characterize dimension preservation."""
-    t0 = time.perf_counter()
-    params = {"max_dim": max_dim}
     counts = {"morphisms": 0}
-    for m in range(max_dim + 1):
-        for n in range(max_dim + 1):
-            src, tgt = build(m), build(n)
-            mat = hom_matrix(src, tgt, None)
-            fibres = kernels.fibre_counts(mat, len(tgt.vertices))
-            biggest = fibres.max(axis=1)
-            equal = (
-                np.where(fibres == 0, biggest[:, None], fibres).min(axis=1) == biggest
-            )
-            dim_rows = hom_matrix(src, tgt, dimension_constraints)
-            dimpres = HomRows(dim_rows, "dimension-preserving rows").index(mat) >= 0
-            if (equal != dimpres).any():
-                row = int(np.nonzero(equal != dimpres)[0][0])
-                return _report(
-                    "fibre_dimension",
-                    params,
-                    t0,
-                    {
+
+    def first_failure() -> Optional[dict]:
+        for m in range(max_dim + 1):
+            for n in range(max_dim + 1):
+                src, tgt = build(m), build(n)
+                mat = hom_matrix(src, tgt, None)
+                fibres = kernels.fibre_counts(mat, len(tgt.vertices))
+                biggest = fibres.max(axis=1)
+                equal = (
+                    np.where(fibres == 0, biggest[:, None], fibres).min(axis=1) == biggest
+                )
+                dim_rows = hom_matrix(src, tgt, dimension_constraints)
+                dimpres = HomRows(dim_rows, "dimension-preserving rows").index(mat) >= 0
+                if (equal != dimpres).any():
+                    row = int(np.nonzero(equal != dimpres)[0][0])
+                    return {
                         "m": m,
                         "n": n,
                         "vmap": mat[row].tolist(),
                         "equal_fibres": bool(equal[row]),
                         "dimension_preserving": bool(dimpres[row]),
-                    },
-                    counts,
-                )
-            counts["morphisms"] += len(mat)
-    return _report("fibre_dimension", params, t0, None, counts)
+                    }
+                counts["morphisms"] += len(mat)
+        return None
+
+    return _run("fibre_dimension", {"max_dim": max_dim}, counts, first_failure)
 
 
 def check_all_laws(max_dim: int = 3, max_assoc_dim: int = 2) -> list[CheckReport]:

@@ -17,7 +17,8 @@ import numpy as np
 
 
 class RowError(Exception):
-    """An array that is not rows of the expected shape, or rows out of order."""
+    """An array that is not rows of the expected shape, rows out of order, or
+    an exception raised by the code under check while the oracle called it."""
 
 
 def checked_rows(value: object, shape: tuple, what: str) -> np.ndarray:

@@ -30,6 +30,7 @@ the two readings against each other on every arrow up to dimension 3.
 from __future__ import annotations
 
 import json
+import re
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -107,19 +108,22 @@ class BchMorphism:
 
 
 def bch_from_json(text: str) -> BchMorphism:
+    """The arrow {"m": m, "n": n, "map": [...]}: m and n JSON integers, map a
+    JSON list of m entries, each "j" and ASCII digits, "b0" or "b1"."""
     payload = json.loads(text)
     m, n = payload["m"], payload["n"]
     if type(m) is not int or type(n) is not int:
         raise ValueError(f"m and n must be JSON integers, got {m!r} and {n!r}")
+    if type(payload["map"]) is not list:
+        raise ValueError(f"map must be a JSON list, got {payload['map']!r}")
     entries = []
     for pos, item in enumerate(payload["map"]):
-        kind = item[:1]
-        if kind not in ("j", "b"):
+        if not isinstance(item, str) or not re.fullmatch("[jb][0-9]+", item):
             raise ValueError(f"map entry {pos}: expected j<k> or b<k>, got {item!r}")
-        value = int(item[1:])
-        if kind == "b" and value not in (0, 1):
+        if item[0] == "b" and item not in ("b0", "b1"):
             raise ValueError(f"map entry {pos}: constant must be b0 or b1, got {item!r}")
-        entries.append(value if kind == "j" else n + value)
+        value = int(item[1:])
+        entries.append(value if item[0] == "j" else n + value)
     return BchMorphism(m, n, entries)
 
 

@@ -5,11 +5,12 @@ import dataclasses
 import itertools
 import json
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cubecats import graphs, oracle, standard
+from cubecats import cli, cubes, graphs, oracle, standard, twisted
 from cubecats.cubes import standard_cube, twisted_cube
 from cubecats.graphs import CapacityError, Graph
 from cubecats.rows import HomRows, RowError
@@ -55,11 +56,7 @@ def test_check_report_requires_counterexample_iff_failed():
 
 def test_check_report_json_shape():
     rep = CheckReport("x", {"d": 1}, True, None, {"n": 2}, elapsed=0.5)
-    with_time = json.loads(rep.to_json())
-    without = json.loads(rep.to_json(include_elapsed=False))
-    assert with_time["elapsed"] == 0.5
-    assert "elapsed" not in without
-    assert without == {
+    assert json.loads(rep.to_json()) == {
         "check": "x",
         "params": {"d": 1},
         "passed": True,
@@ -162,12 +159,12 @@ def test_gather_and_object_law_paths_agree(cat_id):
     # The table check gathers hom-set indices; the reference composes every triple.
     view = category_view(cat_id)
     rep = check_category_laws(view, 2)
-    assert rep.to_dict(include_elapsed=False) == _reference_laws(view, 2, 2)
+    assert rep.to_dict() == _reference_laws(view, 2, 2)
 
 
 def test_non_associative_mutant_matches_reference_loop():
     view = _shifted_bch_view()
-    rep = check_category_laws(view, 2).to_dict(include_elapsed=False)
+    rep = check_category_laws(view, 2).to_dict()
     assert rep == _reference_laws(view, 2, 2)
     assert rep["counterexample"] == {
         "law": "associativity",
@@ -181,19 +178,20 @@ def test_non_associative_mutant_matches_reference_loop():
 
 def test_gather_blocks_give_the_same_counts(monkeypatch):
     views = [category_view("graphcube"), _shifted_bch_view()]
-    whole = [check_category_laws(view, 2).to_dict(include_elapsed=False) for view in views]
+    whole = [check_category_laws(view, 2).to_dict() for view in views]
     monkeypatch.setattr(oracle, "GATHER_BYTES", 1)  # one row of h per block
-    assert [check_category_laws(view, 2).to_dict(include_elapsed=False) for view in views] == whole
+    assert [check_category_laws(view, 2).to_dict() for view in views] == whole
+
+
+def _origin_or_top_fixing(m, n):
+    # Origin-fixing maps and top-fixing maps are each closed under
+    # composition; their union is not.
+    rows = hom_matrix(standard_cube(m), standard_cube(n), None)
+    return rows[(rows[:, 0] == 0) | (rows[:, -1] == 2**n - 1)]
 
 
 def test_union_of_closed_families_fails_closure():
-    # Origin-fixing maps and top-fixing maps are each closed under
-    # composition; their union is not.
-    def union(m, n):
-        rows = hom_matrix(standard_cube(m), standard_cube(n), None)
-        return rows[(rows[:, 0] == 0) | (rows[:, -1] == 2**n - 1)]
-
-    view = dataclasses.replace(category_view("graphcube"), rows=union)
+    view = dataclasses.replace(category_view("graphcube"), rows=_origin_or_top_fixing)
     rep = check_category_laws(view, 2)
     assert rep.counterexample == {
         "law": "closure",
@@ -310,7 +308,7 @@ def test_constant_identity_mutant_fails_both_law_paths():
     view = dataclasses.replace(
         category_view("twcubecat"), identity=lambda n: np.zeros(2**n, dtype=np.intp)
     )
-    rep = check_category_laws(view, 2).to_dict(include_elapsed=False)
+    rep = check_category_laws(view, 2).to_dict()
     assert rep == _reference_laws(view, 2, 2)
     assert rep["counterexample"] == {"law": "left identity", "m": 0, "n": 1, "f": "GraphMorphism(>1)"}
     assert rep["counts"] == {"identity_checks": 4, "associativity_checks": 0}
@@ -375,20 +373,43 @@ def test_isomorphism_check_detects_non_bijection():
     assert rep.counterexample["stage"].startswith("round trip")
 
 
-def test_meets_only_graphmeet_mutant_fails_hom_size(monkeypatch):
-    def meets_only(src, tgt):
-        # bound_constraints over the meet tables alone: the join half is dropped
-        with monkeypatch.context() as patch:
-            patch.setattr(standard, "_bound_tables", lambda g: graphs._bound_tables(g)[:1])
-            return bound_constraints(src, tgt)
+def _patched(target, name, value, check, *args, **kwargs):
+    """check(*args, **kwargs) with target.name set to value for the call."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(target, name, value)
+        return check(*args, **kwargs)
 
-    mutant = dataclasses.replace(
+
+def _meet_tables_only(g):
+    """graphs._bound_tables without the join tables."""
+    return graphs._bound_tables(g)[:1]
+
+
+def _meets_only_graphmeet():
+    """graphmeet cut out by bound_constraints over the meet tables alone."""
+
+    def meets_only(src, tgt):
+        return _patched(standard, "_bound_tables", _meet_tables_only, bound_constraints, src, tgt)
+
+    return dataclasses.replace(
         category_view("graphmeet"),
         rows=lambda m, n: hom_matrix(standard_cube(m), standard_cube(n), meets_only),
     )
+
+
+def _meets_only_meet_equals_dim():
+    # graphmeet cut out by the meet tables alone keeps maps that lose a join
+    hom_matrix.cache_clear()
+    try:
+        return _patched(standard, "_bound_tables", _meet_tables_only, check_meet_equals_dim, 2)
+    finally:
+        hom_matrix.cache_clear()
+
+
+def test_meets_only_graphmeet_mutant_fails_hom_size():
     rep = check_isomorphism(
         category_view("bchop"),
-        mutant,
+        _meets_only_graphmeet(),
         bchop_to_graphmeet_rows,
         graphmeet_to_bchop_rows,
         max_dim=2,
@@ -396,29 +417,23 @@ def test_meets_only_graphmeet_mutant_fails_hom_size(monkeypatch):
     assert rep.counterexample == {"stage": "hom size", "m": 2, "n": 1, "a": 4, "b": 5}
 
 
-def test_meets_only_bounds_fail_meet_equals_dim(monkeypatch):
-    # graphmeet cut out by the meet tables alone keeps maps that lose a join
-    monkeypatch.setattr(standard, "_bound_tables", lambda g: graphs._bound_tables(g)[:1])
-    hom_matrix.cache_clear()
-    try:
-        rep = check_meet_equals_dim(2)
-    finally:
-        monkeypatch.undo()
-        hom_matrix.cache_clear()
+def test_meets_only_bounds_fail_meet_equals_dim():
+    rep = _meets_only_meet_equals_dim()
     assert rep.counterexample == {"m": 2, "n": 1, "vmap": [0, 0, 0, 1], "in_meet": True}
     assert rep.counts == {"hom_sets": 7, "morphisms": 20}
     assert check_meet_equals_dim(2).passed
 
 
-def test_constant_dropping_forward_mutant_fails_round_trip():
-    def drop_constants(m, n, rows):
-        # every constant becomes b0: b1 is lost
-        return bchop_to_graphmeet_rows(m, n, np.minimum(rows, m))
+def _drop_constants(m, n, rows):
+    # every constant becomes b0: b1 is lost
+    return bchop_to_graphmeet_rows(m, n, np.minimum(rows, m))
 
+
+def test_constant_dropping_forward_mutant_fails_round_trip():
     rep = check_isomorphism(
         category_view("bchop"),
         category_view("graphmeet"),
-        drop_constants,
+        _drop_constants,
         graphmeet_to_bchop_rows,
         max_dim=2,
     )
@@ -640,14 +655,15 @@ def test_untwisted_homs_mutant_fails_surjection():
     assert not rep.passed
 
 
-def test_relabelled_rec_builder_fails_rec_nonrec(monkeypatch):
+def _reversed_bits_twisted(n):
     # Reversing every vertex's bits gives a graph isomorphic to T^n but,
     # from n = 2 on, not equal to it.
-    def reversed_bits(n):
-        g = twisted_cube(n)
-        return Graph([v[::-1] for v in g.vertices], [(u[::-1], v[::-1]) for u, v in g.edges])
+    g = twisted_cube(n)
+    return Graph([v[::-1] for v in g.vertices], [(u[::-1], v[::-1]) for u, v in g.edges])
 
-    monkeypatch.setattr("cubecats.cubes.twisted_cube_rec", reversed_bits)
+
+def test_relabelled_rec_builder_fails_rec_nonrec(monkeypatch):
+    monkeypatch.setattr(cubes, "twisted_cube_rec", _reversed_bits_twisted)
     rep = check_rec_nonrec(3)
     assert not rep.passed
     assert rep.counterexample == {"kind": "twisted", "n": 2}
@@ -723,3 +739,110 @@ def test_hom_table_capacity():
 def test_unknown_category_id():
     with pytest.raises(ValueError):
         category_view("nope")
+
+
+def _swap_j0_b0(m, n, rows):
+    """Swaps the bch arrows j0 and b0 of hom(1, 1), and keeps every other row."""
+    return _row_map((1, 1), {(0,): (1,), (1,): (0,)})(m, n, rows)
+
+
+def _sorted_on_one_one(m, n, rows):
+    """Sorts a batch of rows of hom(1, 1) into row order: not a map of single rows."""
+    return np.sort(rows, axis=0) if (m, n) == (1, 1) else rows
+
+
+def _no_edges_into_top(n):
+    """T^n without its non-loop edges into the last vertex: no cube from n = 1 on."""
+    g = twisted_cube(n)
+    return Graph(g.vertices, [(u, v) for u, v in g.edges if u == v or v != g.vertices[-1]])
+
+
+def _reversed_path(n):
+    """The constructed Hamiltonian path, walked backwards."""
+    return [(t, s) for s, t in reversed(twisted.hamiltonian_path(n))]
+
+
+def _sources_lost(n):
+    """The constructed Hamiltonian path with every source after the first set to its target."""
+    path = twisted.hamiltonian_path(n)
+    return path[:1] + [(t, t) for _, t in path[1:]]
+
+
+def _face_dimension_off_by_one(f):
+    k, surj, inj = twisted.factorize(f)
+    return k + 1, surj, inj
+
+
+def _failing_sites():
+    """(name, check) for each place a check can return a counterexample, each
+    with a mutant that reaches it: every law, every isomorphism stage, and
+    every branch of the theorem checks."""
+    bch = category_view("bch")
+    raising = dataclasses.replace(bch, compose_rows=_raising(TypeError))
+    union = dataclasses.replace(category_view("graphcube"), rows=_origin_or_top_fixing)
+    untwisted = partial(ternary_compose_rows, twist=False)
+    f0, w, o = (1, 0), (0, 0), (1, 1)
+    return [
+        ("right identity", lambda: check_category_laws(dataclasses.replace(
+            bch, compose_rows=lambda m, n, p, h, g: bch.compose_rows(m, n, p, h, g[..., ::-1])
+        ), 2)),
+        ("left identity", lambda: check_category_laws(dataclasses.replace(
+            category_view("twcubecat"), identity=lambda n: np.zeros(2**n, dtype=np.intp)
+        ), 2)),
+        ("closure", lambda: check_category_laws(union, 2)),
+        ("associativity", lambda: check_category_laws(_shifted_bch_view(), 2)),
+        ("law exception", lambda: check_category_laws(raising, 1, 1)),
+        ("hom size", lambda: check_isomorphism(
+            category_view("bchop"), _meets_only_graphmeet(),
+            bchop_to_graphmeet_rows, graphmeet_to_bchop_rows, max_dim=2,
+        )),
+        ("round trip a->b->a", lambda: check_isomorphism(
+            category_view("bchop"), category_view("graphmeet"),
+            _drop_constants, graphmeet_to_bchop_rows, max_dim=2,
+        )),
+        ("forward image", lambda: check_isomorphism(
+            bch, bch, _row_map((2, 2), {f0: w, o: f0}), _row_map((2, 2), {f0: o, w: f0}),
+            max_dim=2, comp_dim=1,
+        )),
+        ("round trip b->a->b", lambda: check_isomorphism(
+            bch, bch, _swap_j0_b0, _sorted_on_one_one, max_dim=2
+        )),
+        ("identity", lambda: check_isomorphism(bch, bch, _swap_j0_b0, _swap_j0_b0, max_dim=2)),
+        ("composition", lambda: check_ternary_iso(2, 2, 0, compose=untwisted)),
+        ("sampled composition", lambda: check_ternary_iso(3, 0, 200, compose=untwisted)),
+        ("stage exception", lambda: check_isomorphism(raising, raising, _same, _same, max_dim=1)),
+        ("rec_nonrec", lambda: _patched(
+            cubes, "twisted_cube_rec", _reversed_bits_twisted, check_rec_nonrec, 3
+        )),
+        ("meet_equals_dim", _meets_only_meet_equals_dim),
+        ("not total", lambda: check_total_order(3, build=standard_cube)),
+        ("not an order isomorphism", lambda: _patched(
+            oracle, "order_g", lambda n, v: -twisted.order_g(n, v), check_total_order, 3
+        )),
+        ("path count", lambda: check_unique_hamiltonian(3, build=standard_cube)),
+        ("path found", lambda: _patched(
+            oracle, "hamiltonian_path", _reversed_path, check_unique_hamiltonian, 3
+        )),
+        ("dimension zero steps", lambda: _patched(
+            oracle, "hamiltonian_path", _sources_lost, check_unique_hamiltonian, 3
+        )),
+        ("surjection count", lambda: check_unique_surjection(2, category_view("twcubecat").hom)),
+        ("surjection found", lambda: check_unique_surjection(2, category_view("graphdim").hom)),
+        ("factorization error", lambda: check_factorization(2, category_view("graphdim").hom)),
+        ("wrong factors", lambda: _patched(
+            oracle, "factorize", _face_dimension_off_by_one, check_factorization, 2
+        )),
+        ("fibre_dimension", lambda: check_fibre_dimension(2, build=_no_edges_into_top)),
+    ]
+
+
+def test_failing_reports_match_golden(capsys, monkeypatch):
+    # check prints each report as one JSON line; comparing bytes, not dicts,
+    # also pins the order of the keys
+    sites = _failing_sites()
+    monkeypatch.setattr(cli, "_suite_steps", lambda suite, d: sites)
+    assert cli.main(["check"]) == 1
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == len(sites)
+    assert all(not json.loads(line)["passed"] for line in out.splitlines())
+    assert out.encode() == (Path(__file__).parent / "golden" / "failing_reports.txt").read_bytes()
