@@ -29,17 +29,17 @@ MAX_FRONTIER = 2**27
 def edge_preserving_maps(
     ns: int, nt: int, edges: np.ndarray, adj: np.ndarray, constraints: Sequence[tuple] = ()
 ) -> np.ndarray:
-    """All vertex maps sending every listed edge to an edge and passing the constraints.
+    """All maps sending every listed pair to an allowed pair and passing the constraints.
 
-    ns, nt: source and target vertex counts.  edges: (E, 2) int array of
-    source edge index pairs, loops included, either endpoint first.
-    adj: (nt, nt) boolean adjacency of the target.  constraints: extra
-    (source vertices, row test) pairs; at the level of its largest source
-    vertex, after that level's edges, each test maps the partial maps to
-    a boolean mask of the rows to keep.  Returns a (N, ns) uint8 array
-    whose rows are the surviving maps in lexicographic order.  Raises
-    CapacityError when nt > 256, which uint8 rows cannot index, and
-    before building a frontier of more than MAX_FRONTIER bytes.
+    ns, nt: source positions and target values.  edges: (E, 2) int array
+    of position pairs (a graph's edges, loops included), either one first.
+    adj: (nt, nt) boolean table of allowed value pairs (a target's
+    adjacency).  constraints: extra (positions, row test) pairs; at the
+    level of its largest position, after that level's pairs, each test
+    maps the partial maps to a boolean mask of the rows to keep.  Returns
+    a read-only (N, ns) uint8 array of the survivors in lexicographic
+    order.  Raises CapacityError when nt > 256, which uint8 rows cannot
+    index, and before building a frontier of more than MAX_FRONTIER bytes.
     """
     if nt > 256:
         raise CapacityError(f"hom enumeration needs at most 256 target vertices, got {nt}")
@@ -65,6 +65,7 @@ def edge_preserving_maps(
         maps = ext.reshape(rows, k + 1)
         for test in tests[k]:
             maps = maps[test(maps)]
+    maps.setflags(write=False)
     return maps
 
 

@@ -648,8 +648,7 @@ def check_unique_hamiltonian(
 
 
 def check_unique_surjection(
-    max_dim: int = 3,
-    homs: Callable[[int, int], Sequence] = category_view("twgraphdim").hom,
+    max_dim: int = 3, view: FiniteCategoryView = category_view("twgraphdim")
 ) -> CheckReport:
     """Exactly one surjective dimension-preserving map when m >= n, else none."""
     counts = {"surjective_found": 0}
@@ -657,13 +656,16 @@ def check_unique_surjection(
     def first_failure() -> Optional[dict]:
         for m in range(max_dim + 1):
             for n in range(max_dim + 1):
-                surjective = [f for f in homs(m, n) if len(set(f.vmap)) == 2**n]
+                rows = view.rows(m, n)
+                surjective = rows[kernels.fibre_counts(rows, 2**n).all(axis=1)]
                 expected = 1 if m >= n else 0
                 if len(surjective) != expected:
                     return {"m": m, "n": n, "count": len(surjective), "expected": expected}
                 counts["surjective_found"] += len(surjective)
-                if m >= n and surjective[0] != unique_surjection(m, n):
-                    return {"m": m, "n": n, "found": surjective[0].as_dict()}
+                if m >= n:
+                    found = view.morphism(m, n, surjective[0])
+                    if found != unique_surjection(m, n):
+                        return {"m": m, "n": n, "found": found.as_dict()}
         return None
 
     return _run("unique_surjection", {"max_dim": max_dim}, counts, first_failure)

@@ -39,7 +39,6 @@ import numpy as np
 
 from . import kernels
 from .graphs import (
-    CapacityError,
     Graph,
     Vertex,
     _bound_tables,
@@ -158,16 +157,12 @@ def bch_compose(outer: BchMorphism, inner: BchMorphism) -> BchMorphism:
 
 @lru_cache(maxsize=None)
 def bch_rows(m: int, n: int) -> np.ndarray:
-    """Entry rows of all arrows m -> n, as read-only lexicographic uint8 rows."""
-    if m > 6 or n > 6:
-        raise CapacityError("bch_rows is limited to m, n <= 6")
-    rows = np.indices((n + 2,) * m, dtype=np.uint8).reshape(m, (n + 2) ** m).T
-    injective = np.ones(len(rows), dtype=bool)
-    for i, j in combinations(range(m), 2):
-        injective &= (rows[:, i] != rows[:, j]) | (rows[:, i] >= n)
-    rows = rows[injective]
-    rows.setflags(write=False)
-    return rows
+    """Entry rows of all arrows m -> n, as read-only lexicographic uint8 rows:
+    the kernel's maps of m slots into n + 2 entries in which two slots
+    share an entry only when it is a constant."""
+    entries = np.arange(n + 2)
+    allowed = (entries[:, None] != entries) | (entries[:, None] >= n)
+    return kernels.edge_preserving_maps(m, n + 2, list(combinations(range(m), 2)), allowed)
 
 
 class PartialInjection:
@@ -318,11 +313,9 @@ def hom_matrix(src: Graph, tgt: Graph, constraints: Optional[Callable] = None) -
     passed, so the package passes constraints positionally, None included."""
     edges = [(src.index[u], src.index[v]) for u, v in src.edge_list]
     extra = constraints(src, tgt) if constraints else ()
-    mat = kernels.edge_preserving_maps(
+    return kernels.edge_preserving_maps(
         len(src.vertices), len(tgt.vertices), edges, tgt.adjacency, extra
     )
-    mat.setflags(write=False)
-    return mat
 
 
 def enumerate_graph_homs(

@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import CapacityError, Vertex, bits_to_int, int_to_bits
+from . import kernels
+from .graphs import Vertex, bits_to_int, int_to_bits
 from .cubes import twisted_cube
 from .standard import GraphMorphism, compose_graph_morphisms
 
@@ -316,13 +317,11 @@ def graphdim_to_ternary(f: GraphMorphism) -> TernaryMorphism:
 
 @lru_cache(maxsize=None)
 def ternary_rows(m: int, n: int) -> np.ndarray:
-    """Digit rows of all ternary arrows m -> n, read-only, in canonical order (0 < 1 < ⋆)."""
-    if m > 6 or n > 6:
-        raise CapacityError("ternary_rows is limited to m, n <= 6")
-    rows = np.indices((3,) * n, dtype=np.uint8).reshape(n, 3**n).T
-    rows = rows[(rows == 2).sum(axis=1) <= m]
-    rows.setflags(write=False)
-    return rows
+    """Digit rows of all ternary arrows m -> n, read-only, in canonical order (0 < 1 < ⋆):
+    the kernel's rows of n digits, each prefix with at most m stars."""
+    at_most_m_stars = lambda rows: (rows == 2).sum(axis=1) <= m
+    stars = [((k,), at_most_m_stars) for k in range(n)]
+    return kernels.edge_preserving_maps(n, 3, (), np.ones((3, 3), dtype=bool), stars)
 
 
 @lru_cache(maxsize=None)

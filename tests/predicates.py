@@ -2,10 +2,15 @@
 
 The predicates check the constrained hom enumerations row by row.  The
 composition loops and the (z, d) chain are the plain one-arrow versions
-of the row operations in the package, which the tests compare them with.
+of the row operations in the package, which the tests compare them with,
+and the candidate filters list the bch and ternary rows without the
+hom enumeration kernel.
 """
 
+from itertools import combinations
 from typing import Optional
+
+import numpy as np
 
 from cubecats.cubes import base_subgraph, standard_cube
 from cubecats.graphs import Vertex, _bound_tables, bits_to_int, int_to_bits
@@ -25,6 +30,23 @@ from cubecats.twisted import (
     image_face,
     unique_surjection,
 )
+
+
+def bch_rows_reference(m: int, n: int) -> np.ndarray:
+    """Entry rows of all bch arrows m -> n: every candidate row over n + 2
+    entries, in lexicographic order, kept when no two slots share an output slot."""
+    rows = np.indices((n + 2,) * m, dtype=np.uint8).reshape(m, (n + 2) ** m).T
+    injective = np.ones(len(rows), dtype=bool)
+    for i, j in combinations(range(m), 2):
+        injective &= (rows[:, i] != rows[:, j]) | (rows[:, i] >= n)
+    return rows[injective]
+
+
+def ternary_rows_reference(m: int, n: int) -> np.ndarray:
+    """Digit rows of all ternary arrows m -> n: every candidate row of n digits,
+    in lexicographic order, kept when it has at most m stars."""
+    rows = np.indices((3,) * n, dtype=np.uint8).reshape(n, 3**n).T
+    return rows[(rows == 2).sum(axis=1) <= m]
 
 
 def preserves_meets(f: GraphMorphism) -> bool:

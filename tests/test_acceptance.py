@@ -115,12 +115,12 @@ def test_criterion_10_mutation_sensitivity():
     )
     assert broken_iso.counterexample["stage"] == "composition"
     # mutation B: cube builder without the zero-parity flip
-    flat_homs = category_view("graphdim").hom
+    flat = category_view("graphdim")
     broken = [
         check_total_order(max_n=3, build=standard_cube),
         check_unique_hamiltonian(max_n=3, build=standard_cube),
-        check_unique_surjection(max_dim=2, homs=flat_homs),
-        check_factorization(max_dim=2, homs=flat_homs),
+        check_unique_surjection(max_dim=2, view=flat),
+        check_factorization(max_dim=2, homs=flat.hom),
     ]
     assert sum(not r.passed for r in broken) >= 1
     assert all(not r.passed for r in broken)

@@ -1,5 +1,6 @@
 """Command line behaviour: output bytes, exit codes, round trips."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import cubecats
+from cubecats import cli
 from cubecats.cli import main
+from cubecats.graphs import CapacityError
+from cubecats.oracle import CATEGORY_IDS, category_view
 
 
 def run_cli(capsys, *argv):
@@ -229,11 +233,21 @@ def test_table_ternary(capsys):
 
 
 def test_table_capacity(capsys):
-    # hom(0, 9) has a 512-vertex target, more than uint8 rows can index
+    # an input bound, as for homs: refused before any cube is built
     code, out, err = run_cli(capsys, "table", "--cat", "twcubecat", "--max-dim", "9")
     assert code == 3
     assert out == ""
-    assert "at most 256 target vertices" in err
+    assert "dimension at most 8" in err
+    # within it the kernel's frontier refuses hom(4, 5); a new process, so
+    # the hom-sets listed before it are not kept by this one
+    proc = run_child(
+        "import sys\n"
+        "from cubecats.cli import main\n"
+        'sys.exit(main(["table", "--cat", "graphcube", "--max-dim", "5"]))\n'
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "frontier at source vertex" in proc.stderr
 
 
 def test_check_iso_suite_passes(capsys):
@@ -281,6 +295,27 @@ def test_check_capacity_skip_exit_three():
     skipped = [json.loads(l) for l in proc.stdout.splitlines() if "skipped" in l]
     assert skipped and all(s["skipped"] == "capacity" for s in skipped)
     assert all("bytes, over the limit of 4096" in s["reason"] for s in skipped)
+
+
+def test_check_laws_skips_one_category(capsys, monkeypatch):
+    def refuse(m, n):
+        raise CapacityError("graphcube refused")
+
+    def view(cat_id):
+        real = category_view(cat_id)
+        return dataclasses.replace(real, rows=refuse) if cat_id == "graphcube" else real
+
+    monkeypatch.setattr(cli, "category_view", view)
+    code, out, _ = run_cli(capsys, "check", "--suite", "laws", "--max-dim", "2")
+    assert code == 3
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert [line["check"] for line in lines] == [
+        "laws[graphcube]" if cat_id == "graphcube" else f"category_laws[{cat_id}]"
+        for cat_id in CATEGORY_IDS
+    ]
+    skip = {"check": "laws[graphcube]", "skipped": "capacity", "reason": "graphcube refused"}
+    assert lines[2] == skip
+    assert all(line["passed"] for line in lines if line is not lines[2])
 
 
 def test_check_rejects_large_dim(capsys):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cubecats import cli, cubes, graphs, oracle, standard, twisted
+from cubecats import cli, cubes, graphs, kernels, oracle, standard, twisted
 from cubecats.cubes import standard_cube, twisted_cube
 from cubecats.graphs import CapacityError, Graph
 from cubecats.rows import HomRows, RowError
@@ -42,7 +42,7 @@ from cubecats.standard import (
     graphmeet_to_bchop_rows,
     hom_matrix,
 )
-from cubecats.twisted import ternary_compose_rows
+from cubecats.twisted import semi_rows, ternary_compose_rows, ternary_rows
 
 
 def test_check_report_requires_counterexample_iff_failed():
@@ -651,7 +651,7 @@ def test_untwisted_builder_mutant_fails_hamiltonian():
 
 
 def test_untwisted_homs_mutant_fails_surjection():
-    rep = check_unique_surjection(2, homs=category_view("graphdim").hom)
+    rep = check_unique_surjection(2, view=category_view("graphdim"))
     assert not rep.passed
 
 
@@ -729,11 +729,25 @@ def test_hom_tables_of_equivalent_categories_agree():
     assert hom_table("ternary", 3) == hom_table("twgraphdim", 3)
 
 
-def test_hom_table_capacity():
-    for cat_id in ("bch", "ternary", "semi"):
-        with pytest.raises(CapacityError):
-            hom_table(cat_id, 7)
+def test_hom_table_capacity(monkeypatch):
+    # the kernel's frontier alone bounds the ternary and semi rows: a
+    # frontier of 2^12 bytes refuses 6 -> 6
+    ternary_rows.cache_clear()
+    semi_rows.cache_clear()
+    monkeypatch.setattr(kernels, "MAX_FRONTIER", 2**12)
+    with pytest.raises(CapacityError, match="frontier"):
+        ternary_rows(6, 6)
+    with pytest.raises(CapacityError, match="frontier"):
+        hom_table("semi", 6)
+    monkeypatch.undo()
     assert len(hom_table("ternary", 6)) == 7
+
+
+def test_view_rows_are_read_only():
+    for cat_id in CATEGORY_IDS:
+        view = category_view(cat_id)
+        for m, n in itertools.product(range(4), repeat=2):
+            assert not view.rows(m, n).flags.writeable, (cat_id, m, n)
 
 
 def test_unknown_category_id():
@@ -826,8 +840,8 @@ def _failing_sites():
         ("dimension zero steps", lambda: _patched(
             oracle, "hamiltonian_path", _sources_lost, check_unique_hamiltonian, 3
         )),
-        ("surjection count", lambda: check_unique_surjection(2, category_view("twcubecat").hom)),
-        ("surjection found", lambda: check_unique_surjection(2, category_view("graphdim").hom)),
+        ("surjection count", lambda: check_unique_surjection(2, category_view("twcubecat"))),
+        ("surjection found", lambda: check_unique_surjection(2, category_view("graphdim"))),
         ("factorization error", lambda: check_factorization(2, category_view("graphdim").hom)),
         ("wrong factors", lambda: _patched(
             oracle, "factorize", _face_dimension_off_by_one, check_factorization, 2

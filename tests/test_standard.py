@@ -3,6 +3,7 @@
 from itertools import product
 from math import comb, perm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from cubecats.standard import (
     bch_compose,
     bch_from_json,
     bch_identity,
+    bch_rows,
     bchop_to_graphmeet,
     compose_graph_morphisms,
     enumerate_graph_homs,
@@ -30,6 +32,7 @@ from cubecats.oracle import category_view
 
 from predicates import (
     bch_compose_loop,
+    bch_rows_reference,
     chain_bchop_to_graphmeet,
     chain_graphmeet_to_bchop,
     compose_graph_loop,
@@ -64,9 +67,22 @@ def test_bch_validation():
     BchMorphism(2, 1, [1, 1])
 
 
-def test_bch_enumeration_capacity():
-    with pytest.raises(CapacityError):
-        bch.rows(7, 1)
+def test_bch_rows_match_the_candidate_filter():
+    for m in range(7):
+        for n in range(7):
+            rows, reference = bch_rows(m, n), bch_rows_reference(m, n)
+            assert rows.dtype == np.uint8 and rows.shape == reference.shape, (m, n)
+            assert (rows == reference).all(), (m, n)
+
+
+def test_bch_enumeration_capacity(monkeypatch):
+    # the kernel's frontier is the one bound: past m = 6 arrows are still
+    # listed, and a frontier of 2^12 bytes refuses 6 -> 6
+    assert len(bch.rows(7, 1)) == bch_count(7, 1)
+    bch_rows.cache_clear()
+    monkeypatch.setattr(kernels, "MAX_FRONTIER", 2**12)
+    with pytest.raises(CapacityError, match="frontier"):
+        bch_rows(6, 6)
 
 
 def test_bch_compose_absorbs_constants():

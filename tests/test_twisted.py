@@ -3,6 +3,7 @@
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,11 +25,17 @@ from cubecats.twisted import (
     rev,
     ternary_compose,
     ternary_identity,
+    ternary_rows,
     ternary_to_graphdim,
     unique_surjection,
 )
 
-from predicates import chain_graphdim_to_ternary, chain_ternary_to_graphdim, ternary_compose_loop
+from predicates import (
+    chain_graphdim_to_ternary,
+    chain_ternary_to_graphdim,
+    ternary_compose_loop,
+    ternary_rows_reference,
+)
 
 ternary, semi, twgraphdim = map(category_view, ("ternary", "semi", "twgraphdim"))
 
@@ -208,6 +215,14 @@ def test_ternary_counts_frozen():
         [1, 3, 9, 26],
         [1, 3, 9, 27],
     ]
+
+
+def test_ternary_rows_match_the_candidate_filter():
+    for m in range(7):
+        for n in range(7):
+            rows, reference = ternary_rows(m, n), ternary_rows_reference(m, n)
+            assert rows.dtype == np.uint8 and rows.shape == reference.shape, (m, n)
+            assert (rows == reference).all(), (m, n)
 
 
 def test_ternary_functorial_exhaustive_dim_two():
