@@ -39,32 +39,20 @@ from .cubes import (
 from .standard import (
     BchMorphism,
     GraphMorphism,
-    PartialInjection,
     bch_compose,
-    bch_identity,
     bchop_to_graphmeet,
     compose_graph_morphisms,
     enumerate_graph_homs,
-    extend_base_morphism,
     graphmeet_to_bchop,
-    identity_graph_morphism,
-    transpose_partial_injection,
 )
 from .twisted import (
-    Face,
     TernaryMorphism,
-    face_to_injection,
-    faces,
-    factorize,
     graphdim_to_ternary,
     hamiltonian_f,
     hamiltonian_path,
-    image_face,
     order_g,
     ternary_compose,
-    ternary_identity,
     ternary_to_graphdim,
-    unique_surjection,
 )
 from .oracle import (
     CATEGORY_IDS,

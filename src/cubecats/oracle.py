@@ -7,16 +7,18 @@ canonical order, or None, and counts the work done as it goes; _run
 times it and builds the CheckReport.  No check assumes the statement
 it is checking.
 
-The category laws and the isomorphisms work on morphisms as rows: each
-hom-set is a sorted integer matrix, composition is one batched row
-operation per triple of objects, and a composite is found in its
-hom-set by a binary search of its row key.  Morphism objects are built
-only to describe a counterexample.
+Every check that reads a category's hom-sets works on morphisms as
+rows: each hom-set is a sorted integer matrix, composition is one
+batched row operation per triple of objects, and a composite is found
+in its hom-set by a binary search of its row key.  Morphism objects
+are built only to describe a counterexample.
 
-Every call into the code under check, a view's callbacks and an
-isomorphism's functors, goes through _call, so an exception there
-becomes a RowError and an "exception" counterexample, while an
-exception in the oracle's own code propagates.
+Every call into the code under check, a view's callbacks, an
+isomorphism's functors and the factorization's face injections, goes
+through _call, so an exception there becomes a RowError and a
+counterexample ("exception" in the laws and isomorphisms, "error" in
+the surjection and factorization checks), while an exception in the
+oracle's own code propagates.
 
 The check functions take the pieces they verify as parameters where a
 mutation test needs to swap them out (a cube builder, a hom enumerator,
@@ -31,7 +33,7 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -58,18 +60,14 @@ from .standard import (
 )
 from .twisted import (
     TernaryMorphism,
-    face_to_injection,
-    factorize,
     graphdim_to_ternary_rows,
     hamiltonian_path,
-    image_face,
     order_g,
     semi_rows,
     ternary_compose_rows,
     ternary_rows,
     ternary_seq,
     ternary_to_graphdim_rows,
-    unique_surjection,
 )
 
 DEFAULT_TRIPLE_CAP = 10**8
@@ -647,50 +645,101 @@ def check_unique_hamiltonian(
     return _run("unique_hamiltonian", {"max_n": max_n}, counts, first_failure)
 
 
+def _vertex_maps(hom: HomRows, m: int, n: int) -> np.ndarray:
+    """The rows of hom, checked to be maps of the 2^m vertices of the m-cube
+    into the 2^n vertices of the n-cube."""
+    rows = checked_rows(hom.rows, (None, 2**m), hom.what)
+    if rows.size and rows.max() >= 2**n:
+        raise RowError(f"{hom.what} gave the vertex {rows.max()}, expected one below {2**n}")
+    return rows
+
+
+def _vertex_dict(view: FiniteCategoryView, m: int, n: int, row: np.ndarray) -> dict:
+    """The vertex map of a row of a graph view's hom(m, n), to name it in a counterexample."""
+    return _call(lambda: view.morphism(m, n, row).as_dict())
+
+
 def check_unique_surjection(
     max_dim: int = 3, view: FiniteCategoryView = category_view("twgraphdim")
 ) -> CheckReport:
-    """Exactly one surjective dimension-preserving map when m >= n, else none."""
+    """Exactly one surjective dimension-preserving map when m >= n, else none,
+    and it drops the trailing coordinates: v -> v >> (m - n).  An exception
+    from the view, or rows that are not vertex maps, is an "error"
+    counterexample."""
     counts = {"surjective_found": 0}
+    objs = range(max_dim + 1)
 
     def first_failure() -> Optional[dict]:
-        for m in range(max_dim + 1):
-            for n in range(max_dim + 1):
-                rows = view.rows(m, n)
+        try:
+            homs = _Rows(view, objs).homs
+            for m, n in product(objs, repeat=2):
+                rows = _vertex_maps(homs[(m, n)], m, n)
                 surjective = rows[kernels.fibre_counts(rows, 2**n).all(axis=1)]
                 expected = 1 if m >= n else 0
                 if len(surjective) != expected:
                     return {"m": m, "n": n, "count": len(surjective), "expected": expected}
                 counts["surjective_found"] += len(surjective)
-                if m >= n:
-                    found = view.morphism(m, n, surjective[0])
-                    if found != unique_surjection(m, n):
-                        return {"m": m, "n": n, "found": found.as_dict()}
+                if m >= n and (surjective[0] != np.arange(2**m) >> (m - n)).any():
+                    return {"m": m, "n": n, "found": _vertex_dict(view, m, n, surjective[0])}
+        except RowError as exc:
+            return {"error": str(exc)}
         return None
 
     return _run("unique_surjection", {"max_dim": max_dim}, counts, first_failure)
 
 
 def check_factorization(
-    max_dim: int = 3,
-    homs: Callable[[int, int], Sequence] = category_view("twgraphdim").hom,
+    max_dim: int = 3, view: FiniteCategoryView = category_view("twgraphdim")
 ) -> CheckReport:
-    """Every dimension-preserving map recomposes from its unique factorization."""
+    """Every dimension-preserving map is a face injection after the unique surjection.
+
+    A row's image face has a star where its image varies and the
+    constant bit elsewhere.  With k stars, the surjection is
+    v -> v >> (m - k) and the injection is ternary_to_graphdim_rows(k,
+    n, face), one batched call per k.  The row factors when the
+    injection after the surjection is the row, the injection is
+    one-to-one and in hom(k, n), and the surjection is in hom(m, k).
+    An exception from the view or from ternary_to_graphdim_rows, or
+    rows that are not vertex maps, is an "error" counterexample.
+    """
     counts = {"factored": 0}
+    objs = range(max_dim + 1)
 
     def first_failure() -> Optional[dict]:
-        for m in range(max_dim + 1):
-            for n in range(max_dim + 1):
-                for f in homs(m, n):
-                    try:
-                        k, surj, inj = factorize(f)
-                    except (CapacityError, MemoryError):
-                        raise
-                    except Exception as exc:
-                        return {"m": m, "n": n, "f": f.as_dict(), "error": str(exc)}
-                    if inj != face_to_injection(image_face(f)) or k != image_face(f).dimension:
-                        return {"m": m, "n": n, "f": f.as_dict(), "reason": "wrong factors"}
-                    counts["factored"] += 1
+        try:
+            homs = _Rows(view, objs).homs
+            for m, n in product(objs, repeat=2):
+                rows = _vertex_maps(homs[(m, n)], m, n)
+                bits = (rows[:, :, None] >> np.arange(n - 1, -1, -1)) & 1
+                varies = bits.min(axis=1) != bits.max(axis=1)
+                faces = np.where(varies, 2, bits[:, 0, :])
+                stars = varies.sum(axis=1)
+                factors = np.zeros(len(rows), dtype=bool)  # False for more than m stars
+                for k in range(m + 1):
+                    at = np.flatnonzero(stars == k)
+                    if not len(at):
+                        continue
+                    surj = np.arange(2**m) >> (m - k)
+                    inj = checked_rows(
+                        _call(ternary_to_graphdim_rows, k, n, faces[at]),
+                        (len(at), 2**k),
+                        f"ternary_to_graphdim_rows({k}, {n})",
+                    )
+                    factors[at] = (
+                        (inj[:, surj] == rows[at]).all(axis=1)
+                        & (np.diff(np.sort(inj, axis=1), axis=1) > 0).all(axis=1)
+                        & (homs[(k, n)].index(inj) >= 0)
+                        & (homs[(m, k)].index(surj[None])[0] >= 0)
+                    )
+                bad = _first(~factors)
+                if bad is not None:
+                    (r,) = bad
+                    counts["factored"] += r
+                    f = _vertex_dict(view, m, n, rows[r])
+                    return {"m": m, "n": n, "f": f, "reason": "no factorization"}
+                counts["factored"] += len(rows)
+        except RowError as exc:
+            return {"error": str(exc)}
         return None
 
     return _run("factorization", {"max_dim": max_dim}, counts, first_failure)

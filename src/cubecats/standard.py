@@ -1,6 +1,6 @@
 """Morphisms of standard cubes and the substitution-category equivalence.
 
-Three kinds of arrows live here:
+Two kinds of arrows live here:
 
 * ``BchMorphism``: a function from m input slots to n output slots plus
   two constants, injective on the slot part.  These compose like
@@ -8,8 +8,6 @@ Three kinds of arrows live here:
 * ``GraphMorphism``: a vertex map between graphs that preserves edges.
   Refined classes of cube-graph morphisms (preserving meets and joins,
   or preserving edge dimensions) form subcategories.
-* ``PartialInjection``: slot map with a single "undefined" constant;
-  transposition swaps its two directions.
 
 Each kind of arrow is also a row of integers, and every hom-set is a
 lexicographically sorted matrix of rows: a bch arrow is its entries, a
@@ -23,8 +21,9 @@ steps: split an arrow into a constant vector z and a partial injection
 e, transpose e, read the result as a morphism from the base subgraph,
 and extend it join-preservingly to the whole cube.  On rows it is one
 substitution: bit j of the image of a vertex v is bit a(j) of v when
-a(j) is a slot, and the constant a(j) otherwise.  The test suite checks
-the two readings against each other on every arrow up to dimension 3.
+a(j) is a slot, and the constant a(j) otherwise.  The test suite keeps
+the chain and checks the two readings against each other on every
+arrow up to dimension 3.
 """
 
 from __future__ import annotations
@@ -38,14 +37,8 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import kernels
-from .graphs import (
-    Graph,
-    Vertex,
-    _bound_tables,
-    bits_to_int,
-    int_to_bits,
-)
-from .cubes import base_subgraph, standard_cube
+from .graphs import Graph, Vertex, _bound_tables
+from .cubes import standard_cube
 
 
 class BchMorphism:
@@ -126,10 +119,6 @@ def bch_from_json(text: str) -> BchMorphism:
     return BchMorphism(m, n, entries)
 
 
-def bch_identity(n: int) -> BchMorphism:
-    return BchMorphism(n, n, range(n))
-
-
 def _row(entries: Sequence[int]) -> np.ndarray:
     """A one-row matrix of an arrow's entries or vertex map."""
     return np.array(entries, dtype=np.intp).reshape(1, len(entries))
@@ -163,53 +152,6 @@ def bch_rows(m: int, n: int) -> np.ndarray:
     entries = np.arange(n + 2)
     allowed = (entries[:, None] != entries) | (entries[:, None] >= n)
     return kernels.edge_preserving_maps(m, n + 2, list(combinations(range(m), 2)), allowed)
-
-
-class PartialInjection:
-    """Slot map m -> n with one undefined value, injective where defined.
-
-    entries[i] in 0..n-1 is a defined image; n means undefined.
-    """
-
-    __slots__ = ("m", "n", "entries")
-
-    def __init__(self, m: int, n: int, entries: Iterable[int]):
-        entries = tuple(int(e) for e in entries)
-        if len(entries) != m:
-            raise ValueError(f"expected {m} entries, got {len(entries)}")
-        defined = [e for e in entries if e < n]
-        if any(not 0 <= e <= n for e in entries):
-            raise ValueError("entries out of range")
-        if len(defined) != len(set(defined)):
-            raise ValueError("not injective on defined slots")
-        self.m = m
-        self.n = n
-        self.entries = entries
-
-    def defined(self, i: int) -> bool:
-        return self.entries[i] < self.n
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PartialInjection)
-            and (self.m, self.n, self.entries) == (other.m, other.n, other.entries)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.n, self.entries))
-
-    def __repr__(self) -> str:
-        body = ", ".join(str(e) if e < self.n else "-" for e in self.entries)
-        return f"PartialInjection({self.m}->{self.n}, [{body}])"
-
-
-def transpose_partial_injection(p: PartialInjection) -> PartialInjection:
-    """Swap directions: q(j) = i exactly when p(i) = j; involutive."""
-    entries = [p.m] * p.n
-    for i, e in enumerate(p.entries):
-        if e < p.n:
-            entries[e] = i
-    return PartialInjection(p.n, p.m, entries)
 
 
 class GraphMorphism:
@@ -287,11 +229,6 @@ class GraphMorphism:
         return f"GraphMorphism({body})"
 
 
-@lru_cache(maxsize=None)
-def identity_graph_morphism(g: Graph) -> GraphMorphism:
-    return GraphMorphism.from_indices(g, g, range(len(g.vertices)))
-
-
 def compose_graph_rows(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """Composites outer[i] ∘ inner[j] of vertex-map rows, as a
     (len(outer), len(inner), w) array."""
@@ -326,35 +263,6 @@ def enumerate_graph_homs(
         GraphMorphism.from_indices(src, tgt, row)
         for row in map(tuple, hom_matrix(src, tgt, constraints).tolist())
     )
-
-
-def _one_hot(n: int, i: int) -> Vertex:
-    return int_to_bits(1 << (n - 1 - i), n)
-
-
-def extend_base_morphism(h: GraphMorphism) -> GraphMorphism:
-    """Unique join-preserving extension of a base-subgraph morphism.
-
-    h goes from the origin-plus-one-hot subgraph of the m-cube into a
-    cube; every cube vertex is the join of the base vectors it contains,
-    so the extension sends it to the join of their images.
-    """
-    target = h.target
-    m = h.source.dimension
-    if h.source != base_subgraph(m):
-        raise ValueError("source must be the base subgraph of a standard cube")
-    n = target.dimension
-    z = bits_to_int(h(int_to_bits(0, m)))
-    basis = [bits_to_int(h(_one_hot(m, i))) for i in range(m)]
-    source = standard_cube(m)
-    images = []
-    for v in source.vertices:
-        val = z
-        for i, bit in enumerate(v):
-            if bit == "1":
-                val |= basis[i]
-        images.append(int_to_bits(val, n))
-    return GraphMorphism(source, target, images)
 
 
 def _bit_weights(n: int) -> np.ndarray:

@@ -11,9 +11,7 @@ which yields the ternary-notation presentation: arrows are strings over
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +19,7 @@ import numpy as np
 from . import kernels
 from .graphs import Vertex, bits_to_int, int_to_bits
 from .cubes import twisted_cube
-from .standard import GraphMorphism, compose_graph_morphisms
+from .standard import GraphMorphism
 
 STAR = "*"
 
@@ -74,105 +72,6 @@ def hamiltonian_path(n: int) -> list[tuple[Vertex, Vertex]]:
     return steps
 
 
-def unique_surjection(m: int, n: int) -> GraphMorphism:
-    """The one surjective dimension-preserving map: drop trailing coordinates."""
-    if m < n:
-        raise ValueError(f"no surjective morphism from dimension {m} to {n}")
-    src, tgt = twisted_cube(m), twisted_cube(n)
-    return GraphMorphism(src, tgt, {v: v[:n] for v in src.vertices})
-
-
-@dataclass(frozen=True)
-class Face:
-    """A sub-cube selector: fixed bits plus ⋆ at the varying positions."""
-
-    n: int
-    seq: str
-
-    def __post_init__(self) -> None:
-        if len(self.seq) != self.n or set(self.seq) - {"0", "1", STAR}:
-            raise ValueError(f"face of dimension {self.n} needs a {self.n}-char string over 01{STAR}")
-
-    @property
-    def dimension(self) -> int:
-        return self.seq.count(STAR)
-
-
-def faces(n: int, k: int) -> list[Face]:
-    """All k-dimensional faces of the n-cube, in canonical string order."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    return [
-        Face(n, "".join(chars))
-        for chars in product("01" + STAR, repeat=n)
-        if chars.count(STAR) == k
-    ]
-
-
-def _face_flips(seq: str) -> list[int]:
-    """Orientation flips per star: parity of fixed zeros since the last star.
-
-    Derived, not given: it is the unique choice making the inclusion an
-    edge-preserving morphism, because the source bit at star j lands in
-    a prefix that already contains the earlier stars' flipped bits (their
-    flips cancel in pairs) plus the fixed bits between stars.
-    """
-    flips = []
-    zeros_since_star = 0
-    for ch in seq:
-        if ch == STAR:
-            flips.append(zeros_since_star & 1)
-            zeros_since_star = 0
-        elif ch == "0":
-            zeros_since_star += 1
-    return flips
-
-
-def face_to_injection(face: Face) -> GraphMorphism:
-    """The dimension-preserving injective morphism whose image is the face.
-
-    Edge preservation is validated at construction, so a wrong flip rule
-    cannot survive silently.
-    """
-    m = face.dimension
-    src, tgt = twisted_cube(m), twisted_cube(face.n)
-    flips = _face_flips(face.seq)
-    mapping = {}
-    for u in src.vertices:
-        out = []
-        j = 0
-        for ch in face.seq:
-            if ch == STAR:
-                out.append(str(int(u[j]) ^ flips[j]))
-                j += 1
-            else:
-                out.append(ch)
-        mapping[u] = "".join(out)
-    return GraphMorphism(src, tgt, mapping)
-
-
-def image_face(f: GraphMorphism) -> Face:
-    """Ternary sequence with ⋆ where the image varies, the constant bit elsewhere."""
-    images = [f(v) for v in f.source.vertices]
-    seq = []
-    for j in range(f.target.dimension):
-        values = {img[j] for img in images}
-        seq.append(STAR if len(values) > 1 else values.pop())
-    return Face(f.target.dimension, "".join(seq))
-
-
-def factorize(f: GraphMorphism) -> tuple[int, GraphMorphism, GraphMorphism]:
-    """Unique surjection-then-injection factorization through the image face."""
-    face = image_face(f)
-    k = face.dimension
-    surj = unique_surjection(f.source.dimension, k)
-    inj = face_to_injection(face)
-    if compose_graph_morphisms(inj, surj) != f:
-        raise ValueError("morphism does not factor through its image face "
-                         "(is it dimension-preserving?)")
-    return k, surj, inj
-
-
 class TernaryMorphism:
     """Arrow m -> n in ternary notation: a length-n string over {0, 1, ⋆}
     with at most m stars.  Stars consume source coordinates in order;
@@ -211,10 +110,6 @@ class TernaryMorphism:
 
     def __repr__(self) -> str:
         return f"TernaryMorphism({self.m}->{self.n}, {self.seq!r})"
-
-
-def ternary_identity(n: int) -> TernaryMorphism:
-    return TernaryMorphism(n, n, STAR * n)
 
 
 DIGITS = "01" + STAR  # a ternary character's digit is its position here
@@ -276,7 +171,10 @@ def ternary_to_graphdim_rows(m: int, n: int, rows: np.ndarray) -> np.ndarray:
     The unique surjection onto the star count, then the face injection:
     bit i of the image of vertex v is the constant at a fixed position,
     and at the k-th star bit k of v xored with the face's flip there,
-    the parity of the zeros since the previous star (_face_flips).
+    the parity of the zeros since the previous star.  That flip is the
+    one choice that makes the injection edge-preserving: the source bit
+    at a star lands after the earlier stars' flipped bits, whose flips
+    cancel in pairs, and the fixed bits since the previous star.
     Raises ValueError for a row with more than m stars.
     """
     rows = np.asarray(rows)

@@ -1,35 +1,21 @@
 """Reference predicates and operations on single morphisms.
 
 The predicates check the constrained hom enumerations row by row.  The
-composition loops and the (z, d) chain are the plain one-arrow versions
-of the row operations in the package, which the tests compare them with,
-and the candidate filters list the bch and ternary rows without the
-hom enumeration kernel.
+composition loops, the (z, d) chain and the face chain are the plain
+one-arrow versions of the row operations in the package, which the
+tests compare them with, and the candidate filters list the bch and
+ternary rows without the hom enumeration kernel.
 """
 
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from cubecats.cubes import base_subgraph, standard_cube
+from cubecats.cubes import base_subgraph, standard_cube, twisted_cube
 from cubecats.graphs import Vertex, _bound_tables, bits_to_int, int_to_bits
-from cubecats.standard import (
-    BchMorphism,
-    GraphMorphism,
-    PartialInjection,
-    _one_hot,
-    extend_base_morphism,
-    transpose_partial_injection,
-)
-from cubecats.twisted import (
-    STAR,
-    Face,
-    TernaryMorphism,
-    face_to_injection,
-    image_face,
-    unique_surjection,
-)
+from cubecats.standard import BchMorphism, GraphMorphism
+from cubecats.twisted import STAR, TernaryMorphism
 
 
 def bch_rows_reference(m: int, n: int) -> np.ndarray:
@@ -147,6 +133,76 @@ def ternary_compose_loop(
     return TernaryMorphism(f.m, g.n, "".join(out))
 
 
+class PartialInjection:
+    """Slot map m -> n with one undefined value, injective where defined.
+
+    entries[i] in 0..n-1 is a defined image; n means undefined.
+    """
+
+    def __init__(self, m: int, n: int, entries: Iterable[int]):
+        entries = tuple(int(e) for e in entries)
+        if len(entries) != m:
+            raise ValueError(f"expected {m} entries, got {len(entries)}")
+        defined = [e for e in entries if e < n]
+        if any(not 0 <= e <= n for e in entries):
+            raise ValueError("entries out of range")
+        if len(defined) != len(set(defined)):
+            raise ValueError("not injective on defined slots")
+        self.m = m
+        self.n = n
+        self.entries = entries
+
+    def defined(self, i: int) -> bool:
+        return self.entries[i] < self.n
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, PartialInjection)
+            and (self.m, self.n, self.entries) == (other.m, other.n, other.entries)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.n, self.entries))
+
+
+def transpose_partial_injection(p: PartialInjection) -> PartialInjection:
+    """Swap directions: q(j) = i exactly when p(i) = j; involutive."""
+    entries = [p.m] * p.n
+    for i, e in enumerate(p.entries):
+        if e < p.n:
+            entries[e] = i
+    return PartialInjection(p.n, p.m, entries)
+
+
+def _one_hot(n: int, i: int) -> Vertex:
+    return int_to_bits(1 << (n - 1 - i), n)
+
+
+def extend_base_morphism(h: GraphMorphism) -> GraphMorphism:
+    """Unique join-preserving extension of a base-subgraph morphism.
+
+    h goes from the origin-plus-one-hot subgraph of the m-cube into a
+    cube; every cube vertex is the join of the base vectors it contains,
+    so the extension sends it to the join of their images.
+    """
+    target = h.target
+    m = h.source.dimension
+    if h.source != base_subgraph(m):
+        raise ValueError("source must be the base subgraph of a standard cube")
+    n = target.dimension
+    z = bits_to_int(h(int_to_bits(0, m)))
+    basis = [bits_to_int(h(_one_hot(m, i))) for i in range(m)]
+    source = standard_cube(m)
+    images = []
+    for v in source.vertices:
+        val = z
+        for i, bit in enumerate(v):
+            if bit == "1":
+                val |= basis[i]
+        images.append(int_to_bits(val, n))
+    return GraphMorphism(source, target, images)
+
+
 def chain_bchop_to_graphmeet(a: BchMorphism) -> GraphMorphism:
     """The six-step chain: split a into constant bits z and a partial
     injection e, transpose e to d, read (z, d) as a base-subgraph
@@ -185,15 +241,63 @@ def chain_graphmeet_to_bchop(g: GraphMorphism) -> BchMorphism:
     return BchMorphism(n, m, entries)
 
 
+def unique_surjection(m: int, n: int) -> GraphMorphism:
+    """The one surjective dimension-preserving map: drop trailing coordinates."""
+    if m < n:
+        raise ValueError(f"no surjective morphism from dimension {m} to {n}")
+    src, tgt = twisted_cube(m), twisted_cube(n)
+    return GraphMorphism(src, tgt, {v: v[:n] for v in src.vertices})
+
+
+def _face_flips(face: str) -> list[int]:
+    """Orientation flips per star: parity of fixed zeros since the last star."""
+    flips = []
+    zeros_since_star = 0
+    for ch in face:
+        if ch == STAR:
+            flips.append(zeros_since_star & 1)
+            zeros_since_star = 0
+        elif ch == "0":
+            zeros_since_star += 1
+    return flips
+
+
+def face_to_injection(face: str) -> GraphMorphism:
+    """The edge-checked injection of twisted cubes whose image is the face,
+    a string over 01 and ⋆: the k-th star takes bit k xored with its flip."""
+    src, tgt = twisted_cube(face.count(STAR)), twisted_cube(len(face))
+    flips = _face_flips(face)
+    mapping = {}
+    for u in src.vertices:
+        out = []
+        j = 0
+        for ch in face:
+            if ch == STAR:
+                out.append(str(int(u[j]) ^ flips[j]))
+                j += 1
+            else:
+                out.append(ch)
+        mapping[u] = "".join(out)
+    return GraphMorphism(src, tgt, mapping)
+
+
+def image_face(f: GraphMorphism) -> str:
+    """⋆ where the image varies, the constant bit elsewhere."""
+    images = [f(v) for v in f.source.vertices]
+    return "".join(
+        STAR if len({img[j] for img in images}) > 1 else images[0][j]
+        for j in range(f.target.dimension)
+    )
+
+
 def chain_ternary_to_graphdim(t: TernaryMorphism) -> GraphMorphism:
     """The edge-checked face injection after the unique surjection onto the star count."""
-    inj = face_to_injection(Face(t.n, t.seq))
-    return compose_graph_loop(inj, unique_surjection(t.m, t.stars))
+    return compose_graph_loop(face_to_injection(t.seq), unique_surjection(t.m, t.stars))
 
 
 def chain_graphdim_to_ternary(f: GraphMorphism) -> TernaryMorphism:
     """The image face as a ternary arrow, when the chain gives f back."""
-    t = TernaryMorphism(f.source.dimension, f.target.dimension, image_face(f).seq)
+    t = TernaryMorphism(f.source.dimension, f.target.dimension, image_face(f))
     if chain_ternary_to_graphdim(t) != f:
         raise ValueError("morphism is not dimension-preserving")
     return t

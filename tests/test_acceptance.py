@@ -120,7 +120,7 @@ def test_criterion_10_mutation_sensitivity():
         check_total_order(max_n=3, build=standard_cube),
         check_unique_hamiltonian(max_n=3, build=standard_cube),
         check_unique_surjection(max_dim=2, view=flat),
-        check_factorization(max_dim=2, homs=flat.hom),
+        check_factorization(max_dim=2, view=flat),
     ]
     assert sum(not r.passed for r in broken) >= 1
     assert all(not r.passed for r in broken)

@@ -33,6 +33,7 @@ from cubecats.oracle import (
     hom_table,
 )
 from cubecats.standard import (
+    BchMorphism,
     GraphMorphism,
     bch_rows,
     bchop_to_graphmeet_rows,
@@ -42,7 +43,7 @@ from cubecats.standard import (
     graphmeet_to_bchop_rows,
     hom_matrix,
 )
-from cubecats.twisted import semi_rows, ternary_compose_rows, ternary_rows
+from cubecats.twisted import TernaryMorphism, semi_rows, ternary_compose_rows, ternary_rows
 
 
 def test_check_report_requires_counterexample_iff_failed():
@@ -239,11 +240,11 @@ def test_broken_composition_fails_associativity():
     assert rep.counterexample["law"] in ("right identity", "left identity", "associativity")
 
 
-def _raising(exc_type):
-    def compose(*args):
-        raise exc_type("composition failed")
+def _raising(exc_type, message="composition failed"):
+    def callback(*args):
+        raise exc_type(message)
 
-    return compose
+    return callback
 
 
 def _same(m, n, rows):
@@ -598,19 +599,82 @@ def test_isomorphism_comp_dim_within_max_dim():
 
 
 def test_factorize_memory_error_propagates(monkeypatch):
-    def raising(exc_type):
-        def factorize(f):
-            raise exc_type("factorize failed")
-
-        return factorize
-
-    monkeypatch.setattr(oracle, "factorize", raising(MemoryError))
+    injection = "ternary_to_graphdim_rows"
+    monkeypatch.setattr(oracle, injection, _raising(MemoryError, "injection failed"))
     with pytest.raises(MemoryError):
         check_factorization(1)
-    monkeypatch.setattr(oracle, "factorize", raising(ValueError))
+    monkeypatch.setattr(oracle, injection, _raising(ValueError, "injection failed"))
     rep = check_factorization(1)
-    assert rep.counterexample["error"] == "factorize failed"
+    assert rep.counterexample == {"error": "ValueError: injection failed"}
     assert rep.counts == {"factored": 0}
+
+
+def test_surjection_rows_that_raise_are_an_error():
+    view = dataclasses.replace(category_view("twgraphdim"), rows=_raising(TypeError, "rows failed"))
+    rep = check_unique_surjection(2, view)
+    assert rep.counterexample == {"error": "TypeError: rows failed"}
+    assert rep.counts == {"surjective_found": 0}
+    rep = check_category_laws(view, 2)
+    assert rep.counterexample == {"law": "exception", "error": "TypeError: rows failed"}
+
+
+def test_negative_vertex_is_an_error_not_a_surjection():
+    # fibre counts would wrap the -1 onto the last vertex
+    twgraphdim = category_view("twgraphdim")
+
+    def minus_one_into_zero(m, n):
+        rows = twgraphdim.rows(m, n)
+        return rows.astype(np.intp) - 1 if n == 0 else rows
+
+    view = dataclasses.replace(twgraphdim, rows=minus_one_into_zero)
+    error = {"error": "rows(0, 0) gave the negative value -1"}
+    assert check_unique_surjection(2, view).counterexample == error
+    assert check_factorization(2, view).counterexample == error
+
+
+def test_rows_that_are_not_vertex_maps_are_an_error():
+    twgraphdim = category_view("twgraphdim")
+    wide = dataclasses.replace(twgraphdim, rows=lambda m, n: np.zeros((1, 2**m + 1), dtype=int))
+    beyond = dataclasses.replace(twgraphdim, rows=lambda m, n: np.full((1, 2**m), 2**n))
+    for check in (check_unique_surjection, check_factorization):
+        assert check(1, wide).counterexample == {
+            "error": "rows(0, 0) gave shape (1, 2), expected (*, 1)"
+        }
+        assert check(1, beyond).counterexample == {
+            "error": "rows(0, 0) gave the vertex 1, expected one below 1"
+        }
+
+
+def test_face_injection_without_flips_fails_factorization():
+    rep = _patched(twisted, "_zero_parity", np.zeros_like, check_factorization, 2)
+    assert rep.counterexample == {
+        "m": 1, "n": 2, "f": {"0": "01", "1": "00"}, "reason": "no factorization"
+    }
+
+
+def test_passing_check_run_builds_no_morphism(monkeypatch):
+    built = collections.Counter()
+
+    def counted(name, original):
+        def constructor(*args, **kwargs):
+            built[name] += 1
+            return original(*args, **kwargs)
+
+        return constructor
+
+    for cls in (GraphMorphism, BchMorphism, TernaryMorphism):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+    from_indices = counted("from_indices", GraphMorphism.from_indices.__func__)
+    monkeypatch.setattr(GraphMorphism, "from_indices", classmethod(from_indices))
+    assert cli.main(["check", "--suite", "all", "--max-dim", "3"]) == 0
+    assert built == {}
+
+
+def test_surjection_and_factorization_at_dimension_five():
+    rep = check_unique_surjection(5)
+    assert rep.passed and rep.counts == {"surjective_found": 21}
+    rep = check_factorization(5)
+    assert rep.passed and rep.counts == {"factored": 1637}
 
 
 def test_brute_hamiltonian_counts():
@@ -782,11 +846,6 @@ def _sources_lost(n):
     return path[:1] + [(t, t) for _, t in path[1:]]
 
 
-def _face_dimension_off_by_one(f):
-    k, surj, inj = twisted.factorize(f)
-    return k + 1, surj, inj
-
-
 def _failing_sites():
     """(name, check) for each place a check can return a counterexample, each
     with a mutant that reaches it: every law, every isomorphism stage, and
@@ -795,6 +854,7 @@ def _failing_sites():
     raising = dataclasses.replace(bch, compose_rows=_raising(TypeError))
     union = dataclasses.replace(category_view("graphcube"), rows=_origin_or_top_fixing)
     untwisted = partial(ternary_compose_rows, twist=False)
+    reversed_bits = oracle._graph_view("reversed", _reversed_bits_twisted, dimension_constraints)
     f0, w, o = (1, 0), (0, 0), (1, 1)
     return [
         ("right identity", lambda: check_category_laws(dataclasses.replace(
@@ -840,11 +900,15 @@ def _failing_sites():
         ("dimension zero steps", lambda: _patched(
             oracle, "hamiltonian_path", _sources_lost, check_unique_hamiltonian, 3
         )),
-        ("surjection count", lambda: check_unique_surjection(2, category_view("twcubecat"))),
-        ("surjection found", lambda: check_unique_surjection(2, category_view("graphdim"))),
-        ("factorization error", lambda: check_factorization(2, category_view("graphdim").hom)),
-        ("wrong factors", lambda: _patched(
-            oracle, "factorize", _face_dimension_off_by_one, check_factorization, 2
+        ("surjection count", lambda: check_unique_surjection(2, category_view("graphdim"))),
+        ("surjection found", lambda: check_unique_surjection(2, reversed_bits)),
+        ("surjection error", lambda: check_unique_surjection(2, dataclasses.replace(
+            category_view("twgraphdim"), rows=_raising(TypeError, "rows failed")
+        ))),
+        ("no factorization", lambda: check_factorization(2, category_view("graphdim"))),
+        ("factorization error", lambda: _patched(
+            oracle, "ternary_to_graphdim_rows", _raising(ValueError, "injection failed"),
+            check_factorization, 2,
         )),
         ("fibre_dimension", lambda: check_fibre_dimension(2, build=_no_edges_into_top)),
     ]

@@ -10,31 +10,29 @@ from hypothesis import strategies as st
 
 from cubecats.cubes import twisted_cube
 from cubecats.oracle import category_view
-from cubecats.standard import compose_graph_morphisms, enumerate_graph_homs, identity_graph_morphism
+from cubecats.standard import GraphMorphism, compose_graph_morphisms, enumerate_graph_homs
 from cubecats.twisted import (
-    Face,
     TernaryMorphism,
-    face_to_injection,
-    faces,
-    factorize,
     graphdim_to_ternary,
     hamiltonian_f,
     hamiltonian_path,
-    image_face,
     order_g,
     rev,
+    semi_rows,
     ternary_compose,
-    ternary_identity,
     ternary_rows,
+    ternary_seq,
     ternary_to_graphdim,
-    unique_surjection,
 )
 
 from predicates import (
     chain_graphdim_to_ternary,
     chain_ternary_to_graphdim,
+    face_to_injection,
+    image_face,
     ternary_compose_loop,
     ternary_rows_reference,
+    unique_surjection,
 )
 
 ternary, semi, twgraphdim = map(category_view, ("ternary", "semi", "twgraphdim"))
@@ -90,27 +88,22 @@ def test_unique_surjection_truncates_bits():
         unique_surjection(1, 2)
 
 
+def faces(n, k):
+    """The k-faces of the n-cube: the semi arrows k -> n, as strings."""
+    return [ternary_seq(row) for row in semi_rows(k, n)]
+
+
 def test_face_counts_and_enumeration():
-    assert [f.seq for f in faces(2, 1)] == ["0*", "1*", "*0", "*1"]
-    for n in range(4):
+    assert faces(2, 1) == ["0*", "1*", "*0", "*1"]
+    for n in range(5):
         counts = [len(faces(n, k)) for k in range(n + 1)]
         assert counts == [comb(n, k) * 2 ** (n - k) for k in range(n + 1)]
         assert sum(counts) == 3**n
 
 
-def test_face_validation():
-    with pytest.raises(ValueError):
-        Face(2, "012")
-    with pytest.raises(ValueError):
-        Face(1, "**")
-    assert Face(3, "0**").dimension == 2
-
-
 def test_face_injection_frozen_one_cube_faces():
-    inj0 = face_to_injection(Face(2, "0*"))
-    assert inj0.as_dict() == {"0": "01", "1": "00"}
-    inj1 = face_to_injection(Face(2, "1*"))
-    assert inj1.as_dict() == {"0": "10", "1": "11"}
+    assert face_to_injection("0*").as_dict() == {"0": "01", "1": "00"}
+    assert face_to_injection("1*").as_dict() == {"0": "10", "1": "11"}
 
 
 def test_face_injection_image_recovers_face():
@@ -120,16 +113,6 @@ def test_face_injection_image_recovers_face():
                 inj = face_to_injection(face)
                 assert len(set(inj.vmap)) == 2**k
                 assert image_face(inj) == face
-
-
-def test_factorize_recomposes():
-    for m in range(4):
-        for n in range(4):
-            for f in twgraphdim.hom(m, n):
-                k, surj, inj = factorize(f)
-                assert k == image_face(f).dimension
-                assert surj == unique_surjection(m, k)
-                assert compose_graph_morphisms(inj, surj) == f
 
 
 def test_ternary_validation_reports_position():
@@ -191,8 +174,8 @@ def test_ternary_compose_matches_the_reference_loop():
 @given(st.integers(0, 3), st.integers(0, 3), st.data())
 def test_ternary_identity_laws(m, n, data):
     t = data.draw(st.sampled_from(ternary.hom(m, n)))
-    assert ternary_compose(t, ternary_identity(m)) == t
-    assert ternary_compose(ternary_identity(n), t) == t
+    assert ternary_compose(t, TernaryMorphism(m, m, "*" * m)) == t
+    assert ternary_compose(TernaryMorphism(n, n, "*" * n), t) == t
 
 
 def test_ternary_to_graphdim_is_bijection_small():
@@ -238,9 +221,8 @@ def test_ternary_functorial_exhaustive_dim_two():
 
 def test_identity_ternary_maps_to_identity_morphism():
     for n in range(4):
-        assert ternary_to_graphdim(ternary_identity(n)) == identity_graph_morphism(
-            twisted_cube(n)
-        )
+        identity = GraphMorphism.from_indices(twisted_cube(n), twisted_cube(n), range(2**n))
+        assert ternary_to_graphdim(TernaryMorphism(n, n, "*" * n)) == identity
 
 
 def test_semi_ternary_uses_every_input():
@@ -263,7 +245,7 @@ def test_fibres_of_dimension_preserving_maps_are_uniform():
     for m in range(4):
         for n in range(4):
             for f in twgraphdim.hom(m, n):
-                k = image_face(f).dimension
+                k = image_face(f).count("*")
                 sizes = {}
                 for v in f.source.vertices:
                     sizes[f(v)] = sizes.get(f(v), 0) + 1
