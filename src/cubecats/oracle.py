@@ -13,12 +13,14 @@ batched row operation per triple of objects, and a composite is found
 in its hom-set by a binary search of its row key.  Morphism objects
 are built only to describe a counterexample.
 
-Every call into the code under check, a view's callbacks, an
-isomorphism's functors and the factorization's face injections, goes
-through _call, so an exception there becomes a RowError and a
-counterexample ("exception" in the laws and isomorphisms, "error" in
-the surjection and factorization checks), while an exception in the
-oracle's own code propagates.
+Every call into the code under check goes through _call: a view's
+callbacks, an isomorphism's functors, the factorization's face
+injections, and the cube builders, preorder, order and path of the
+theorem checks.  An exception there becomes a RowError, and so does an
+array from there that checked_rows refuses.  _run turns a RowError into
+the counterexample {"error": message}, tagged {"law": "exception"} in
+the laws and {"stage": "exception"} in the isomorphisms.  An exception
+in the oracle's own code propagates.
 
 The check functions take the pieces they verify as parameters where a
 mutation test needs to swap them out (a cube builder, a hom enumerator,
@@ -37,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import kernels
+from . import cubes, kernels
 from .graphs import (
     CapacityError,
     Graph,
@@ -136,12 +138,20 @@ class FiniteCategoryView:
 
 
 def _run(
-    name: str, params: dict, counts: dict, first_failure: Callable[[], Optional[dict]]
+    name: str,
+    params: dict,
+    counts: dict,
+    first_failure: Callable[[], Optional[dict]],
+    tag: Optional[dict] = None,
 ) -> CheckReport:
     """The report of a check whose first_failure() gives its first counterexample,
-    or None when it passes, and fills counts as it goes."""
+    or None when it passes, and fills counts as it goes.  A RowError from it
+    is the counterexample {**tag, "error": message}."""
     t0 = time.perf_counter()
-    counterexample = first_failure()
+    try:
+        counterexample = first_failure()
+    except RowError as exc:
+        counterexample = {**(tag or {}), "error": str(exc)}
     return CheckReport(
         name, params, counterexample is None, counterexample, counts, time.perf_counter() - t0
     )
@@ -227,68 +237,66 @@ def check_category_laws(
     objs = range(max_dim + 1)
 
     def first_failure() -> Optional[dict]:
-        try:
-            view = _Rows(cat, objs)
-            homs = view.homs
-            for (m, n), hom in homs.items():
-                f = hom.rows
-                right = view.compose(m, m, n, f, view.identity(m)[None])[:, 0]
-                left = view.compose(m, n, n, view.identity(n)[None], f)[0]
-                bad_right = (right != f).any(axis=1)
-                bad = _first(bad_right | (left != f).any(axis=1))
-                if bad is not None:
-                    (r,) = bad
-                    counts["identity_checks"] += 2 * r
-                    law = "right identity" if bad_right[r] else "left identity"
-                    return {"law": law, "m": m, "n": n, "f": view.describe(m, n, f[r])}
-                counts["identity_checks"] += 2 * len(f)
-            aobjs = range(max_assoc_dim + 1)
-            triples = sum(
-                len(homs[(n, p)]) * len(homs[(m, n)]) * len(homs[(k, m)])
-                for k, m, n, p in product(aobjs, repeat=4)
+        view = _Rows(cat, objs)
+        homs = view.homs
+        for (m, n), hom in homs.items():
+            f = hom.rows
+            right = view.compose(m, m, n, f, view.identity(m)[None])[:, 0]
+            left = view.compose(m, n, n, view.identity(n)[None], f)[0]
+            bad_right = (right != f).any(axis=1)
+            bad = _first(bad_right | (left != f).any(axis=1))
+            if bad is not None:
+                (r,) = bad
+                counts["identity_checks"] += 2 * r
+                law = "right identity" if bad_right[r] else "left identity"
+                return {"law": law, "m": m, "n": n, "f": view.describe(m, n, f[r])}
+            counts["identity_checks"] += 2 * len(f)
+        aobjs = range(max_assoc_dim + 1)
+        triples = sum(
+            len(homs[(n, p)]) * len(homs[(m, n)]) * len(homs[(k, m)])
+            for k, m, n, p in product(aobjs, repeat=4)
+        )
+        if triples > DEFAULT_TRIPLE_CAP:
+            raise CapacityError(
+                f"{name}: {triples} associativity triples exceed {DEFAULT_TRIPLE_CAP}"
             )
-            if triples > DEFAULT_TRIPLE_CAP:
-                raise CapacityError(
-                    f"{name}: {triples} associativity triples exceed {DEFAULT_TRIPLE_CAP}"
-                )
-            tables = {}  # tables[m, n, p][h, g]: index of h∘g in hom(m, p)
-            for m, n, p in product(aobjs, repeat=3):
-                hs, gs = homs[(n, p)].rows, homs[(m, n)].rows
-                table = homs[(m, p)].index(view.compose(m, n, p, hs, gs))
-                bad = _first(table < 0)
-                if bad is not None:
-                    ih, ig = bad
-                    return {
-                        "law": "closure",
-                        "dims": [m, n, p],
-                        "g": view.describe(m, n, gs[ig]),
-                        "h": view.describe(n, p, hs[ih]),
-                    }
-                tables[(m, n, p)] = table
-            for k, m, n, p in product(aobjs, repeat=4):
-                fs, gs, hs = homs[(k, m)].rows, homs[(m, n)].rows, homs[(n, p)].rows
-                bad = _associativity_failure(
-                    tables[(k, m, n)],
-                    tables[(m, n, p)],
-                    tables[(k, m, p)],
-                    tables[(k, n, p)],
-                )
-                if bad is not None:
-                    ih, ig, jf = bad
-                    counts["associativity_checks"] += (ih * len(gs) + ig) * len(fs) + jf
-                    return {
-                        "law": "associativity",
-                        "dims": [k, m, n, p],
-                        "f": view.describe(k, m, fs[jf]),
-                        "g": view.describe(m, n, gs[ig]),
-                        "h": view.describe(n, p, hs[ih]),
-                    }
-                counts["associativity_checks"] += len(hs) * len(gs) * len(fs)
-        except RowError as exc:  # a broken composition rule may not even type-check
-            return {"law": "exception", "error": str(exc)}
+        tables = {}  # tables[m, n, p][h, g]: index of h∘g in hom(m, p)
+        for m, n, p in product(aobjs, repeat=3):
+            hs, gs = homs[(n, p)].rows, homs[(m, n)].rows
+            table = homs[(m, p)].index(view.compose(m, n, p, hs, gs))
+            bad = _first(table < 0)
+            if bad is not None:
+                ih, ig = bad
+                return {
+                    "law": "closure",
+                    "dims": [m, n, p],
+                    "g": view.describe(m, n, gs[ig]),
+                    "h": view.describe(n, p, hs[ih]),
+                }
+            tables[(m, n, p)] = table
+        for k, m, n, p in product(aobjs, repeat=4):
+            fs, gs, hs = homs[(k, m)].rows, homs[(m, n)].rows, homs[(n, p)].rows
+            bad = _associativity_failure(
+                tables[(k, m, n)],
+                tables[(m, n, p)],
+                tables[(k, m, p)],
+                tables[(k, n, p)],
+            )
+            if bad is not None:
+                ih, ig, jf = bad
+                counts["associativity_checks"] += (ih * len(gs) + ig) * len(fs) + jf
+                return {
+                    "law": "associativity",
+                    "dims": [k, m, n, p],
+                    "f": view.describe(k, m, fs[jf]),
+                    "g": view.describe(m, n, gs[ig]),
+                    "h": view.describe(n, p, hs[ih]),
+                }
+            counts["associativity_checks"] += len(hs) * len(gs) * len(fs)
         return None
 
-    return _run(name, {"max_dim": max_dim, "max_assoc_dim": max_assoc_dim}, counts, first_failure)
+    params = {"max_dim": max_dim, "max_assoc_dim": max_assoc_dim}
+    return _run(name, params, counts, first_failure, {"law": "exception"})
 
 
 def _sampled_pairs(sizes: dict, max_dim: int, comp_samples: int, seed: int):
@@ -356,86 +364,84 @@ def check_isomorphism(
     objs = range(max_dim + 1)
 
     def first_failure() -> Optional[dict]:
-        try:
-            a, b = _Rows(cat_a, objs), _Rows(cat_b, objs)
-            phi = {}
-            for m, n in product(objs, repeat=2):
-                ha, hb = a.homs[(m, n)], b.homs[(m, n)]
-                if len(ha) != len(hb):
-                    return {"stage": "hom size", "m": m, "n": n, "a": len(ha), "b": len(hb)}
-                image = mapped("forward", m, n, ha.rows, hb)
-                bad_trip = (mapped("backward", m, n, image, ha) != ha.rows).any(axis=1)
-                phi[(m, n)] = hb.index(image)
-                bad = _first(bad_trip | (phi[(m, n)] < 0))
-                if bad is not None:
-                    (r,) = bad
-                    stage = "round trip a->b->a" if bad_trip[r] else "forward image"
-                    counts["round_trips"] += r + (not bad_trip[r])
-                    return {"stage": stage, "m": m, "n": n, "f": a.describe(m, n, ha.rows[r])}
-                counts["round_trips"] += len(ha)
-                again = mapped("forward", m, n, mapped("backward", m, n, hb.rows, ha), hb)
-                bad = _first((again != hb.rows).any(axis=1))
-                if bad is not None:
-                    (r,) = bad
-                    counts["round_trips"] += r
-                    g = b.describe(m, n, hb.rows[r])
-                    return {"stage": "round trip b->a->b", "m": m, "n": n, "g": g}
-                counts["round_trips"] += len(hb)
-            for n in objs:
-                image = mapped("forward", n, n, a.identity(n)[None], b.homs[(n, n)])
-                if (image[0] != b.identity(n)).any():
-                    return {"stage": "identity", "n": n}
-                counts["identities"] += 1
+        a, b = _Rows(cat_a, objs), _Rows(cat_b, objs)
+        phi = {}
+        for m, n in product(objs, repeat=2):
+            ha, hb = a.homs[(m, n)], b.homs[(m, n)]
+            if len(ha) != len(hb):
+                return {"stage": "hom size", "m": m, "n": n, "a": len(ha), "b": len(hb)}
+            image = mapped("forward", m, n, ha.rows, hb)
+            bad_trip = (mapped("backward", m, n, image, ha) != ha.rows).any(axis=1)
+            phi[(m, n)] = hb.index(image)
+            bad = _first(bad_trip | (phi[(m, n)] < 0))
+            if bad is not None:
+                (r,) = bad
+                stage = "round trip a->b->a" if bad_trip[r] else "forward image"
+                counts["round_trips"] += r + (not bad_trip[r])
+                return {"stage": stage, "m": m, "n": n, "f": a.describe(m, n, ha.rows[r])}
+            counts["round_trips"] += len(ha)
+            again = mapped("forward", m, n, mapped("backward", m, n, hb.rows, ha), hb)
+            bad = _first((again != hb.rows).any(axis=1))
+            if bad is not None:
+                (r,) = bad
+                counts["round_trips"] += r
+                g = b.describe(m, n, hb.rows[r])
+                return {"stage": "round trip b->a->b", "m": m, "n": n, "g": g}
+            counts["round_trips"] += len(hb)
+        for n in objs:
+            image = mapped("forward", n, n, a.identity(n)[None], b.homs[(n, n)])
+            if (image[0] != b.identity(n)).any():
+                return {"stage": "identity", "n": n}
+            counts["identities"] += 1
 
-            def agree(k: int, m: int, n: int) -> np.ndarray:
-                """agree[g, f]: forward(g∘f) == forward(g)∘forward(f), for g in hom_a(m, n)
-                and f in hom_a(k, m)."""
-                ha_kn, hb_kn = a.homs[(k, n)], b.homs[(k, n)]
-                composites = a.compose(k, m, n, a.homs[(m, n)].rows, a.homs[(k, m)].rows)
-                t_a = ha_kn.index(composites)
-                lhs = np.append(phi[(k, n)], -1)[t_a]
-                outside = t_a < 0
-                if outside.any():
-                    lhs[outside] = hb_kn.index(mapped("forward", k, n, composites[outside], hb_kn))
-                t_b = hb_kn.index(b.compose(k, m, n, b.homs[(m, n)].rows, b.homs[(k, m)].rows))
-                rhs = t_b[phi[(m, n)][:, None], phi[(k, m)][None, :]]
-                return (lhs == rhs) & (rhs >= 0)
+        def agree(k: int, m: int, n: int) -> np.ndarray:
+            """agree[g, f]: forward(g∘f) == forward(g)∘forward(f), for g in hom_a(m, n)
+            and f in hom_a(k, m)."""
+            ha_kn, hb_kn = a.homs[(k, n)], b.homs[(k, n)]
+            composites = a.compose(k, m, n, a.homs[(m, n)].rows, a.homs[(k, m)].rows)
+            t_a = ha_kn.index(composites)
+            lhs = np.append(phi[(k, n)], -1)[t_a]
+            outside = t_a < 0
+            if outside.any():
+                lhs[outside] = hb_kn.index(mapped("forward", k, n, composites[outside], hb_kn))
+            t_b = hb_kn.index(b.compose(k, m, n, b.homs[(m, n)].rows, b.homs[(k, m)].rows))
+            rhs = t_b[phi[(m, n)][:, None], phi[(k, m)][None, :]]
+            return (lhs == rhs) & (rhs >= 0)
 
-            def composition_failure(stage: str, k: int, m: int, n: int, g: int, f: int) -> dict:
-                return {
-                    "stage": stage,
-                    "dims": [k, m, n],
-                    "f": a.describe(k, m, a.homs[(k, m)].rows[f]),
-                    "g": a.describe(m, n, a.homs[(m, n)].rows[g]),
-                }
+        def composition_failure(stage: str, k: int, m: int, n: int, g: int, f: int) -> dict:
+            return {
+                "stage": stage,
+                "dims": [k, m, n],
+                "f": a.describe(k, m, a.homs[(k, m)].rows[f]),
+                "g": a.describe(m, n, a.homs[(m, n)].rows[g]),
+            }
 
-            ok = {}
-            for k, m, n in product(range(comp_dim + 1), repeat=3):
-                ok[(k, m, n)] = agree(k, m, n)
-                bad = _first(~ok[(k, m, n)])
-                if bad is not None:
-                    g, f = bad
-                    counts["composition_pairs"] += g * ok[(k, m, n)].shape[1] + f
-                    return composition_failure("composition", k, m, n, g, f)
-                counts["composition_pairs"] += ok[(k, m, n)].size
-            if comp_samples:
-                for kmn in product(objs, repeat=3):
-                    if kmn not in ok:
-                        ok[kmn] = agree(*kmn)
-                sizes = {mn: len(hom) for mn, hom in a.homs.items()}
-                if all(block.all() for block in ok.values()) and all(sizes.values()):
-                    counts["sampled_pairs"] = comp_samples
-                else:
-                    for k, m, n, g, f in _sampled_pairs(sizes, max_dim, comp_samples, seed):
-                        if not ok[(k, m, n)][g, f]:
-                            return composition_failure("sampled composition", k, m, n, g, f)
-                        counts["sampled_pairs"] += 1
-        except RowError as exc:
-            return {"stage": "exception", "error": str(exc)}
+        ok = {}
+        for k, m, n in product(range(comp_dim + 1), repeat=3):
+            ok[(k, m, n)] = agree(k, m, n)
+            bad = _first(~ok[(k, m, n)])
+            if bad is not None:
+                g, f = bad
+                counts["composition_pairs"] += g * ok[(k, m, n)].shape[1] + f
+                return composition_failure("composition", k, m, n, g, f)
+            counts["composition_pairs"] += ok[(k, m, n)].size
+        if comp_samples:
+            for kmn in product(objs, repeat=3):
+                if kmn not in ok:
+                    ok[kmn] = agree(*kmn)
+            sizes = {mn: len(hom) for mn, hom in a.homs.items()}
+            if all(block.all() for block in ok.values()) and all(sizes.values()):
+                counts["sampled_pairs"] = comp_samples
+            else:
+                for k, m, n, g, f in _sampled_pairs(sizes, max_dim, comp_samples, seed):
+                    if not ok[(k, m, n)][g, f]:
+                        return composition_failure("sampled composition", k, m, n, g, f)
+                    counts["sampled_pairs"] += 1
         return None
 
     params = {"max_dim": max_dim, "comp_dim": comp_dim, "comp_samples": comp_samples}
-    return _run(f"isomorphism[{cat_a.name}~{cat_b.name}]", params, counts, first_failure)
+    name = f"isomorphism[{cat_a.name}~{cat_b.name}]"
+    return _run(name, params, counts, first_failure, {"stage": "exception"})
 
 
 def brute_hamiltonian(g: Graph) -> list[list[str]]:
@@ -540,15 +546,13 @@ def hom_table(cat_id: str, max_dim: int) -> list[list[int]]:
 
 def check_rec_nonrec(max_n: int = 4) -> CheckReport:
     """Recursive and closed-form builders give equal graphs."""
-    from .cubes import standard_cube_rec, twisted_cube_rec
-
     counts = {"isomorphisms": 0}
 
     def first_failure() -> Optional[dict]:
         for n in range(max_n + 1):
             for kind, rec, nonrec in (
-                ("standard", standard_cube_rec(n), standard_cube(n)),
-                ("twisted", twisted_cube_rec(n), twisted_cube(n)),
+                ("standard", _call(cubes.standard_cube_rec, n), _call(standard_cube, n)),
+                ("twisted", _call(cubes.twisted_cube_rec, n), _call(twisted_cube, n)),
             ):
                 if rec != nonrec:
                     return {"kind": kind, "n": n}
@@ -573,23 +577,23 @@ def check_bchop_graphmeet_iso(max_dim: int = 3, comp_dim: int = 2) -> CheckRepor
 def check_meet_equals_dim(max_dim: int = 3) -> CheckReport:
     """Meet-and-join preservation and dimension preservation pick the same maps.
 
-    Both sides come from the hom enumeration, each under its own
-    constraints, as lexicographic rows; equal arrays are equal sets.
+    Both sides are the hom-sets of a category view, graphmeet and
+    graphdim, as lexicographic rows; equal arrays are equal sets.
     """
     counts = {"hom_sets": 0, "morphisms": 0}
+    objs = range(max_dim + 1)
 
     def first_failure() -> Optional[dict]:
-        for m in range(max_dim + 1):
-            for n in range(max_dim + 1):
-                src, tgt = standard_cube(m), standard_cube(n)
-                meets = hom_matrix(src, tgt, bound_constraints)
-                dims = hom_matrix(src, tgt, dimension_constraints)
-                if not np.array_equal(meets, dims):
-                    meet_set = set(map(tuple, meets.tolist()))
-                    diff = min(meet_set ^ set(map(tuple, dims.tolist())))
-                    return {"m": m, "n": n, "vmap": list(diff), "in_meet": diff in meet_set}
-                counts["hom_sets"] += 1
-                counts["morphisms"] += len(meets)
+        meet_homs = _Rows(category_view("graphmeet"), objs).homs
+        dim_homs = _Rows(category_view("graphdim"), objs).homs
+        for m, n in product(objs, repeat=2):
+            meets, dims = meet_homs[(m, n)].rows, dim_homs[(m, n)].rows
+            if not np.array_equal(meets, dims):
+                meet_set = set(map(tuple, meets.tolist()))
+                diff = min(meet_set ^ set(map(tuple, dims.tolist())))
+                return {"m": m, "n": n, "vmap": list(diff), "in_meet": diff in meet_set}
+            counts["hom_sets"] += 1
+            counts["morphisms"] += len(meets)
         return None
 
     return _run("meet_equals_dim", {"max_dim": max_dim}, counts, first_failure)
@@ -601,11 +605,11 @@ def check_total_order(max_n: int = 5, build: Callable[[int], Graph] = twisted_cu
 
     def first_failure() -> Optional[dict]:
         for n in range(max_n + 1):
-            g = build(n)
-            pre = free_preorder(g)
+            g = _call(build, n)
+            pre = _call(free_preorder, g)
             if not is_total_order(pre):
                 return {"n": n, "reason": "not total"}
-            ranks = np.array([order_g(n, v) for v in g.vertices])
+            ranks = np.array([_call(order_g, n, v) for v in g.vertices])
             expected = ranks[:, None] <= ranks[None, :]
             if not (pre.matrix == expected).all():
                 i, j = np.argwhere(pre.matrix != expected)[0]
@@ -629,9 +633,9 @@ def check_unique_hamiltonian(
 
     def first_failure() -> Optional[dict]:
         for n in range(1, max_n + 1):
-            found = brute_hamiltonian(build(n))
+            found = brute_hamiltonian(_call(build, n))
             counts["paths_searched"] += len(found)
-            constructed = hamiltonian_path(n)
+            constructed = _call(hamiltonian_path, n)
             vertex_order = [constructed[0][0]] + [t for _, t in constructed]
             if len(found) != 1:
                 return {"n": n, "count": len(found)}
@@ -670,19 +674,16 @@ def check_unique_surjection(
     objs = range(max_dim + 1)
 
     def first_failure() -> Optional[dict]:
-        try:
-            homs = _Rows(view, objs).homs
-            for m, n in product(objs, repeat=2):
-                rows = _vertex_maps(homs[(m, n)], m, n)
-                surjective = rows[kernels.fibre_counts(rows, 2**n).all(axis=1)]
-                expected = 1 if m >= n else 0
-                if len(surjective) != expected:
-                    return {"m": m, "n": n, "count": len(surjective), "expected": expected}
-                counts["surjective_found"] += len(surjective)
-                if m >= n and (surjective[0] != np.arange(2**m) >> (m - n)).any():
-                    return {"m": m, "n": n, "found": _vertex_dict(view, m, n, surjective[0])}
-        except RowError as exc:
-            return {"error": str(exc)}
+        homs = _Rows(view, objs).homs
+        for m, n in product(objs, repeat=2):
+            rows = _vertex_maps(homs[(m, n)], m, n)
+            surjective = rows[kernels.fibre_counts(rows, 2**n).all(axis=1)]
+            expected = 1 if m >= n else 0
+            if len(surjective) != expected:
+                return {"m": m, "n": n, "count": len(surjective), "expected": expected}
+            counts["surjective_found"] += len(surjective)
+            if m >= n and (surjective[0] != np.arange(2**m) >> (m - n)).any():
+                return {"m": m, "n": n, "found": _vertex_dict(view, m, n, surjective[0])}
         return None
 
     return _run("unique_surjection", {"max_dim": max_dim}, counts, first_failure)
@@ -706,40 +707,37 @@ def check_factorization(
     objs = range(max_dim + 1)
 
     def first_failure() -> Optional[dict]:
-        try:
-            homs = _Rows(view, objs).homs
-            for m, n in product(objs, repeat=2):
-                rows = _vertex_maps(homs[(m, n)], m, n)
-                bits = (rows[:, :, None] >> np.arange(n - 1, -1, -1)) & 1
-                varies = bits.min(axis=1) != bits.max(axis=1)
-                faces = np.where(varies, 2, bits[:, 0, :])
-                stars = varies.sum(axis=1)
-                factors = np.zeros(len(rows), dtype=bool)  # False for more than m stars
-                for k in range(m + 1):
-                    at = np.flatnonzero(stars == k)
-                    if not len(at):
-                        continue
-                    surj = np.arange(2**m) >> (m - k)
-                    inj = checked_rows(
-                        _call(ternary_to_graphdim_rows, k, n, faces[at]),
-                        (len(at), 2**k),
-                        f"ternary_to_graphdim_rows({k}, {n})",
-                    )
-                    factors[at] = (
-                        (inj[:, surj] == rows[at]).all(axis=1)
-                        & (np.diff(np.sort(inj, axis=1), axis=1) > 0).all(axis=1)
-                        & (homs[(k, n)].index(inj) >= 0)
-                        & (homs[(m, k)].index(surj[None])[0] >= 0)
-                    )
-                bad = _first(~factors)
-                if bad is not None:
-                    (r,) = bad
-                    counts["factored"] += r
-                    f = _vertex_dict(view, m, n, rows[r])
-                    return {"m": m, "n": n, "f": f, "reason": "no factorization"}
-                counts["factored"] += len(rows)
-        except RowError as exc:
-            return {"error": str(exc)}
+        homs = _Rows(view, objs).homs
+        for m, n in product(objs, repeat=2):
+            rows = _vertex_maps(homs[(m, n)], m, n)
+            bits = (rows[:, :, None] >> np.arange(n - 1, -1, -1)) & 1
+            varies = bits.min(axis=1) != bits.max(axis=1)
+            faces = np.where(varies, 2, bits[:, 0, :])
+            stars = varies.sum(axis=1)
+            factors = np.zeros(len(rows), dtype=bool)  # False for more than m stars
+            for k in range(m + 1):
+                at = np.flatnonzero(stars == k)
+                if not len(at):
+                    continue
+                surj = np.arange(2**m) >> (m - k)
+                inj = checked_rows(
+                    _call(ternary_to_graphdim_rows, k, n, faces[at]),
+                    (len(at), 2**k),
+                    f"ternary_to_graphdim_rows({k}, {n})",
+                )
+                factors[at] = (
+                    (inj[:, surj] == rows[at]).all(axis=1)
+                    & (np.diff(np.sort(inj, axis=1), axis=1) > 0).all(axis=1)
+                    & (homs[(k, n)].index(inj) >= 0)
+                    & (homs[(m, k)].index(surj[None])[0] >= 0)
+                )
+            bad = _first(~factors)
+            if bad is not None:
+                (r,) = bad
+                counts["factored"] += r
+                f = _vertex_dict(view, m, n, rows[r])
+                return {"m": m, "n": n, "f": f, "reason": "no factorization"}
+            counts["factored"] += len(rows)
         return None
 
     return _run("factorization", {"max_dim": max_dim}, counts, first_failure)
@@ -771,31 +769,33 @@ def check_ternary_iso(
 def check_fibre_dimension(
     max_dim: int = 3, build: Callable[[int], Graph] = twisted_cube
 ) -> CheckReport:
-    """Equal non-empty fibre sizes characterize dimension preservation."""
+    """Equal non-empty fibre sizes characterize dimension preservation.
+
+    Both sides are the rows of a graph view over build: every
+    edge-preserving map, and the dimension-preserving ones.
+    """
     counts = {"morphisms": 0}
+    objs = range(max_dim + 1)
 
     def first_failure() -> Optional[dict]:
-        for m in range(max_dim + 1):
-            for n in range(max_dim + 1):
-                src, tgt = build(m), build(n)
-                mat = hom_matrix(src, tgt, None)
-                fibres = kernels.fibre_counts(mat, len(tgt.vertices))
-                biggest = fibres.max(axis=1)
-                equal = (
-                    np.where(fibres == 0, biggest[:, None], fibres).min(axis=1) == biggest
-                )
-                dim_rows = hom_matrix(src, tgt, dimension_constraints)
-                dimpres = HomRows(dim_rows, "dimension-preserving rows").index(mat) >= 0
-                if (equal != dimpres).any():
-                    row = int(np.nonzero(equal != dimpres)[0][0])
-                    return {
-                        "m": m,
-                        "n": n,
-                        "vmap": mat[row].tolist(),
-                        "equal_fibres": bool(equal[row]),
-                        "dimension_preserving": bool(dimpres[row]),
-                    }
-                counts["morphisms"] += len(mat)
+        homs = _Rows(_graph_view("maps", build, None), objs).homs
+        dim_homs = _Rows(_graph_view("dimension maps", build, dimension_constraints), objs).homs
+        for m, n in product(objs, repeat=2):
+            mat = _vertex_maps(homs[(m, n)], m, n)
+            fibres = kernels.fibre_counts(mat, 2**n)
+            biggest = fibres.max(axis=1)
+            equal = np.where(fibres == 0, biggest[:, None], fibres).min(axis=1) == biggest
+            dimpres = dim_homs[(m, n)].index(mat) >= 0
+            if (equal != dimpres).any():
+                row = int(np.nonzero(equal != dimpres)[0][0])
+                return {
+                    "m": m,
+                    "n": n,
+                    "vmap": mat[row].tolist(),
+                    "equal_fibres": bool(equal[row]),
+                    "dimension_preserving": bool(dimpres[row]),
+                }
+            counts["morphisms"] += len(mat)
         return None
 
     return _run("fibre_dimension", {"max_dim": max_dim}, counts, first_failure)

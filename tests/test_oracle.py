@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import inspect
 import itertools
 import json
 from functools import partial
@@ -398,11 +399,12 @@ def _meets_only_graphmeet():
     )
 
 
-def _meets_only_meet_equals_dim():
-    # graphmeet cut out by the meet tables alone keeps maps that lose a join
+def _meet_equals_dim_with(bound_tables):
+    """check_meet_equals_dim(2) with standard._bound_tables set to bound_tables,
+    on hom-sets listed anew."""
     hom_matrix.cache_clear()
     try:
-        return _patched(standard, "_bound_tables", _meet_tables_only, check_meet_equals_dim, 2)
+        return _patched(standard, "_bound_tables", bound_tables, check_meet_equals_dim, 2)
     finally:
         hom_matrix.cache_clear()
 
@@ -419,7 +421,8 @@ def test_meets_only_graphmeet_mutant_fails_hom_size():
 
 
 def test_meets_only_bounds_fail_meet_equals_dim():
-    rep = _meets_only_meet_equals_dim()
+    # graphmeet cut out by the meet tables alone keeps maps that lose a join
+    rep = _meet_equals_dim_with(_meet_tables_only)
     assert rep.counterexample == {"m": 2, "n": 1, "vmap": [0, 0, 0, 1], "in_meet": True}
     assert rep.counts == {"hom_sets": 7, "morphisms": 20}
     assert check_meet_equals_dim(2).passed
@@ -714,6 +717,86 @@ def test_untwisted_builder_mutant_fails_hamiltonian():
     assert rep.counterexample["count"] == 0
 
 
+def _same_bits(x):
+    """hamiltonian_f without its twist: k's own bits, so the path leaves T^n at n = 2."""
+    return x
+
+
+def test_path_outside_the_cube_is_a_counterexample_not_a_crash(monkeypatch, capsys):
+    # hamiltonian_path asserts that each of its steps is an edge
+    monkeypatch.setattr(twisted, "_f_bits", _same_bits)
+    rep = check_unique_hamiltonian(3)
+    assert not rep.passed
+    assert rep.counterexample == {
+        "error": "AssertionError: (00, 01) is not an edge of the twisted 2-cube"
+    }
+    assert cli.main(["check", "--suite", "twisted", "--max-dim", "3"]) == 1
+    assert "FAIL unique_hamiltonian" in capsys.readouterr().err
+
+
+def _raising_rows(cat_id, raising):
+    return dataclasses.replace(category_view(cat_id), rows=raising)
+
+
+# Each check run with one injectable parameter replaced by the callable
+# `raising`, or by a view whose rows are `raising`.
+INJECTED = {
+    ("check_category_laws", "cat"): lambda raising: check_category_laws(
+        _raising_rows("bch", raising), 1
+    ),
+    ("check_isomorphism", "cat_a"): lambda raising: check_isomorphism(
+        _raising_rows("bch", raising), category_view("bch"), _same, _same, max_dim=1
+    ),
+    ("check_isomorphism", "cat_b"): lambda raising: check_isomorphism(
+        category_view("bch"), _raising_rows("bch", raising), _same, _same, max_dim=1
+    ),
+    ("check_isomorphism", "forward"): lambda raising: check_isomorphism(
+        category_view("bch"), category_view("bch"), raising, _same, max_dim=1
+    ),
+    ("check_isomorphism", "backward"): lambda raising: check_isomorphism(
+        category_view("bch"), category_view("bch"), _same, raising, max_dim=1
+    ),
+    ("check_ternary_iso", "compose"): lambda raising: check_ternary_iso(1, 1, 0, compose=raising),
+    ("check_total_order", "build"): lambda raising: check_total_order(1, build=raising),
+    ("check_unique_hamiltonian", "build"): lambda raising: check_unique_hamiltonian(
+        1, build=raising
+    ),
+    ("check_unique_surjection", "view"): lambda raising: check_unique_surjection(
+        1, _raising_rows("twgraphdim", raising)
+    ),
+    ("check_factorization", "view"): lambda raising: check_factorization(
+        1, _raising_rows("twgraphdim", raising)
+    ),
+    ("check_fibre_dimension", "build"): lambda raising: check_fibre_dimension(1, build=raising),
+}
+
+
+def _injectable_parameters():
+    """(check, parameter) for each parameter of an oracle check that takes a
+    callable or a FiniteCategoryView, read off the signatures."""
+    return [
+        (name, param.name)
+        for name, fn in vars(oracle).items()
+        if name.startswith("check_")
+        for param in inspect.signature(fn).parameters.values()
+        if str(param.annotation).startswith(("Callable", "FiniteCategoryView"))
+    ]
+
+
+def test_every_injectable_parameter_is_injected():
+    assert sorted(_injectable_parameters()) == sorted(INJECTED)
+
+
+@pytest.mark.parametrize("check, param", _injectable_parameters())
+def test_injected_callable_that_raises_is_an_error(check, param):
+    rep = INJECTED[(check, param)](_raising(ValueError, "injected"))
+    assert not rep.passed
+    assert rep.counterexample["error"] == "ValueError: injected"
+    for exc_type in (MemoryError, CapacityError):
+        with pytest.raises(exc_type, match="injected"):
+            INJECTED[(check, param)](_raising(exc_type, "injected"))
+
+
 def test_untwisted_homs_mutant_fails_surjection():
     rep = check_unique_surjection(2, view=category_view("graphdim"))
     assert not rep.passed
@@ -855,6 +938,7 @@ def _failing_sites():
     union = dataclasses.replace(category_view("graphcube"), rows=_origin_or_top_fixing)
     untwisted = partial(ternary_compose_rows, twist=False)
     reversed_bits = oracle._graph_view("reversed", _reversed_bits_twisted, dimension_constraints)
+    builder_failed = _raising(ValueError, "builder failed")
     f0, w, o = (1, 0), (0, 0), (1, 1)
     return [
         ("right identity", lambda: check_category_laws(dataclasses.replace(
@@ -888,17 +972,28 @@ def _failing_sites():
         ("rec_nonrec", lambda: _patched(
             cubes, "twisted_cube_rec", _reversed_bits_twisted, check_rec_nonrec, 3
         )),
-        ("meet_equals_dim", _meets_only_meet_equals_dim),
+        ("rec_nonrec error", lambda: _patched(
+            cubes, "twisted_cube_rec", builder_failed, check_rec_nonrec, 3
+        )),
+        ("meet_equals_dim", lambda: _meet_equals_dim_with(_meet_tables_only)),
+        ("meet_equals_dim error", lambda: _meet_equals_dim_with(
+            _raising(ValueError, "bound tables failed")
+        )),
         ("not total", lambda: check_total_order(3, build=standard_cube)),
         ("not an order isomorphism", lambda: _patched(
             oracle, "order_g", lambda n, v: -twisted.order_g(n, v), check_total_order, 3
         )),
+        ("total_order error", lambda: check_total_order(3, build=builder_failed)),
         ("path count", lambda: check_unique_hamiltonian(3, build=standard_cube)),
         ("path found", lambda: _patched(
             oracle, "hamiltonian_path", _reversed_path, check_unique_hamiltonian, 3
         )),
         ("dimension zero steps", lambda: _patched(
             oracle, "hamiltonian_path", _sources_lost, check_unique_hamiltonian, 3
+        )),
+        ("unique_hamiltonian error", lambda: check_unique_hamiltonian(3, build=builder_failed)),
+        ("path not in the cube", lambda: _patched(
+            twisted, "_f_bits", _same_bits, check_unique_hamiltonian, 3
         )),
         ("surjection count", lambda: check_unique_surjection(2, category_view("graphdim"))),
         ("surjection found", lambda: check_unique_surjection(2, reversed_bits)),
@@ -911,6 +1006,7 @@ def _failing_sites():
             check_factorization, 2,
         )),
         ("fibre_dimension", lambda: check_fibre_dimension(2, build=_no_edges_into_top)),
+        ("fibre_dimension error", lambda: check_fibre_dimension(2, build=builder_failed)),
     ]
 
 
