@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .graphs import (
     CapacityError,
     Graph,
-    Preorder,
     Vertex,
     free_preorder,
     full_subgraph,
@@ -21,10 +20,6 @@ from .graphs import (
     meet,
 )
 from .cubes import (
-    Dim,
-    EdgeLabel,
-    LabeledCubeGraph,
-    Loop,
     base_subgraph,
     ordinary_iteration,
     standard_cube,

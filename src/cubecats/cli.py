@@ -19,16 +19,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .graphs import CapacityError, Graph, graph_from_json, graph_to_json
-from .cubes import (
-    LabeledCubeGraph,
-    standard_cube,
-    standard_cube_nonrec,
-    standard_cube_rec,
-    to_dot,
-    twisted_cube,
-    twisted_cube_nonrec,
-    twisted_cube_rec,
-)
+from .cubes import standard_cube, standard_cube_rec, to_dot, twisted_cube, twisted_cube_rec
 from .standard import bch_compose, bch_from_json
 from .twisted import TernaryMorphism, order_g, ternary_compose
 from .oracle import (
@@ -54,8 +45,11 @@ SUITES = ("all", "standard", "twisted", "laws", "iso")
 MAX_DIM = 8
 
 
-def _twisted_vertex_order(n: int) -> list[str]:
-    return sorted(twisted_cube(n).vertices, key=lambda v: order_g(n, v))
+def _cube_dot(cube: Graph, kind: str) -> str:
+    """to_dot of a cube of the kind, a twisted one listed in its total order."""
+    n, twisted = cube.dimension, kind == "twisted"
+    order = sorted(cube.vertices, key=lambda v: order_g(n, v)) if twisted else None
+    return to_dot(cube, twisted, order)
 
 
 def cmd_build(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -64,14 +58,11 @@ def cmd_build(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error("--n must be non-negative")
     if args.out == "json" and n > MAX_DIM:
         parser.error(f"json output is limited to --n {MAX_DIM}")
-    if args.out == "dot":
-        if n > 4:
-            parser.error("dot output is limited to --n 4")
-        if args.definition == "rec":
-            parser.error("dot output needs --def nonrec; edge labels come from the closed form")
-    rec, nonrec, labeled = {
-        "standard": (standard_cube_rec, standard_cube, standard_cube_nonrec),
-        "twisted": (twisted_cube_rec, twisted_cube, twisted_cube_nonrec),
+    if args.out == "dot" and n > 4:
+        parser.error("dot output is limited to --n 4")
+    rec, nonrec = {
+        "standard": (standard_cube_rec, standard_cube),
+        "twisted": (twisted_cube_rec, twisted_cube),
     }[kind]
     if args.verify_iso:
         if rec(n) != nonrec(n):
@@ -81,11 +72,11 @@ def cmd_build(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             f"verified: rec and nonrec {kind} cubes are equal, so isomorphic, at n={n}",
             file=sys.stderr,
         )
+    cube = (rec if args.definition == "rec" else nonrec)(n)
     if args.out == "json":
-        sys.stdout.write(graph_to_json((rec if args.definition == "rec" else nonrec)(n)))
+        sys.stdout.write(graph_to_json(cube))
     else:
-        order = _twisted_vertex_order(n) if kind == "twisted" else None
-        sys.stdout.write(to_dot(labeled(n), order))
+        sys.stdout.write(_cube_dot(cube, kind))
     return 0
 
 
@@ -204,14 +195,15 @@ def _generic_dot(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _detect_cube(g: Graph) -> Optional[tuple[LabeledCubeGraph, bool]]:
+def _detect_cube(g: Graph) -> Optional[str]:
+    """The kind of cube g is, if any; standard first, as C^0 = T^0 and C^1 = T^1."""
     n = g.dimension
     if n > 4:
         return None
     if g == standard_cube(n):
-        return standard_cube_nonrec(n), False
+        return "standard"
     if g == twisted_cube(n):
-        return twisted_cube_nonrec(n), True
+        return "twisted"
     return None
 
 
@@ -229,13 +221,8 @@ def cmd_export(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         return 0
     if len(graph.vertices) > 16:
         raise CapacityError("dot output is limited to 16 vertices")
-    detected = _detect_cube(graph)
-    if detected is None:
-        sys.stdout.write(_generic_dot(graph))
-    else:
-        labeled, twisted = detected
-        order = _twisted_vertex_order(graph.dimension) if twisted else None
-        sys.stdout.write(to_dot(labeled, order))
+    kind = _detect_cube(graph)
+    sys.stdout.write(_generic_dot(graph) if kind is None else _cube_dot(graph, kind))
     return 0
 
 

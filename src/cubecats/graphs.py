@@ -99,29 +99,13 @@ class Graph:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-class Preorder:
-    """A vertex set with a reflexive, transitive relation."""
-
-    def __init__(self, vertices: tuple[Vertex, ...], matrix: np.ndarray):
-        # matrix[i, j] iff vertices[i] <= vertices[j]
-        self.vertices = tuple(vertices)
-        self.matrix = matrix
-        if not matrix.diagonal().all():
-            raise ValueError("preorder relation must be reflexive")
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-
-    def leq(self, u: Vertex, v: Vertex) -> bool:
-        return bool(self.matrix[self._index[u], self._index[v]])
-
-    def __repr__(self) -> str:
-        return f"Preorder({len(self.vertices)} vertices)"
-
-
 @lru_cache(maxsize=None)
-def free_preorder(g: Graph) -> Preorder:
-    """Reflexive-transitive closure of g's edge relation.
+def free_preorder(g: Graph) -> np.ndarray:
+    """Reflexive-transitive closure of g's edge relation, as a read-only
+    boolean matrix over g.vertices.
 
-    v <= u iff a chain of edges starts in v and ends in u.
+    matrix[i, j] iff vertices[i] <= vertices[j], that is, iff a chain of
+    edges starts in vertices[i] and ends in vertices[j].
     """
     n = len(g.vertices)
     reach = np.eye(n, dtype=bool) | g.adjacency
@@ -129,46 +113,48 @@ def free_preorder(g: Graph) -> Preorder:
     for k in range(n):
         reach |= np.outer(reach[:, k], reach[k, :])
     reach.setflags(write=False)
-    return Preorder(g.vertices, reach)
+    return reach
 
 
-def is_total_order(p: Preorder) -> bool:
+def is_total_order(leq: np.ndarray) -> bool:
     """True iff the relation is antisymmetric and any two elements compare."""
-    m = p.matrix
-    antisymmetric = not (m & m.T & ~np.eye(len(p.vertices), dtype=bool)).any()
-    total = (m | m.T).all()
+    antisymmetric = not (leq & leq.T & ~np.eye(len(leq), dtype=bool)).any()
+    total = (leq | leq.T).all()
     return bool(antisymmetric and total)
+
+
+def _unique_bounds(sets: np.ndarray) -> np.ndarray:
+    """table[i, j] = k when sets[k] is the one row equal to sets[i] & sets[j],
+    else -1; rows are found by binary search of their packed bytes."""
+    n = len(sets)
+    key = np.dtype(f"V{max(1, -(-n // 8))}")
+
+    def keys(rows: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(np.packbits(rows, axis=1)).view(key).ravel()
+
+    own = keys(sets)
+    order = np.argsort(own, kind="stable")
+    ordered = own[order]
+    table = np.empty((n, n), dtype=np.int16)
+    for i in range(n):
+        query = keys(sets[i] & sets)
+        lo = np.searchsorted(ordered, query, "left")
+        hi = np.searchsorted(ordered, query, "right")
+        table[i] = np.where(hi - lo == 1, order[np.minimum(lo, n - 1)], -1)
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=None)
 def _bound_tables(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Index tables of binary meets and joins, -1 where none exists uniquely.
 
-    meet[i, j] is the index of the greatest lower bound of vertices i and j
-    in the free preorder, when exactly one greatest lower bound exists.
+    The greatest lower bounds of vertices i and j in the free preorder are
+    the vertices whose down-set is the intersection of theirs, so meet[i, j]
+    is the one such vertex if there is one; joins are the same with up-sets.
     """
-    leq = free_preorder(g).matrix
-    n = len(g.vertices)
-    meet = np.full((n, n), -1, dtype=np.int16)
-    join = np.full((n, n), -1, dtype=np.int16)
-    for i in range(n):
-        for j in range(i, n):
-            lower = leq[:, i] & leq[:, j]
-            if lower.any():
-                # greatest elements of the lower-bound set
-                great = lower & leq[lower].all(axis=0)
-                (idx,) = np.nonzero(great)
-                if len(idx) == 1:
-                    meet[i, j] = meet[j, i] = idx[0]
-            upper = leq[i, :] & leq[j, :]
-            if upper.any():
-                least = upper & leq[:, upper].all(axis=1)
-                (idx,) = np.nonzero(least)
-                if len(idx) == 1:
-                    join[i, j] = join[j, i] = idx[0]
-    meet.setflags(write=False)
-    join.setflags(write=False)
-    return meet, join
+    leq = free_preorder(g)
+    return _unique_bounds(leq.T), _unique_bounds(leq)
 
 
 def meet(g: Graph, u: Vertex, v: Vertex) -> Optional[Vertex]:

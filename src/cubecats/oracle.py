@@ -606,13 +606,13 @@ def check_total_order(max_n: int = 5, build: Callable[[int], Graph] = twisted_cu
     def first_failure() -> Optional[dict]:
         for n in range(max_n + 1):
             g = _call(build, n)
-            pre = _call(free_preorder, g)
-            if not is_total_order(pre):
+            leq = _call(free_preorder, g)
+            if not is_total_order(leq):
                 return {"n": n, "reason": "not total"}
             ranks = np.array([_call(order_g, n, v) for v in g.vertices])
             expected = ranks[:, None] <= ranks[None, :]
-            if not (pre.matrix == expected).all():
-                i, j = np.argwhere(pre.matrix != expected)[0]
+            if not (leq == expected).all():
+                i, j = np.argwhere(leq != expected)[0]
                 return {
                     "n": n,
                     "u": g.vertices[i],

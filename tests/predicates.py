@@ -1,19 +1,21 @@
 """Reference predicates and operations on single morphisms.
 
-The predicates check the constrained hom enumerations row by row.  The
+The predicates check the constrained hom enumerations row by row, with
+meets and joins from a search over every vertex pair.  The
 composition loops, the (z, d) chain and the face chain are the plain
 one-arrow versions of the row operations in the package, which the
 tests compare them with, and the candidate filters list the bch and
 ternary rows without the hom enumeration kernel.
 """
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional
 
 import numpy as np
 
 from cubecats.cubes import base_subgraph, standard_cube, twisted_cube
-from cubecats.graphs import Vertex, _bound_tables, bits_to_int, int_to_bits
+from cubecats.graphs import Graph, Vertex, bits_to_int, free_preorder, int_to_bits
 from cubecats.standard import BchMorphism, GraphMorphism
 from cubecats.twisted import STAR, TernaryMorphism
 
@@ -35,6 +37,34 @@ def ternary_rows_reference(m: int, n: int) -> np.ndarray:
     return rows[(rows == 2).sum(axis=1) <= m]
 
 
+@lru_cache(maxsize=None)
+def bound_tables_reference(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables of binary meets and joins, -1 where none exists uniquely,
+    one vertex pair at a time: meet[i, j] is the greatest element of the
+    common lower bounds of i and j in the free preorder, if there is one
+    and only one, and join[i, j] the least common upper bound."""
+    leq = free_preorder(g)
+    n = len(g.vertices)
+    meet = np.full((n, n), -1, dtype=np.int16)
+    join = np.full((n, n), -1, dtype=np.int16)
+    for i in range(n):
+        for j in range(i, n):
+            lower = leq[:, i] & leq[:, j]
+            if lower.any():
+                # greatest elements of the lower-bound set
+                great = lower & leq[lower].all(axis=0)
+                (idx,) = np.nonzero(great)
+                if len(idx) == 1:
+                    meet[i, j] = meet[j, i] = idx[0]
+            upper = leq[i, :] & leq[j, :]
+            if upper.any():
+                least = upper & leq[:, upper].all(axis=1)
+                (idx,) = np.nonzero(least)
+                if len(idx) == 1:
+                    join[i, j] = join[j, i] = idx[0]
+    return meet, join
+
+
 def preserves_meets(f: GraphMorphism) -> bool:
     """f(u ⊓ v) = f(u) ⊓ f(v) for every pair with a source meet."""
     return _preserves_bounds(f, 0)
@@ -46,8 +76,8 @@ def preserves_joins(f: GraphMorphism) -> bool:
 
 
 def _preserves_bounds(f: GraphMorphism, which: int) -> bool:
-    src_table = _bound_tables(f.source)[which]
-    tgt_table = _bound_tables(f.target)[which]
+    src_table = bound_tables_reference(f.source)[which]
+    tgt_table = bound_tables_reference(f.target)[which]
     vmap = f.vmap
     nv = len(f.source.vertices)
     for i in range(nv):

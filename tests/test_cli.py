@@ -101,10 +101,17 @@ def test_build_usage_errors(capsys):
         capsys, "build", "--kind", "standard", "--n", "5", "--out", "dot"
     )
     assert code == 2
-    code, err = run_cli_error(
-        capsys, "build", "--kind", "standard", "--n", "2", "--def", "rec", "--out", "dot"
-    )
-    assert code == 2
+
+
+@pytest.mark.parametrize("kind", ["standard", "twisted"])
+def test_build_dot_same_from_either_definition(capsys, kind):
+    # edge labels are read off the edges, so the recursive cube draws the same
+    for n in range(5):
+        argv = ("build", "--kind", kind, "--n", str(n), "--out", "dot")
+        _, nonrec, _ = run_cli(capsys, *argv, "--def", "nonrec")
+        code, rec, _ = run_cli(capsys, *argv, "--def", "rec")
+        assert code == 0
+        assert rec == nonrec
 
 
 def test_homs_bchop_one_one(capsys):
@@ -340,6 +347,17 @@ def test_export_detects_twisted_cube_for_dot(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "export", "--in", str(path), "--out", "dot")
     assert code == 0
     assert out == dot_direct
+
+
+def test_export_names_low_twisted_cubes_standard(tmp_path, capsys):
+    # T^0 = C^0 and T^1 = C^1, and export names them C
+    for n in (0, 1):
+        _, original, _ = run_cli(capsys, "build", "--kind", "twisted", "--n", str(n))
+        path = tmp_path / f"t{n}.json"
+        path.write_text(original)
+        code, out, _ = run_cli(capsys, "export", "--in", str(path), "--out", "dot")
+        assert code == 0
+        assert out.startswith(f"digraph C{n} {{\n")
 
 
 def test_export_plain_graph_dot(tmp_path, capsys):

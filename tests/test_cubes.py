@@ -1,10 +1,10 @@
 """Cube builders: recursion vs closed form, edge labels, DOT export."""
 
+from itertools import product
+
 import pytest
 
 from cubecats.cubes import (
-    Dim,
-    Loop,
     base_subgraph,
     ordinary_iteration,
     standard_cube,
@@ -16,7 +16,6 @@ from cubecats.cubes import (
     twisted_cube_rec,
     twisted_iteration,
 )
-from cubecats.graphs import Graph
 
 
 def test_standard_square_edges():
@@ -77,39 +76,50 @@ def test_rec_nonrec_isomorphic_small():
         assert twisted_cube_rec(n) == twisted_cube(n)
 
 
+def _label_edge(i: int, residue: str, twisted: bool) -> tuple[str, str]:
+    """The edge of label <i, residue>: bit b at position i of the source and
+    1 - b at the target, b the parity of zeros before i in a twisted cube."""
+    b = residue[:i].count("0") % 2 if twisted else 0
+    return residue[:i] + str(b) + residue[i:], residue[:i] + str(1 - b) + residue[i:]
+
+
 def test_edge_labels_standard():
     cube = standard_cube_nonrec(2)
-    assert cube.edge_of(Dim(0, "0")) == ("00", "10")
-    assert cube.edge_of(Dim(1, "1")) == ("10", "11")
-    assert cube.edge_of(Loop("01")) == ("01", "01")
-    assert cube.label_of(("00", "10")) == Dim(0, "0")
+    assert _label_edge(0, "0", False) == ("00", "10") and cube.has_edge("00", "10")
+    assert _label_edge(1, "1", False) == ("10", "11") and cube.has_edge("10", "11")
+    assert cube.has_edge("01", "01")
+    assert not cube.has_edge("10", "00")
 
 
 def test_edge_labels_twisted_flip():
     cube = twisted_cube_nonrec(2)
     # residue "0" has one zero before index 1, so source gets bit 1
-    assert cube.edge_of(Dim(1, "0")) == ("01", "00")
-    assert cube.edge_of(Dim(1, "1")) == ("10", "11")
-    assert cube.edge_of(Dim(0, "0")) == ("00", "10")
+    assert _label_edge(1, "0", True) == ("01", "00") and cube.has_edge("01", "00")
+    assert not cube.has_edge("00", "01")
+    assert _label_edge(1, "1", True) == ("10", "11") and cube.has_edge("10", "11")
+    assert _label_edge(0, "0", True) == ("00", "10") and cube.has_edge("00", "10")
 
 
 def test_every_label_is_an_edge():
-    for n in range(4):
-        cube = twisted_cube_nonrec(n)
-        for label, edge in cube.labels.items():
-            assert edge in cube.graph.edges
-            if isinstance(label, Dim):
-                u, v = edge
-                assert u != v
-                diff = [i for i in range(n) if u[i] != v[i]]
-                assert diff == [label.index]
+    # the proper edges are exactly the edges of the labels <i, x>, and the
+    # endpoints of the edge of <i, x> differ at i alone
+    for n, twisted in product(range(5), (False, True)):
+        cube = (twisted_cube_nonrec if twisted else standard_cube_nonrec)(n)
+        labels = {
+            _label_edge(i, format(x, f"0{n - 1}b") if n > 1 else "", twisted): i
+            for i in range(n)
+            for x in range(2 ** (n - 1))
+        }
+        assert {(u, v) for u, v in cube.edges if u != v} == set(labels)
+        for (u, v), i in labels.items():
+            assert [k for k in range(n) if u[k] != v[k]] == [i]
 
 
 def test_label_count():
     # one loop per vertex plus n * 2^(n-1) proper edges
-    for n in range(4):
-        cube = standard_cube_nonrec(n)
-        assert len(cube.labels) == 2**n + n * 2 ** (n - 1)
+    for n in range(5):
+        for cube in (standard_cube_nonrec(n), twisted_cube_nonrec(n)):
+            assert len(cube.edges) == 2**n + n * 2 ** (n - 1)
 
 
 def test_base_subgraph_vertices():
@@ -121,7 +131,7 @@ def test_base_subgraph_vertices():
 
 def test_to_dot_twisted_square_frozen():
     order = ["01", "00", "10", "11"]
-    text = to_dot(twisted_cube_nonrec(2), order)
+    text = to_dot(twisted_cube_nonrec(2), True, order)
     assert text == (
         "digraph T2 {\n"
         "  rankdir=LR;\n"
@@ -138,14 +148,18 @@ def test_to_dot_twisted_square_frozen():
 
 
 def test_to_dot_hides_loops_and_validates_order():
-    text = to_dot(standard_cube_nonrec(1))
+    text = to_dot(standard_cube_nonrec(1), False)
     assert "->" in text and "loop" not in text
     assert text.count("->") == 1
     with pytest.raises(ValueError):
-        to_dot(standard_cube_nonrec(1), ["0"])
+        to_dot(standard_cube_nonrec(1), False, ["0"])
+    with pytest.raises(ValueError):
+        to_dot(standard_cube_nonrec(1), False, ["0", "0", "1"])
 
 
 def test_to_dot_zero_cube_labels_empty_residue():
-    text = to_dot(standard_cube_nonrec(0))
+    text = to_dot(standard_cube_nonrec(0), False)
     assert '""' in text
     assert "->" not in text
+    # the one edge of a 1-cube has the empty residue, shown as ε
+    assert '  "0" -> "1" [label="⟨0, ε⟩"];\n' in to_dot(standard_cube_nonrec(1), False)

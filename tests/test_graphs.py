@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cubecats.graphs import (
     Graph,
+    _bound_tables,
     bits_to_int,
     free_preorder,
     full_subgraph,
@@ -20,6 +21,7 @@ from cubecats.graphs import (
     meet,
 )
 from cubecats.cubes import standard_cube, twisted_cube
+from predicates import bound_tables_reference
 
 
 def test_bit_conversions_round_trip():
@@ -72,8 +74,7 @@ def test_free_preorder_is_reflexive_transitive_closure(n, data):
     pairs = [(u, v) for u in verts for v in verts]
     edges = data.draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True))
     g = Graph(verts, set(edges) | {(v, v) for v in verts})
-    pre = free_preorder(g)
-    assert (pre.matrix == _brute_reachable(g)).all()
+    assert (free_preorder(g) == _brute_reachable(g)).all()
 
 
 def test_free_preorder_total_on_twisted_square_only():
@@ -82,9 +83,11 @@ def test_free_preorder_total_on_twisted_square_only():
 
 
 def test_twisted_square_order_chain():
-    pre = free_preorder(twisted_cube(2))
-    assert pre.leq("01", "00") and pre.leq("00", "10") and pre.leq("10", "11")
-    assert not pre.leq("00", "01")
+    t2 = twisted_cube(2)
+    leq = free_preorder(t2)
+    i = t2.index
+    assert leq[i["01"], i["00"]] and leq[i["00"], i["10"]] and leq[i["10"], i["11"]]
+    assert not leq[i["00"], i["01"]]
 
 
 def test_meet_join_on_standard_square():
@@ -104,6 +107,28 @@ def test_meet_missing_when_no_lower_bound():
     g = Graph(["0", "1"], [("0", "0"), ("1", "1")])
     assert meet(g, "0", "1") is None
     assert join(g, "0", "1") is None
+
+
+BOUND_GRAPHS = {
+    **{f"{b.__name__}({n})": b(n) for b in (standard_cube, twisted_cube) for n in range(7)},
+    # 0 <= 1 <= 0: both vertices are greatest lower bounds, so no bound is unique
+    "two_cycle": Graph(["0", "1"], [("0", "1"), ("1", "0"), ("0", "0"), ("1", "1")]),
+    # 00, 01 < 10, 11: 00 and 01 have no lower bound and two minimal upper
+    # bounds, so neither a meet nor a join; dually for 10 and 11
+    "crown": Graph(
+        ["00", "01", "10", "11"],
+        [(u, v) for u in ("00", "01") for v in ("10", "11")]
+        + [(v, v) for v in ("00", "01", "10", "11")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BOUND_GRAPHS)
+def test_bound_tables_match_pairwise_reference(name):
+    g = BOUND_GRAPHS[name]
+    for table, reference in zip(_bound_tables(g), bound_tables_reference(g)):
+        assert table.dtype == reference.dtype
+        assert np.array_equal(table, reference)
 
 
 def test_full_subgraph_keeps_induced_edges():

@@ -1,19 +1,26 @@
-"""The README's Python examples run and give the values their comments show,
-and the package names it quotes exist."""
+"""The README's Python examples and command lines run and give the values
+their comments show, and the package names it quotes exist."""
 
 import ast
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import cubecats
+from cubecats import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text(encoding="utf-8")
 BLOCKS = re.findall(r"```python\n(.*?)```", TEXT, re.S)
+COMMANDS = [
+    line
+    for line in re.search(r"## Command line\n\n```sh\n(.*?)```", TEXT, re.S)[1].splitlines()
+    if line.startswith("cubecats ")
+]
 # inline code spans, with the fenced blocks taken out first
 SPANS = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", TEXT, flags=re.S))
 
@@ -43,6 +50,25 @@ def test_readme_python_block(block):
             assert eval(code, namespace) == _expected(lines, node), code
         else:
             exec(code, namespace)
+
+
+def test_readme_has_command_lines():
+    assert len(COMMANDS) >= 5
+
+
+@pytest.mark.parametrize("line", COMMANDS, ids=[f"line{i}" for i in range(len(COMMANDS))])
+def test_readme_command_line(line, tmp_path, capsys):
+    # a comment of one word, before any two-space prose, is the line's output
+    command, _, comment = line.partition("#")
+    argv = shlex.split(command)[1:]
+    if "t3.json" in argv:
+        assert cli.main(["build", "--kind", "twisted", "--n", "3", "--out", "json"]) == 0
+        (tmp_path / "t3.json").write_text(capsys.readouterr().out)
+        argv[argv.index("t3.json")] = str(tmp_path / "t3.json")
+    assert cli.main(argv) == 0, line
+    shown = comment.strip().split("  ")[0]
+    if shown and " " not in shown:
+        assert capsys.readouterr().out == shown + "\n", line
 
 
 def test_readme_names_resolve():
