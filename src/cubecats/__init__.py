@@ -1,7 +1,7 @@
 """Standard and twisted cube categories as executable constructions.
 
 Cube graphs in recursive and closed form, five interchangeable views of
-their morphisms, composition in ternary notation, and brute-force
+their morphisms as rows, composition in ternary notation, and brute-force
 oracles that cross-verify every equivalence at small dimensions.
 """
 
@@ -32,22 +32,21 @@ from .cubes import (
     twisted_iteration,
 )
 from .standard import (
-    BchMorphism,
-    GraphMorphism,
-    bch_compose,
-    bchop_to_graphmeet,
-    compose_graph_morphisms,
+    bch_compose_rows,
+    bchop_to_graphmeet_rows,
+    compose_graph_rows,
     enumerate_graph_homs,
-    graphmeet_to_bchop,
+    graphmeet_to_bchop_rows,
+    vertex_dict,
 )
 from .twisted import (
-    TernaryMorphism,
-    graphdim_to_ternary,
+    graphdim_to_ternary_rows,
     hamiltonian_f,
     hamiltonian_path,
     order_g,
     ternary_compose,
-    ternary_to_graphdim,
+    ternary_row,
+    ternary_to_graphdim_rows,
 )
 from .oracle import (
     CATEGORY_IDS,

@@ -18,14 +18,17 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
+import numpy as np
+
 from .graphs import CapacityError, Graph, graph_from_json, graph_to_json
 from .cubes import standard_cube, standard_cube_rec, to_dot, twisted_cube, twisted_cube_rec
-from .standard import bch_compose, bch_from_json
-from .twisted import TernaryMorphism, order_g, ternary_compose
+from .standard import bch_compose_rows, bch_from_json, bch_names, vertex_dict
+from .twisted import order_g, ternary_compose, ternary_seq
 from .oracle import (
     CATEGORY_IDS,
     CheckReport,
     category_view,
+    graph_cube,
     check_bchop_graphmeet_iso,
     check_category_laws,
     check_factorization,
@@ -80,42 +83,45 @@ def cmd_build(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _morphism_line(cat_id: str, f: object) -> str:
-    if cat_id in ("ternary", "semi"):
-        return f.seq
-    return f.to_json()
+def _bch_json(m: int, n: int, entries: list[int]) -> str:
+    return json.dumps({"m": m, "n": n, "map": bch_names(n, entries)})
 
 
 def cmd_homs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.m < 0 or args.n < 0:
+    m, n, cat = args.m, args.n, args.cat
+    if m < 0 or n < 0:
         parser.error("dimensions must be non-negative")
-    if max(args.m, args.n) > MAX_DIM:
+    if max(m, n) > MAX_DIM:
         raise CapacityError(f"homs builds cubes of dimension at most {MAX_DIM} (256 vertices)")
-    view = category_view(args.cat)
-    for row in view.rows(args.m, args.n):
-        print(_morphism_line(args.cat, view.morphism(args.m, args.n, row)))
+    if cat in ("ternary", "semi"):
+        line = ternary_seq
+    elif cat == "bch":
+        line = partial(_bch_json, m, n)
+    elif cat == "bchop":  # an arrow of bchop(m, n) is a bch arrow n -> m
+        line = partial(_bch_json, n, m)
+    else:
+        src, tgt = graph_cube(cat)(m), graph_cube(cat)(n)
+        line = lambda row: json.dumps(vertex_dict(src, tgt, row))
+    for row in category_view(cat).rows(m, n):
+        print(line(row.tolist()))
     return 0
 
 
 def cmd_compose(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.cat == "bch":
         try:
-            g = bch_from_json(args.g)
-            f = bch_from_json(args.f)
+            (g_m, g_n, g), (f_m, f_n, f) = bch_from_json(args.g), bch_from_json(args.f)
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             parser.error(f"invalid morphism JSON: {exc}")
-        try:
-            composite = bch_compose(g, f)
-        except ValueError as exc:
-            parser.error(str(exc))
-        print(composite.to_json())
+        if f_n != g_m:
+            parser.error(f"cannot compose {g_m}->{g_n} after {f_m}->{f_n}")
+        outer, inner = (np.array([entries], dtype=np.intp) for entries in (g, f))
+        print(_bch_json(f_m, g_n, bch_compose_rows(outer, inner, g_n)[0, 0].tolist()))
         return 0
     try:
-        f = TernaryMorphism(args.f.count("*"), len(args.f), args.f)
-        g = TernaryMorphism(len(args.f), len(args.g), args.g)
+        print(ternary_compose(args.g, args.f, twist=args.cat == "ternary"))
     except ValueError as exc:
         parser.error(str(exc))
-    print(ternary_compose(g, f, twist=args.cat == "ternary").seq)
     return 0
 
 

@@ -10,17 +10,19 @@ it is checking.
 Every check that reads a category's hom-sets works on morphisms as
 rows: each hom-set is a sorted integer matrix, composition is one
 batched row operation per triple of objects, and a composite is found
-in its hom-set by a binary search of its row key.  Morphism objects
-are built only to describe a counterexample.
+in its hom-set by a binary search of its row key.  A counterexample
+names a row by the view's describe, in its notation's text.
 
 Every call into the code under check goes through _call: a view's
 callbacks, an isomorphism's functors, the factorization's face
 injections, and the cube builders, preorder, order and path of the
-theorem checks.  An exception there becomes a RowError, and so does an
-array from there that checked_rows refuses.  _run turns a RowError into
-the counterexample {"error": message}, tagged {"law": "exception"} in
-the laws and {"stage": "exception"} in the isomorphisms.  An exception
-in the oracle's own code propagates.
+theorem checks.  An exception there becomes a RowError, and so does a
+result of the wrong form: an array that checked_rows refuses, a build
+that is no Graph, a preorder that is no square boolean array over the
+cube's vertices, or a path that is not 2^n - 1 vertex pairs.  _run
+turns a RowError into the counterexample {"error": message}, tagged
+{"law": "exception"} in the laws and {"stage": "exception"} in the
+isomorphisms.  An exception in the oracle's own code propagates.
 
 The check functions take the pieces they verify as parameters where a
 mutation test needs to swap them out (a cube builder, a hom enumerator,
@@ -40,18 +42,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import cubes, kernels
-from .graphs import (
-    CapacityError,
-    Graph,
-    free_preorder,
-    is_total_order,
-)
+from .graphs import CapacityError, Graph, free_preorder, is_total_order
 from .cubes import standard_cube, twisted_cube
 from .rows import HomRows, RowError, checked_rows
 from .standard import (
-    BchMorphism,
-    GraphMorphism,
     bch_compose_rows,
+    bch_names,
     bch_rows,
     bchop_to_graphmeet_rows,
     bound_constraints,
@@ -59,9 +55,9 @@ from .standard import (
     dimension_constraints,
     graphmeet_to_bchop_rows,
     hom_matrix,
+    vertex_dict,
 )
 from .twisted import (
-    TernaryMorphism,
     graphdim_to_ternary_rows,
     hamiltonian_path,
     order_g,
@@ -121,20 +117,19 @@ class FiniteCategoryView:
     equal morphisms.  identity(n) is the row of id_n.
     compose_rows(m, n, p, h, g) takes rows h of hom(n, p) and rows g of
     hom(m, n) and returns the (len(h), len(g), w) array of the rows of
-    every h∘g.  morphism(m, n, row) is the morphism object of a row of
-    hom(m, n), and describe names one in a counterexample.
+    every h∘g.  describe(m, n, row) names a row of hom(m, n) in a
+    counterexample.
     """
 
     name: str
     rows: Callable[[int, int], np.ndarray]
     identity: Callable[[int], np.ndarray]
     compose_rows: Callable[[int, int, int, np.ndarray, np.ndarray], np.ndarray]
-    morphism: Callable[[int, int, np.ndarray], object]
-    describe: Callable[[object], str] = repr
+    describe: Callable[[int, int, np.ndarray], str]
 
-    def hom(self, m: int, n: int) -> tuple:
-        """The morphism objects of hom(m, n), in row order."""
-        return tuple(self.morphism(m, n, row) for row in self.rows(m, n))
+    def hom(self, m: int, n: int) -> tuple[str, ...]:
+        """The names of the rows of hom(m, n), in row order."""
+        return tuple(self.describe(m, n, row) for row in self.rows(m, n))
 
 
 def _run(
@@ -187,7 +182,7 @@ class _Rows:
         return checked_rows(composites, shape, f"compose_rows({m}, {n}, {p})")
 
     def describe(self, m: int, n: int, row: np.ndarray) -> str:
-        return _call(self.cat.describe, _call(self.cat.morphism, m, n, row))
+        return _call(self.cat.describe, m, n, row)
 
 
 def _first(bad: np.ndarray) -> Optional[tuple]:
@@ -475,17 +470,34 @@ CATEGORY_IDS = (
     "bch", "bchop", "graphcube", "graphmeet", "graphdim",
     "twcubecat", "twgraphdim", "ternary", "semi",
 )
+# graph category id: (its objects are twisted cubes, its hom constraints)
+_GRAPH_CATEGORIES = {
+    "graphcube": (False, None),
+    "graphmeet": (False, bound_constraints),
+    "graphdim": (False, dimension_constraints),
+    "twcubecat": (True, None),
+    "twgraphdim": (True, dimension_constraints),
+}
+
+
+def _bch_text(m: int, n: int, row: np.ndarray) -> str:
+    """A bch arrow m -> n by name, as in BchMorphism(2->1, [j0, b1])."""
+    return f"BchMorphism({m}->{n}, [{', '.join(bch_names(n, row.tolist()))}])"
 
 
 def _graph_view(
     name: str, build: Callable[[int], Graph], constraints: Optional[Callable]
 ) -> FiniteCategoryView:
+    def describe(m: int, n: int, row: np.ndarray) -> str:
+        names = vertex_dict(build(m), build(n), row.tolist())
+        return f"GraphMorphism({', '.join(f'{v}>{w}' for v, w in names.items())})"
+
     return FiniteCategoryView(
         name,
         lambda m, n: hom_matrix(build(m), build(n), constraints),
         lambda n: np.arange(len(build(n).vertices)),
         lambda m, n, p, h, g: compose_graph_rows(h, g),
-        lambda m, n, row: GraphMorphism.from_indices(build(m), build(n), row),
+        describe,
     )
 
 
@@ -495,9 +507,13 @@ def _ternary_view(name: str, rows: Callable[[int, int], np.ndarray]) -> FiniteCa
         rows,
         lambda n: np.full(n, 2),
         lambda m, n, p, h, g: ternary_compose_rows(h, g),
-        lambda m, n, row: TernaryMorphism(m, n, ternary_seq(row)),
-        lambda t: t.seq,
+        lambda m, n, row: ternary_seq(row),
     )
+
+
+def graph_cube(cat_id: str) -> Callable[[int], Graph]:
+    """The cube builder of the graph category cat_id: its object n is graph_cube(cat_id)(n)."""
+    return twisted_cube if _GRAPH_CATEGORIES[cat_id][0] else standard_cube
 
 
 def category_view(cat_id: str) -> FiniteCategoryView:
@@ -508,7 +524,7 @@ def category_view(cat_id: str) -> FiniteCategoryView:
             bch_rows,
             np.arange,
             lambda m, n, p, h, g: bch_compose_rows(h, g, p),
-            BchMorphism,
+            _bch_text,
         )
     if cat_id == "bchop":
         return FiniteCategoryView(
@@ -516,18 +532,10 @@ def category_view(cat_id: str) -> FiniteCategoryView:
             lambda m, n: bch_rows(n, m),
             np.arange,
             lambda m, n, p, h, g: bch_compose_rows(g, h, m).transpose(1, 0, 2),
-            lambda m, n, row: BchMorphism(n, m, row),
+            lambda m, n, row: _bch_text(n, m, row),
         )
-    if cat_id == "graphcube":
-        return _graph_view("graphcube", standard_cube, None)
-    if cat_id == "graphmeet":
-        return _graph_view("graphmeet", standard_cube, bound_constraints)
-    if cat_id == "graphdim":
-        return _graph_view("graphdim", standard_cube, dimension_constraints)
-    if cat_id == "twcubecat":
-        return _graph_view("twcubecat", twisted_cube, None)
-    if cat_id == "twgraphdim":
-        return _graph_view("twgraphdim", twisted_cube, dimension_constraints)
+    if cat_id in _GRAPH_CATEGORIES:
+        return _graph_view(cat_id, graph_cube(cat_id), _GRAPH_CATEGORIES[cat_id][1])
     if cat_id == "ternary":
         return _ternary_view("ternary", ternary_rows)
     if cat_id == "semi":
@@ -599,14 +607,26 @@ def check_meet_equals_dim(max_dim: int = 3) -> CheckReport:
     return _run("meet_equals_dim", {"max_dim": max_dim}, counts, first_failure)
 
 
+def _built(build: Callable[[int], Graph], n: int) -> Graph:
+    """build(n), checked to be a Graph."""
+    g = _call(build, n)
+    if not isinstance(g, Graph):
+        raise RowError(f"build({n}) gave {type(g).__name__}, expected a Graph")
+    return g
+
+
 def check_total_order(max_n: int = 5, build: Callable[[int], Graph] = twisted_cube) -> CheckReport:
     """The free preorder is total and order_g is an order isomorphism."""
     counts = {"vertices": 0}
 
     def first_failure() -> Optional[dict]:
         for n in range(max_n + 1):
-            g = _call(build, n)
-            leq = _call(free_preorder, g)
+            g = _built(build, n)
+            leq = _call(np.asarray, _call(free_preorder, g))
+            k = len(g.vertices)
+            if leq.shape != (k, k) or leq.dtype != bool:
+                what = f"free_preorder(build({n})) gave {leq.dtype} of shape {leq.shape}"
+                raise RowError(f"{what}, expected bool of shape {(k, k)}")
             if not is_total_order(leq):
                 return {"n": n, "reason": "not total"}
             ranks = np.array([_call(order_g, n, v) for v in g.vertices])
@@ -625,6 +645,20 @@ def check_total_order(max_n: int = 5, build: Callable[[int], Graph] = twisted_cu
     return _run("total_order", {"max_n": max_n}, counts, first_failure)
 
 
+def _path(n: int, g: Graph) -> list:
+    """hamiltonian_path(n), checked to be 2^n - 1 pairs of vertices of g."""
+    path = _call(hamiltonian_path, n)
+
+    def is_pair(step: object) -> bool:
+        return isinstance(step, (list, tuple)) and len(step) == 2 and all(
+            isinstance(v, str) and v in g.index for v in step
+        )
+
+    if not (isinstance(path, (list, tuple)) and len(path) == 2**n - 1 and all(map(is_pair, path))):
+        raise RowError(f"hamiltonian_path({n}) gave no 2^{n} - 1 vertex pairs of build({n})")
+    return path
+
+
 def check_unique_hamiltonian(
     max_n: int = 4, build: Callable[[int], Graph] = twisted_cube
 ) -> CheckReport:
@@ -633,9 +667,10 @@ def check_unique_hamiltonian(
 
     def first_failure() -> Optional[dict]:
         for n in range(1, max_n + 1):
-            found = brute_hamiltonian(_call(build, n))
+            g = _built(build, n)
+            found = brute_hamiltonian(g)
             counts["paths_searched"] += len(found)
-            constructed = _call(hamiltonian_path, n)
+            constructed = _path(n, g)
             vertex_order = [constructed[0][0]] + [t for _, t in constructed]
             if len(found) != 1:
                 return {"n": n, "count": len(found)}
@@ -658,11 +693,6 @@ def _vertex_maps(hom: HomRows, m: int, n: int) -> np.ndarray:
     return rows
 
 
-def _vertex_dict(view: FiniteCategoryView, m: int, n: int, row: np.ndarray) -> dict:
-    """The vertex map of a row of a graph view's hom(m, n), to name it in a counterexample."""
-    return _call(lambda: view.morphism(m, n, row).as_dict())
-
-
 def check_unique_surjection(
     max_dim: int = 3, view: FiniteCategoryView = category_view("twgraphdim")
 ) -> CheckReport:
@@ -683,7 +713,8 @@ def check_unique_surjection(
                 return {"m": m, "n": n, "count": len(surjective), "expected": expected}
             counts["surjective_found"] += len(surjective)
             if m >= n and (surjective[0] != np.arange(2**m) >> (m - n)).any():
-                return {"m": m, "n": n, "found": _vertex_dict(view, m, n, surjective[0])}
+                found = vertex_dict(twisted_cube(m), twisted_cube(n), surjective[0].tolist())
+                return {"m": m, "n": n, "found": found}
         return None
 
     return _run("unique_surjection", {"max_dim": max_dim}, counts, first_failure)
@@ -735,7 +766,7 @@ def check_factorization(
             if bad is not None:
                 (r,) = bad
                 counts["factored"] += r
-                f = _vertex_dict(view, m, n, rows[r])
+                f = vertex_dict(twisted_cube(m), twisted_cube(n), rows[r].tolist())
                 return {"m": m, "n": n, "f": f, "reason": "no factorization"}
             counts["factored"] += len(rows)
         return None

@@ -1,19 +1,20 @@
-"""Morphisms of standard cubes and the substitution-category equivalence.
+"""Arrows of standard cubes as rows, and the substitution-category equivalence.
 
-Two kinds of arrows live here:
+Two kinds of arrows live here, each a row of integers:
 
-* ``BchMorphism``: a function from m input slots to n output slots plus
-  two constants, injective on the slot part.  These compose like
-  substitutions and form a category with objects the natural numbers.
-* ``GraphMorphism``: a vertex map between graphs that preserves edges.
+* a bch arrow m -> n sends each of m input slots to one of n output
+  slots (each used at most once) or to a constant bit; its row is its
+  entries, k for slot k and n, n + 1 for the constants 0 and 1.  These
+  compose like substitutions and form a category on the naturals.
+* a graph morphism is a vertex map between graphs that preserves
+  edges; its row holds the target index of each source vertex.
   Refined classes of cube-graph morphisms (preserving meets and joins,
-  or preserving edge dimensions) form subcategories.
+  or edge dimensions) form subcategories.
 
-Each kind of arrow is also a row of integers, and every hom-set is a
-lexicographically sorted matrix of rows: a bch arrow is its entries, a
-graph morphism its vertex map.  Composition and the equivalence below
-work on whole matrices of rows at once; the functions on single
-arrows are one-row calls of the row versions.
+Every hom-set is a lexicographically sorted matrix of rows, and
+composition and the equivalence below work on whole matrices at once.
+bch_names and vertex_dict name one row, and bch_from_json reads one
+bch arrow from the command line.
 
 The equivalence between opposite substitution arrows and
 meet-and-join-preserving cube morphisms is, as a chain, six invertible
@@ -32,76 +33,24 @@ import json
 import re
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import kernels
 from .graphs import Graph, Vertex, _bound_tables
-from .cubes import standard_cube
 
 
-class BchMorphism:
-    """Arrow m -> n: each of m input slots is sent to one of n output
-    slots (each output slot used at most once) or to a constant bit.
-
-    entries[i] in 0..n-1 picks output slot entries[i]; n and n+1 are the
-    constants 0 and 1.
-    """
-
-    __slots__ = ("m", "n", "entries", "_hash")
-
-    def __init__(self, m: int, n: int, entries: Iterable[int]):
-        if m < 0 or n < 0:
-            raise ValueError(f"arity must be non-negative, got {m}->{n}")
-        entries = tuple(int(e) for e in entries)
-        if len(entries) != m:
-            raise ValueError(f"expected {m} entries, got {len(entries)}")
-        seen: set[int] = set()
-        for i, e in enumerate(entries):
-            if not 0 <= e < n + 2:
-                raise ValueError(f"entry {e} at slot {i} out of range for n={n}")
-            if e < n:
-                if e in seen:
-                    raise ValueError(f"output slot {e} used twice: not injective on slots")
-                seen.add(e)
-        self.m = m
-        self.n = n
-        self.entries = entries
-        self._hash = hash((m, n, entries))
-
-    def __call__(self, i: int) -> int:
-        return self.entries[i]
-
-    def is_slot(self, i: int) -> bool:
-        return self.entries[i] < self.n
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BchMorphism)
-            and self.m == other.m
-            and self.n == other.n
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def map_strings(self) -> list[str]:
-        return [f"j{e}" if e < self.n else f"b{e - self.n}" for e in self.entries]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"m": self.m, "n": self.n, "map": self.map_strings()}, separators=(", ", ": ")
-        )
-
-    def __repr__(self) -> str:
-        return f"BchMorphism({self.m}->{self.n}, [{', '.join(self.map_strings())}])"
+def bch_names(n: int, entries: Sequence[int]) -> list[str]:
+    """The entries of an arrow into n by name: j<k> for output slot k, b0 and
+    b1 for the constants n and n + 1."""
+    return [f"j{e}" if e < n else f"b{e - n}" for e in entries]
 
 
-def bch_from_json(text: str) -> BchMorphism:
-    """The arrow {"m": m, "n": n, "map": [...]}: m and n JSON integers, map a
-    JSON list of m entries, each "j" and ASCII digits, "b0" or "b1"."""
+def bch_from_json(text: str) -> tuple[int, int, tuple[int, ...]]:
+    """(m, n, entries) of the arrow {"m": m, "n": n, "map": [...]}: m and n
+    non-negative JSON integers, map a JSON list of m entries, each "j" and
+    ASCII digits, "b0" or "b1", no two naming one output slot."""
     payload = json.loads(text)
     m, n = payload["m"], payload["n"]
     if type(m) is not int or type(n) is not int:
@@ -116,12 +65,16 @@ def bch_from_json(text: str) -> BchMorphism:
             raise ValueError(f"map entry {pos}: constant must be b0 or b1, got {item!r}")
         value = int(item[1:])
         entries.append(value if item[0] == "j" else n + value)
-    return BchMorphism(m, n, entries)
-
-
-def _row(entries: Sequence[int]) -> np.ndarray:
-    """A one-row matrix of an arrow's entries or vertex map."""
-    return np.array(entries, dtype=np.intp).reshape(1, len(entries))
+    if m < 0 or n < 0:
+        raise ValueError(f"arity must be non-negative, got {m}->{n}")
+    if len(entries) != m:
+        raise ValueError(f"expected {m} entries, got {len(entries)}")
+    for i, e in enumerate(entries):
+        if not 0 <= e < n + 2:
+            raise ValueError(f"entry {e} at slot {i} out of range for n={n}")
+        if e < n and e in entries[:i]:
+            raise ValueError(f"output slot {e} used twice: not injective on slots")
+    return m, n, tuple(entries)
 
 
 def bch_compose_rows(outer: np.ndarray, inner: np.ndarray, n: int) -> np.ndarray:
@@ -136,14 +89,6 @@ def bch_compose_rows(outer: np.ndarray, inner: np.ndarray, n: int) -> np.ndarray
     return np.concatenate([outer, constants], axis=1)[:, np.asarray(inner)]
 
 
-def bch_compose(outer: BchMorphism, inner: BchMorphism) -> BchMorphism:
-    """Composite outer ∘ inner: apply inner first, constants absorb."""
-    if inner.n != outer.m:
-        raise ValueError(f"cannot compose {outer.m}->{outer.n} after {inner.m}->{inner.n}")
-    row = bch_compose_rows(_row(outer.entries), _row(inner.entries), outer.n)[0, 0]
-    return BchMorphism(inner.m, outer.n, row.tolist())
-
-
 @lru_cache(maxsize=None)
 def bch_rows(m: int, n: int) -> np.ndarray:
     """Entry rows of all arrows m -> n, as read-only lexicographic uint8 rows:
@@ -154,92 +99,15 @@ def bch_rows(m: int, n: int) -> np.ndarray:
     return kernels.edge_preserving_maps(m, n + 2, list(combinations(range(m), 2)), allowed)
 
 
-class GraphMorphism:
-    """Vertex map between graphs sending every edge to an edge.
-
-    vmap holds the target vertex index of each source vertex; the hash
-    is computed on first use.
-    """
-
-    __slots__ = ("source", "target", "vmap", "_hash")
-
-    def __init__(
-        self,
-        source: Graph,
-        target: Graph,
-        mapping: Union[dict[Vertex, Vertex], Sequence[Vertex]],
-    ):
-        if isinstance(mapping, dict):
-            images = tuple(mapping[v] for v in source.vertices)
-        else:
-            images = tuple(mapping)
-            if len(images) != len(source.vertices):
-                raise ValueError("mapping length does not match the source vertex count")
-        tgt_index = target.index
-        self.source = source
-        self.target = target
-        self.vmap = tuple(tgt_index[v] for v in images)
-        self._hash = None
-        src_index = source.index
-        for u, v in source.edges:
-            if not target.adjacency[self.vmap[src_index[u]], self.vmap[src_index[v]]]:
-                raise ValueError(
-                    f"edge ({u}, {v}) maps to ({images[src_index[u]]}, "
-                    f"{images[src_index[v]]}), not an edge of the target"
-                )
-
-    @classmethod
-    def from_indices(cls, source: Graph, target: Graph, vmap: Sequence[int]) -> "GraphMorphism":
-        """Trusted constructor from target vertex indices (no edge check).
-
-        A tuple is taken to hold Python ints and is kept as it is; any
-        other sequence is converted.
-        """
-        self = object.__new__(cls)
-        self.source = source
-        self.target = target
-        self.vmap = vmap if type(vmap) is tuple else tuple(map(int, vmap))
-        self._hash = None
-        return self
-
-    def __call__(self, v: Vertex) -> Vertex:
-        return self.target.vertices[self.vmap[self.source.index[v]]]
-
-    def as_dict(self) -> dict[Vertex, Vertex]:
-        return {v: self.target.vertices[self.vmap[i]] for i, v in enumerate(self.source.vertices)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), separators=(", ", ": "))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GraphMorphism)
-            and self.vmap == other.vmap
-            and self.source == other.source
-            and self.target == other.target
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.source, self.target, self.vmap))
-        return self._hash
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{v}>{self(v)}" for v in self.source.vertices)
-        return f"GraphMorphism({body})"
+def vertex_dict(src: Graph, tgt: Graph, row: Sequence[int]) -> dict[Vertex, Vertex]:
+    """The vertex map of a row of target indices, by vertex name."""
+    return dict(zip(src.vertices, map(tgt.vertices.__getitem__, row)))
 
 
 def compose_graph_rows(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """Composites outer[i] ∘ inner[j] of vertex-map rows, as a
     (len(outer), len(inner), w) array."""
     return np.asarray(outer)[:, np.asarray(inner)]
-
-
-def compose_graph_morphisms(outer: GraphMorphism, inner: GraphMorphism) -> GraphMorphism:
-    if inner.target != outer.source:
-        raise ValueError("inner target and outer source differ")
-    row = compose_graph_rows(_row(outer.vmap), _row(inner.vmap))[0, 0]
-    return GraphMorphism.from_indices(inner.source, outer.target, tuple(row.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -257,12 +125,10 @@ def hom_matrix(src: Graph, tgt: Graph, constraints: Optional[Callable] = None) -
 
 def enumerate_graph_homs(
     src: Graph, tgt: Graph, constraints: Optional[Callable] = None
-) -> tuple[GraphMorphism, ...]:
-    """The morphisms of hom_matrix(src, tgt, constraints), in its row order."""
-    return tuple(
-        GraphMorphism.from_indices(src, tgt, row)
-        for row in map(tuple, hom_matrix(src, tgt, constraints).tolist())
-    )
+) -> np.ndarray:
+    """hom_matrix(src, tgt, constraints).  perfbench/kernel_filters.py times
+    the kernel through this name and reads only the length of the result."""
+    return hom_matrix(src, tgt, constraints)
 
 
 def _bit_weights(n: int) -> np.ndarray:
@@ -285,17 +151,6 @@ def bchop_to_graphmeet_rows(m: int, n: int, rows: np.ndarray) -> np.ndarray:
     return bits @ _bit_weights(n)
 
 
-def bchop_to_graphmeet(a: BchMorphism) -> GraphMorphism:
-    """Cube morphism matching an opposite-category arrow.
-
-    a maps a.m input slots to a.n output slots; read backwards it is an
-    arrow a.n -> a.m, and the returned morphism goes from the
-    a.n-dimensional cube to the a.m-dimensional cube.
-    """
-    row = bchop_to_graphmeet_rows(a.n, a.m, _row(a.entries))[0]
-    return GraphMorphism.from_indices(standard_cube(a.n), standard_cube(a.m), tuple(row.tolist()))
-
-
 def graphmeet_to_bchop_rows(m: int, n: int, vmaps: np.ndarray) -> np.ndarray:
     """Entry rows of arrows n -> m read off vertex maps C^m -> C^n, one row each.
 
@@ -315,12 +170,6 @@ def graphmeet_to_bchop_rows(m: int, n: int, vmaps: np.ndarray) -> np.ndarray:
     for i in range(m):
         entries = np.where(bits[:, i], i, entries)
     return entries
-
-
-def graphmeet_to_bchop(g: GraphMorphism) -> BchMorphism:
-    """Inverse map: read the constants and the slots off the origin and one-hot images."""
-    m, n = g.source.dimension, g.target.dimension
-    return BchMorphism(n, m, graphmeet_to_bchop_rows(m, n, _row(g.vmap))[0].tolist())
 
 
 def bound_constraints(src: Graph, tgt: Graph) -> list[tuple]:

@@ -5,12 +5,14 @@ and carries a unique Hamiltonian path; the mutually inverse bijections
 hamiltonian_f / order_g realize that order.  Dimension-preserving
 morphisms between twisted cubes factor uniquely through an image face,
 which yields the ternary-notation presentation: arrows are strings over
-{0, 1, ⋆} composed by substitution with a parity twist.
+{0, 1, ⋆} composed by substitution with a parity twist.  An arrow
+m -> n is a row of n digits, 0 and 1 for the constants and 2 for ⋆,
+with at most m stars.  ternary_seq spells a row as its string, and
+ternary_row reads a string back, checking it.
 """
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from typing import Sequence
 
@@ -19,7 +21,6 @@ import numpy as np
 from . import kernels
 from .graphs import Vertex, bits_to_int, int_to_bits
 from .cubes import twisted_cube
-from .standard import GraphMorphism
 
 STAR = "*"
 
@@ -72,51 +73,17 @@ def hamiltonian_path(n: int) -> list[tuple[Vertex, Vertex]]:
     return steps
 
 
-class TernaryMorphism:
-    """Arrow m -> n in ternary notation: a length-n string over {0, 1, ⋆}
-    with at most m stars.  Stars consume source coordinates in order;
-    fixed characters are constants."""
-
-    __slots__ = ("m", "n", "seq")
-
-    def __init__(self, m: int, n: int, seq: str):
-        seq = str(seq)
-        if len(seq) != n:
-            raise ValueError(f"expected a string of length {n}, got {seq!r}")
-        bad = [i for i, c in enumerate(seq) if c not in "01" + STAR]
-        if bad:
-            raise ValueError(f"position {bad[0]}: invalid character {seq[bad[0]]!r}")
-        if seq.count(STAR) > m:
-            raise ValueError(f"{seq!r} has {seq.count(STAR)} stars, more than m={m}")
-        self.m = m
-        self.n = n
-        self.seq = seq
-
-    @property
-    def stars(self) -> int:
-        return self.seq.count(STAR)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TernaryMorphism)
-            and (self.m, self.n, self.seq) == (other.m, other.n, other.seq)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.n, self.seq))
-
-    def to_json(self) -> str:
-        return json.dumps({"m": self.m, "n": self.n, "seq": self.seq}, separators=(", ", ": "))
-
-    def __repr__(self) -> str:
-        return f"TernaryMorphism({self.m}->{self.n}, {self.seq!r})"
-
-
 DIGITS = "01" + STAR  # a ternary character's digit is its position here
 
 
-def ternary_row(seq: str) -> np.ndarray:
-    """The digit row of a ternary string: 0 and 1 for the constants, 2 for ⋆."""
+def ternary_row(seq: str, m: int) -> np.ndarray:
+    """The digit row (2 for ⋆) of the ternary arrow m -> len(seq) that seq
+    spells; ValueError for another character or for more than m stars."""
+    bad = [i for i, c in enumerate(seq) if c not in DIGITS]
+    if bad:
+        raise ValueError(f"position {bad[0]}: invalid character {seq[bad[0]]!r}")
+    if seq.count(STAR) > m:
+        raise ValueError(f"{seq!r} has {seq.count(STAR)} stars, more than m={m}")
     return np.array([DIGITS.index(c) for c in seq], dtype=np.uint8)
 
 
@@ -157,12 +124,13 @@ def _zero_parity(rows: np.ndarray) -> np.ndarray:
     return (zeros - before) & 1
 
 
-def ternary_compose(g: TernaryMorphism, f: TernaryMorphism, twist: bool = True) -> TernaryMorphism:
-    """Composite g ∘ f; see ternary_compose_rows."""
-    if f.n != g.m:
-        raise ValueError(f"cannot compose {g.m}->{g.n} after {f.m}->{f.n}")
-    row = ternary_compose_rows(ternary_row(g.seq)[None], ternary_row(f.seq)[None], twist)[0, 0]
-    return TernaryMorphism(f.m, g.n, ternary_seq(row))
+def ternary_compose(g: str, f: str, twist: bool = True) -> str:
+    """The ternary string of g ∘ f, for f an arrow from its star count and g
+    an arrow from len(f); see ternary_compose_rows.  Raises ValueError,
+    checking f first, when either string is not such an arrow."""
+    f_row = ternary_row(f, f.count(STAR))
+    g_row = ternary_row(g, len(f))
+    return ternary_seq(ternary_compose_rows(g_row[None], f_row[None], twist)[0, 0])
 
 
 def ternary_to_graphdim_rows(m: int, n: int, rows: np.ndarray) -> np.ndarray:
@@ -188,12 +156,6 @@ def ternary_to_graphdim_rows(m: int, n: int, rows: np.ndarray) -> np.ndarray:
     return bits @ (1 << np.arange(n - 1, -1, -1))
 
 
-def ternary_to_graphdim(t: TernaryMorphism) -> GraphMorphism:
-    """Face injection after the unique surjection onto the star count."""
-    row = ternary_to_graphdim_rows(t.m, t.n, ternary_row(t.seq)[None])[0]
-    return GraphMorphism.from_indices(twisted_cube(t.m), twisted_cube(t.n), tuple(row.tolist()))
-
-
 def graphdim_to_ternary_rows(m: int, n: int, vmaps: np.ndarray) -> np.ndarray:
     """Digit rows read off vertex maps T^m -> T^n: the image face, with ⋆
     where the image varies and the constant bit elsewhere.  Raises
@@ -205,12 +167,6 @@ def graphdim_to_ternary_rows(m: int, n: int, vmaps: np.ndarray) -> np.ndarray:
     if too_many or (ternary_to_graphdim_rows(m, n, rows) != vmaps).any():
         raise ValueError("morphism is not dimension-preserving")
     return rows.astype(np.uint8)
-
-
-def graphdim_to_ternary(f: GraphMorphism) -> TernaryMorphism:
-    """Inverse direction: read the ternary sequence off the image face."""
-    m, n = f.source.dimension, f.target.dimension
-    return TernaryMorphism(m, n, ternary_seq(graphdim_to_ternary_rows(m, n, [f.vmap])[0]))
 
 
 @lru_cache(maxsize=None)

@@ -1,23 +1,25 @@
-"""Reference predicates and operations on single morphisms.
+"""Reference predicates and operations on single morphisms, as plain data.
 
-The predicates check the constrained hom enumerations row by row, with
-meets and joins from a search over every vertex pair.  The
-composition loops, the (z, d) chain and the face chain are the plain
-one-arrow versions of the row operations in the package, which the
-tests compare them with, and the candidate filters list the bch and
-ternary rows without the hom enumeration kernel.
+A bch arrow is (m, n, entries), a ternary arrow its string, and a graph
+morphism a dict from source to target vertex names, which edge_checked
+refuses unless it sends every edge to an edge.  The predicates check
+the constrained hom enumerations row by row, with meets and joins from
+a search over every vertex pair.  The composition loops, the (z, d)
+chain and the face chain are the plain one-arrow versions of the row
+operations in the package, which the tests compare them with, and the
+candidate filters list the bch and ternary rows without the hom
+enumeration kernel.
 """
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from cubecats.cubes import base_subgraph, standard_cube, twisted_cube
 from cubecats.graphs import Graph, Vertex, bits_to_int, free_preorder, int_to_bits
-from cubecats.standard import BchMorphism, GraphMorphism
-from cubecats.twisted import STAR, TernaryMorphism
+from cubecats.twisted import STAR
 
 
 def bch_rows_reference(m: int, n: int) -> np.ndarray:
@@ -65,21 +67,36 @@ def bound_tables_reference(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return meet, join
 
 
-def preserves_meets(f: GraphMorphism) -> bool:
-    """f(u ⊓ v) = f(u) ⊓ f(v) for every pair with a source meet."""
-    return _preserves_bounds(f, 0)
+def edge_checked(src: Graph, tgt: Graph, mapping: dict[Vertex, Vertex]) -> dict[Vertex, Vertex]:
+    """mapping, a vertex map of src into tgt by name, after checking that it
+    sends every edge of src to an edge of tgt."""
+    for u, v in src.edges:
+        if not tgt.has_edge(mapping[u], mapping[v]):
+            raise ValueError(
+                f"edge ({u}, {v}) maps to ({mapping[u]}, {mapping[v]}), not an edge of the target"
+            )
+    return mapping
 
 
-def preserves_joins(f: GraphMorphism) -> bool:
-    """f(u ⊔ v) = f(u) ⊔ f(v) for every pair with a source join."""
-    return _preserves_bounds(f, 1)
+def vertex_row(src: Graph, tgt: Graph, mapping: dict[Vertex, Vertex]) -> tuple[int, ...]:
+    """The row of target indices of a vertex map given by name."""
+    return tuple(tgt.index[mapping[v]] for v in src.vertices)
 
 
-def _preserves_bounds(f: GraphMorphism, which: int) -> bool:
-    src_table = bound_tables_reference(f.source)[which]
-    tgt_table = bound_tables_reference(f.target)[which]
-    vmap = f.vmap
-    nv = len(f.source.vertices)
+def preserves_meets(src: Graph, tgt: Graph, row: Sequence[int]) -> bool:
+    """f(u ⊓ v) = f(u) ⊓ f(v) for every pair with a source meet, f the row."""
+    return _preserves_bounds(src, tgt, row, 0)
+
+
+def preserves_joins(src: Graph, tgt: Graph, row: Sequence[int]) -> bool:
+    """f(u ⊔ v) = f(u) ⊔ f(v) for every pair with a source join, f the row."""
+    return _preserves_bounds(src, tgt, row, 1)
+
+
+def _preserves_bounds(src: Graph, tgt: Graph, vmap: Sequence[int], which: int) -> bool:
+    src_table = bound_tables_reference(src)[which]
+    tgt_table = bound_tables_reference(tgt)[which]
+    nv = len(src.vertices)
     for i in range(nv):
         for j in range(i, nv):
             s = src_table[i, j]
@@ -100,56 +117,53 @@ def edge_dim(u: Vertex, w: Vertex) -> Optional[int]:
     return diffs[0]
 
 
-def is_dimension_preserving(f: GraphMorphism) -> bool:
+def is_dimension_preserving(src: Graph, tgt: Graph, row: Sequence[int]) -> bool:
     """Edges of one source dimension all map to edges of one target dimension.
 
     Loops count as the trivial dimension; they always map to loops, so
     only the non-trivial classes need checking.
     """
+    f = dict(zip(src.vertices, (tgt.vertices[i] for i in row)))
     image_dims: dict[int, set[Optional[int]]] = {}
-    for u, w in f.source.edge_list:
+    for u, w in src.edge_list:
         d = edge_dim(u, w)
         if d is None:
             continue
-        image_dims.setdefault(d, set()).add(edge_dim(f(u), f(w)))
+        image_dims.setdefault(d, set()).add(edge_dim(f[u], f[w]))
     return all(len(dims) == 1 for dims in image_dims.values())
 
 
-def bch_compose_loop(outer: BchMorphism, inner: BchMorphism) -> BchMorphism:
+Bch = tuple[int, int, tuple[int, ...]]  # (m, n, entries) of a bch arrow m -> n
+
+
+def bch_compose_loop(outer: Bch, inner: Bch) -> Bch:
     """outer ∘ inner, one entry at a time: constants absorb."""
-    if inner.n != outer.m:
-        raise ValueError(f"cannot compose {outer.m}->{outer.n} after {inner.m}->{inner.n}")
+    (outer_m, outer_n, outer_entries), (inner_m, inner_n, inner_entries) = outer, inner
+    if inner_n != outer_m:
+        raise ValueError(f"cannot compose {outer_m}->{outer_n} after {inner_m}->{inner_n}")
     entries = []
-    for e in inner.entries:
-        if e < inner.n:
-            entries.append(outer.entries[e])
+    for e in inner_entries:
+        if e < inner_n:
+            entries.append(outer_entries[e])
         else:
-            entries.append(e - inner.n + outer.n)
-    return BchMorphism(inner.m, outer.n, entries)
+            entries.append(e - inner_n + outer_n)
+    return inner_m, outer_n, tuple(entries)
 
 
-def compose_graph_loop(outer: GraphMorphism, inner: GraphMorphism) -> GraphMorphism:
+def compose_graph_loop(outer: dict[Vertex, Vertex], inner: dict[Vertex, Vertex]) -> dict:
     """outer ∘ inner, one vertex at a time."""
-    if inner.target != outer.source:
-        raise ValueError("inner target and outer source differ")
-    return GraphMorphism.from_indices(
-        inner.source, outer.target, tuple(map(outer.vmap.__getitem__, inner.vmap))
-    )
+    return {v: outer[w] for v, w in inner.items()}
 
 
-def ternary_compose_loop(
-    g: TernaryMorphism, f: TernaryMorphism, twist: bool = True
-) -> TernaryMorphism:
+def ternary_compose_loop(g: str, f: str, twist: bool = True) -> str:
     """g ∘ f, one character at a time: substitute f along g's stars, xoring a
     binary value with the parity of g's zeros since its previous star."""
-    if f.n != g.m:
-        raise ValueError(f"cannot compose {g.m}->{g.n} after {f.m}->{f.n}")
     out = []
     j = 0
     zeros_since_star = 0
-    for ch in g.seq:
+    for ch in g:
         if ch == STAR:
-            value = f.seq[j]
+            value = f[j]
             j += 1
             if value == STAR or not twist:
                 out.append(value)
@@ -160,7 +174,7 @@ def ternary_compose_loop(
             out.append(ch)
             if ch == "0":
                 zeros_since_star += 1
-    return TernaryMorphism(f.m, g.n, "".join(out))
+    return "".join(out)
 
 
 class PartialInjection:
@@ -208,57 +222,52 @@ def _one_hot(n: int, i: int) -> Vertex:
     return int_to_bits(1 << (n - 1 - i), n)
 
 
-def extend_base_morphism(h: GraphMorphism) -> GraphMorphism:
+def extend_base_morphism(m: int, n: int, h: dict[Vertex, Vertex]) -> dict[Vertex, Vertex]:
     """Unique join-preserving extension of a base-subgraph morphism.
 
-    h goes from the origin-plus-one-hot subgraph of the m-cube into a
-    cube; every cube vertex is the join of the base vectors it contains,
-    so the extension sends it to the join of their images.
+    h maps the origin-plus-one-hot subgraph of the m-cube into the n-cube,
+    edge-checked; every cube vertex is the join of the base vectors it
+    contains, so the extension sends it to the join of their images.
     """
-    target = h.target
-    m = h.source.dimension
-    if h.source != base_subgraph(m):
-        raise ValueError("source must be the base subgraph of a standard cube")
-    n = target.dimension
-    z = bits_to_int(h(int_to_bits(0, m)))
-    basis = [bits_to_int(h(_one_hot(m, i))) for i in range(m)]
+    edge_checked(base_subgraph(m), standard_cube(n), h)
+    z = bits_to_int(h[int_to_bits(0, m)])
+    basis = [bits_to_int(h[_one_hot(m, i)]) for i in range(m)]
     source = standard_cube(m)
-    images = []
+    images = {}
     for v in source.vertices:
         val = z
         for i, bit in enumerate(v):
             if bit == "1":
                 val |= basis[i]
-        images.append(int_to_bits(val, n))
-    return GraphMorphism(source, target, images)
+        images[v] = int_to_bits(val, n)
+    return edge_checked(source, standard_cube(n), images)
 
 
-def chain_bchop_to_graphmeet(a: BchMorphism) -> GraphMorphism:
-    """The six-step chain: split a into constant bits z and a partial
-    injection e, transpose e to d, read (z, d) as a base-subgraph
-    morphism, extend it join-preservingly."""
-    src_dim, tgt_dim = a.n, a.m
-    z = "".join("0" if a.is_slot(j) else str(a.entries[j] - a.n) for j in range(a.m))
-    e = PartialInjection(
-        tgt_dim, src_dim, [a.entries[j] if a.is_slot(j) else src_dim for j in range(a.m)]
-    )
+def chain_bchop_to_graphmeet(m: int, n: int, entries: Sequence[int]) -> dict[Vertex, Vertex]:
+    """The six-step chain from the bch arrow m -> n of the entries to a map
+    C^n -> C^m: split it into constant bits z and a partial injection e,
+    transpose e to d, read (z, d) as a base-subgraph morphism, extend it
+    join-preservingly."""
+    src_dim, tgt_dim = n, m
+    slot = [e < n for e in entries]
+    z = "".join("0" if slot[j] else str(entries[j] - n) for j in range(m))
+    e = PartialInjection(tgt_dim, src_dim, [entries[j] if slot[j] else src_dim for j in range(m)])
     d = transpose_partial_injection(e)
     z_int = bits_to_int(z)
     mapping = {int_to_bits(0, src_dim): z}
     for i in range(src_dim):
         val = z_int if not d.defined(i) else z_int | (1 << (tgt_dim - 1 - d.entries[i]))
         mapping[_one_hot(src_dim, i)] = int_to_bits(val, tgt_dim)
-    h = GraphMorphism(base_subgraph(src_dim), standard_cube(tgt_dim), mapping)
-    return extend_base_morphism(h)
+    return extend_base_morphism(src_dim, tgt_dim, mapping)
 
 
-def chain_graphmeet_to_bchop(g: GraphMorphism) -> BchMorphism:
-    """The inverse chain: read (z, d) off the origin and one-hot images."""
-    m, n = g.source.dimension, g.target.dimension
-    z = g(int_to_bits(0, m))
+def chain_graphmeet_to_bchop(m: int, n: int, g: dict[Vertex, Vertex]) -> tuple[int, ...]:
+    """The inverse chain from a map C^m -> C^n to the entries of a bch arrow
+    n -> m: read (z, d) off the origin and one-hot images."""
+    z = g[int_to_bits(0, m)]
     d_entries = []
     for i in range(m):
-        w = g(_one_hot(m, i))
+        w = g[_one_hot(m, i)]
         diffs = [j for j in range(n) if w[j] != z[j]]
         if not diffs:
             d_entries.append(n)
@@ -267,16 +276,15 @@ def chain_graphmeet_to_bchop(g: GraphMorphism) -> BchMorphism:
         else:
             raise ValueError("morphism is not in the meet-and-join-preserving class")
     e = transpose_partial_injection(PartialInjection(m, n, d_entries))
-    entries = [e.entries[j] if e.defined(j) else m + int(z[j]) for j in range(n)]
-    return BchMorphism(n, m, entries)
+    return tuple(e.entries[j] if e.defined(j) else m + int(z[j]) for j in range(n))
 
 
-def unique_surjection(m: int, n: int) -> GraphMorphism:
+def unique_surjection(m: int, n: int) -> dict[Vertex, Vertex]:
     """The one surjective dimension-preserving map: drop trailing coordinates."""
     if m < n:
         raise ValueError(f"no surjective morphism from dimension {m} to {n}")
     src, tgt = twisted_cube(m), twisted_cube(n)
-    return GraphMorphism(src, tgt, {v: v[:n] for v in src.vertices})
+    return edge_checked(src, tgt, {v: v[:n] for v in src.vertices})
 
 
 def _face_flips(face: str) -> list[int]:
@@ -292,7 +300,7 @@ def _face_flips(face: str) -> list[int]:
     return flips
 
 
-def face_to_injection(face: str) -> GraphMorphism:
+def face_to_injection(face: str) -> dict[Vertex, Vertex]:
     """The edge-checked injection of twisted cubes whose image is the face,
     a string over 01 and ⋆: the k-th star takes bit k xored with its flip."""
     src, tgt = twisted_cube(face.count(STAR)), twisted_cube(len(face))
@@ -308,26 +316,27 @@ def face_to_injection(face: str) -> GraphMorphism:
             else:
                 out.append(ch)
         mapping[u] = "".join(out)
-    return GraphMorphism(src, tgt, mapping)
+    return edge_checked(src, tgt, mapping)
 
 
-def image_face(f: GraphMorphism) -> str:
+def image_face(f: dict[Vertex, Vertex]) -> str:
     """⋆ where the image varies, the constant bit elsewhere."""
-    images = [f(v) for v in f.source.vertices]
+    images = list(f.values())
     return "".join(
         STAR if len({img[j] for img in images}) > 1 else images[0][j]
-        for j in range(f.target.dimension)
+        for j in range(len(images[0]))
     )
 
 
-def chain_ternary_to_graphdim(t: TernaryMorphism) -> GraphMorphism:
-    """The edge-checked face injection after the unique surjection onto the star count."""
-    return compose_graph_loop(face_to_injection(t.seq), unique_surjection(t.m, t.stars))
+def chain_ternary_to_graphdim(m: int, seq: str) -> dict[Vertex, Vertex]:
+    """For the ternary arrow m -> len(seq), the edge-checked face injection
+    after the unique surjection onto the star count."""
+    return compose_graph_loop(face_to_injection(seq), unique_surjection(m, seq.count(STAR)))
 
 
-def chain_graphdim_to_ternary(f: GraphMorphism) -> TernaryMorphism:
-    """The image face as a ternary arrow, when the chain gives f back."""
-    t = TernaryMorphism(f.source.dimension, f.target.dimension, image_face(f))
-    if chain_ternary_to_graphdim(t) != f:
+def chain_graphdim_to_ternary(m: int, f: dict[Vertex, Vertex]) -> str:
+    """The image face of a map from T^m, when the chain gives f back."""
+    seq = image_face(f)
+    if chain_ternary_to_graphdim(m, seq) != f:
         raise ValueError("morphism is not dimension-preserving")
-    return t
+    return seq

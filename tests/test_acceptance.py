@@ -134,9 +134,9 @@ def test_criterion_11_equal_fibres_characterize_dimension_preservation():
     # spot-check the fibre arithmetic against plain counting
     twgraphdim = category_view("twgraphdim")
     for m, n in product(range(3), repeat=2):
-        for f in twgraphdim.hom(m, n):
+        for f in twgraphdim.rows(m, n).tolist():
             counts = {}
-            for v in f.source.vertices:
-                counts[f(v)] = counts.get(f(v), 0) + 1
+            for w in f:
+                counts[w] = counts.get(w, 0) + 1
             assert len(set(counts.values())) == 1
     _within(60, t0)

@@ -169,6 +169,14 @@ def test_compose_bch_json(capsys):
     assert out == '{"m": 1, "n": 1, "map": ["b1"]}\n'
 
 
+def test_compose_bch_refuses_arrows_that_do_not_compose(capsys):
+    # f = g = 1 -> 2: g takes one slot, f gives two
+    f = '{"m": 1, "n": 2, "map": ["j1"]}'
+    code, err = run_cli_error(capsys, "compose", "--cat", "bch", f, f)
+    assert code == 2
+    assert "cannot compose 1->2 after 1->2" in err
+
+
 def test_compose_parse_error_reports_position(capsys):
     code, err = run_cli_error(capsys, "compose", "--cat", "ternary", "0*1", "xy")
     assert code == 2

@@ -11,7 +11,6 @@ from cubecats import kernels
 from cubecats.cubes import standard_cube, twisted_cube
 from cubecats.graphs import CapacityError
 from cubecats.standard import (
-    GraphMorphism,
     bound_constraints,
     dimension_constraints,
     enumerate_graph_homs,
@@ -109,9 +108,9 @@ def test_empty_source_yields_single_empty_map():
 
 
 def _kept_rows(src, tgt, keep):
-    """hom_matrix rows whose morphism passes a reference predicate."""
+    """hom_matrix rows that pass a reference predicate."""
     mat = hom_matrix(src, tgt)
-    return mat[[keep(GraphMorphism.from_indices(src, tgt, row)) for row in mat]]
+    return mat[[keep(src, tgt, row) for row in mat]]
 
 
 def _assert_same_rows(got, expected):
@@ -122,8 +121,8 @@ def _assert_same_rows(got, expected):
 
 @pytest.mark.parametrize("build", [standard_cube, twisted_cube])
 def test_constrained_enumeration_matches_reference_predicates(build):
-    def meets_and_joins(f):
-        return preserves_meets(f) and preserves_joins(f)
+    def meets_and_joins(src, tgt, row):
+        return preserves_meets(src, tgt, row) and preserves_joins(src, tgt, row)
 
     graphdim = category_view("graphdim" if build is standard_cube else "twgraphdim")
 
@@ -134,11 +133,9 @@ def test_constrained_enumeration_matches_reference_predicates(build):
             _assert_same_rows(hom_matrix(src, tgt, dimension_constraints), dim)
             bound = _kept_rows(src, tgt, meets_and_joins)
             _assert_same_rows(hom_matrix(src, tgt, bound_constraints), bound)
-            homs = graphdim.hom(m, n)
-            assert [f.vmap for f in homs] == [tuple(r) for r in dim]
+            _assert_same_rows(graphdim.rows(m, n), dim)
             if build is standard_cube:
-                homs = category_view("graphmeet").hom(m, n)
-                assert [f.vmap for f in homs] == [tuple(r) for r in bound]
+                _assert_same_rows(category_view("graphmeet").rows(m, n), bound)
 
 
 def test_constrained_kernel_dimension_four_counts():

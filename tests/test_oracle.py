@@ -1,5 +1,6 @@
 """The verifiers themselves: reports, law checks, and mutant detection."""
 
+import ast
 import collections
 import dataclasses
 import inspect
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cubecats
 from cubecats import cli, cubes, graphs, kernels, oracle, standard, twisted
 from cubecats.cubes import standard_cube, twisted_cube
 from cubecats.graphs import CapacityError, Graph
@@ -34,8 +36,6 @@ from cubecats.oracle import (
     hom_table,
 )
 from cubecats.standard import (
-    BchMorphism,
-    GraphMorphism,
     bch_rows,
     bchop_to_graphmeet_rows,
     bound_constraints,
@@ -44,7 +44,7 @@ from cubecats.standard import (
     graphmeet_to_bchop_rows,
     hom_matrix,
 )
-from cubecats.twisted import TernaryMorphism, semi_rows, ternary_compose_rows, ternary_rows
+from cubecats.twisted import semi_rows, ternary_compose_rows, ternary_rows
 
 
 def test_check_report_requires_counterexample_iff_failed():
@@ -86,8 +86,7 @@ def _reference_laws(cat, max_dim, max_assoc_dim):
             "counts": counts,
         }
 
-    def describe(m, n, row):
-        return cat.describe(cat.morphism(m, n, row))
+    describe = cat.describe
 
     for m in range(max_dim + 1):
         for n in range(max_dim + 1):
@@ -282,27 +281,58 @@ def test_oracle_bug_propagates(monkeypatch):
         check_isomorphism(view, view, _same, _same, max_dim=1)
 
 
+# The oracle's routines that name one arrow: a passing run calls none of
+# them, so it makes no object per morphism, only rows of hom-sets.
+ARROW_NAMERS = ("bch_names", "vertex_dict", "ternary_seq")
+
+
+def _count_arrow_names(monkeypatch) -> collections.Counter:
+    named = collections.Counter()
+
+    def counted(name, original):
+        def namer(*args, **kwargs):
+            named[name] += 1
+            return original(*args, **kwargs)
+
+        return namer
+
+    for name in ARROW_NAMERS:
+        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    return named
+
+
+def _refuse_arrow_names(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("an arrow was named")
+
+    for name in ARROW_NAMERS:
+        monkeypatch.setattr(oracle, name, refuse)
+
+
 @pytest.mark.parametrize("cat_id", ["graphcube", "twcubecat"])
 def test_warm_hom_table_builds_no_morphisms(monkeypatch, cat_id):
     hom_table(cat_id, 3)
-
-    def refuse(*args, **kwargs):
-        raise RuntimeError("a GraphMorphism was built")
-
-    monkeypatch.setattr(GraphMorphism, "__init__", refuse)
-    monkeypatch.setattr(GraphMorphism, "from_indices", classmethod(refuse))
+    _refuse_arrow_names(monkeypatch)
     assert hom_table(cat_id, 3)[3][3] == (686 if cat_id == "graphcube" else 111)
 
 
 def test_passing_row_checks_build_no_morphisms(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise RuntimeError("a GraphMorphism was built")
-
-    monkeypatch.setattr(GraphMorphism, "__init__", refuse)
-    monkeypatch.setattr(GraphMorphism, "from_indices", classmethod(refuse))
+    _refuse_arrow_names(monkeypatch)
     for cat_id in ("graphcube", "twcubecat"):
         assert check_category_laws(category_view(cat_id), 3, 2).passed
     assert check_bchop_graphmeet_iso(3, 2).passed
+
+
+def test_no_morphism_class_in_the_package():
+    # an arrow is a row of its hom-set, and a string when it is named
+    package = Path(cubecats.__file__).parent
+    classes = [
+        f"{path.name}:{node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Morphism")
+    ]
+    assert classes == []
 
 
 def test_constant_identity_mutant_fails_both_law_paths():
@@ -656,21 +686,9 @@ def test_face_injection_without_flips_fails_factorization():
 
 
 def test_passing_check_run_builds_no_morphism(monkeypatch):
-    built = collections.Counter()
-
-    def counted(name, original):
-        def constructor(*args, **kwargs):
-            built[name] += 1
-            return original(*args, **kwargs)
-
-        return constructor
-
-    for cls in (GraphMorphism, BchMorphism, TernaryMorphism):
-        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
-    from_indices = counted("from_indices", GraphMorphism.from_indices.__func__)
-    monkeypatch.setattr(GraphMorphism, "from_indices", classmethod(from_indices))
+    named = _count_arrow_names(monkeypatch)
     assert cli.main(["check", "--suite", "all", "--max-dim", "3"]) == 0
-    assert built == {}
+    assert named == {}
 
 
 def test_surjection_and_factorization_at_dimension_five():
@@ -797,6 +815,44 @@ def test_injected_callable_that_raises_is_an_error(check, param):
             INJECTED[(check, param)](_raising(exc_type, "injected"))
 
 
+# Each check run with a result of the code under check that is malformed
+# rather than raised: (patch, check, the report's error).
+MALFORMED = {
+    "preorder not an array": (
+        lambda patch: patch.setattr(oracle, "free_preorder", lambda g: [[True]]),
+        check_total_order,
+        "free_preorder(build(1)) gave bool of shape (1, 1), expected bool of shape (2, 2)",
+    ),
+    "preorder of integers": (
+        lambda patch: patch.setattr(oracle, "free_preorder", lambda g: [[1]]),
+        check_total_order,
+        f"free_preorder(build(0)) gave {np.dtype(int)} of shape (1, 1),"
+        " expected bool of shape (1, 1)",
+    ),
+    "build not a graph": (
+        lambda patch: patch.setattr(check_unique_hamiltonian, "__defaults__", (4, lambda n: None)),
+        check_unique_hamiltonian,
+        "build(1) gave NoneType, expected a Graph",
+    ),
+    "path of no steps": (
+        lambda patch: patch.setattr(oracle, "hamiltonian_path", lambda n: []),
+        check_unique_hamiltonian,
+        "hamiltonian_path(1) gave no 2^1 - 1 vertex pairs of build(1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_injected_callable_with_a_malformed_result_is_an_error(monkeypatch, capsys, case):
+    patch, check, error = MALFORMED[case]
+    patch(monkeypatch)
+    rep = check(2)
+    assert rep.counterexample == {"error": error}
+    assert cli.main(["check", "--suite", "twisted", "--max-dim", "2"]) == 1
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["counterexample"] for r in reports if r["check"] == rep.name] == [{"error": error}]
+
+
 def test_untwisted_homs_mutant_fails_surjection():
     rep = check_unique_surjection(2, view=category_view("graphdim"))
     assert not rep.passed
@@ -851,6 +907,7 @@ def test_row_keys_find_members_only_of_width_zero():
 
 
 def test_view_hom_matches_the_enumerators():
+    # a graph view's rows are the enumerator's, and hom names each row by its vertex map
     graph_views = {
         "graphcube": (standard_cube, None),
         "graphmeet": (standard_cube, bound_constraints),
@@ -861,7 +918,16 @@ def test_view_hom_matches_the_enumerators():
     for cat_id, (build, constraints) in graph_views.items():
         view = category_view(cat_id)
         for m, n in itertools.product(range(3), repeat=2):
-            assert view.hom(m, n) == enumerate_graph_homs(build(m), build(n), constraints)
+            src, tgt = build(m), build(n)
+            rows = enumerate_graph_homs(src, tgt, constraints)
+            assert view.rows(m, n) is rows
+            names = [[f"{v}>{tgt.vertices[i]}" for v, i in zip(src.vertices, row)] for row in rows]
+            assert view.hom(m, n) == tuple(f"GraphMorphism({', '.join(f)})" for f in names)
+    # bchop(m, n) names the bch arrow n -> m
+    assert category_view("bchop").hom(1, 0) == ("BchMorphism(0->1, [])",)
+    bch_names = ("[b0, b0]", "[b0, b1]", "[b1, b0]", "[b1, b1]")
+    assert category_view("bch").hom(2, 0) == tuple(f"BchMorphism(2->0, {a})" for a in bch_names)
+    assert category_view("semi").hom(1, 2) == ("0*", "1*", "*0", "*1")
 
 
 def test_hom_table_frozen_rows():

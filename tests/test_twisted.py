@@ -1,5 +1,6 @@
 """Twisted-cube structure: the path order, faces, and ternary composition."""
 
+from collections import Counter
 from itertools import product
 from math import comb
 
@@ -10,19 +11,20 @@ from hypothesis import strategies as st
 
 from cubecats.cubes import twisted_cube
 from cubecats.oracle import category_view
-from cubecats.standard import GraphMorphism, compose_graph_morphisms, enumerate_graph_homs
+from cubecats.standard import compose_graph_rows, hom_matrix, vertex_dict
 from cubecats.twisted import (
-    TernaryMorphism,
-    graphdim_to_ternary,
+    graphdim_to_ternary_rows,
     hamiltonian_f,
     hamiltonian_path,
     order_g,
     rev,
     semi_rows,
     ternary_compose,
+    ternary_compose_rows,
+    ternary_row,
     ternary_rows,
     ternary_seq,
-    ternary_to_graphdim,
+    ternary_to_graphdim_rows,
 )
 
 from predicates import (
@@ -33,6 +35,7 @@ from predicates import (
     ternary_compose_loop,
     ternary_rows_reference,
     unique_surjection,
+    vertex_row,
 )
 
 ternary, semi, twgraphdim = map(category_view, ("ternary", "semi", "twgraphdim"))
@@ -82,8 +85,8 @@ def test_single_dimension_zero_step_at_midpoint():
 
 def test_unique_surjection_truncates_bits():
     s = unique_surjection(2, 1)
-    assert s.as_dict() == {"00": "0", "01": "0", "10": "1", "11": "1"}
-    assert s in twgraphdim.hom(2, 1)
+    assert s == {"00": "0", "01": "0", "10": "1", "11": "1"}
+    assert list(vertex_row(twisted_cube(2), twisted_cube(1), s)) in twgraphdim.rows(2, 1).tolist()
     with pytest.raises(ValueError):
         unique_surjection(1, 2)
 
@@ -102,8 +105,8 @@ def test_face_counts_and_enumeration():
 
 
 def test_face_injection_frozen_one_cube_faces():
-    assert face_to_injection("0*").as_dict() == {"0": "01", "1": "00"}
-    assert face_to_injection("1*").as_dict() == {"0": "10", "1": "11"}
+    assert face_to_injection("0*") == {"0": "01", "1": "00"}
+    assert face_to_injection("1*") == {"0": "10", "1": "11"}
 
 
 def test_face_injection_image_recovers_face():
@@ -111,37 +114,34 @@ def test_face_injection_image_recovers_face():
         for k in range(n + 1):
             for face in faces(n, k):
                 inj = face_to_injection(face)
-                assert len(set(inj.vmap)) == 2**k
+                assert len(set(inj.values())) == 2**k
                 assert image_face(inj) == face
 
 
 def test_ternary_validation_reports_position():
-    with pytest.raises(ValueError, match="position 1"):
-        TernaryMorphism(1, 2, "0x")
-    with pytest.raises(ValueError):
-        TernaryMorphism(0, 1, "*")
-    with pytest.raises(ValueError):
-        TernaryMorphism(1, 2, "0")
+    # ternary_compose reads f, then g, as ternary_row does
+    with pytest.raises(ValueError, match="position 1: invalid character 'x'"):
+        ternary_compose("0x", "*")
+    with pytest.raises(ValueError, match="position 0: invalid character 'y'"):
+        ternary_compose("x", "y")
+    with pytest.raises(ValueError, match="'\\*\\*' has 2 stars, more than m=1"):
+        ternary_compose("**", "0")
+    with pytest.raises(ValueError, match="more than m=0"):
+        ternary_row("*", 0)
+    assert ternary_row("01*", 1).tolist() == [0, 1, 2]
 
 
 def test_ternary_compose_frozen_cases():
-    def c(g, f):
-        fm = TernaryMorphism(f.count("*"), len(f), f)
-        gm = TernaryMorphism(len(f), len(g), g)
-        return ternary_compose(gm, fm).seq
-
-    assert c("0**", "1*") == "00*"
-    assert c("**", "00") == "00"
-    assert c("0**", "11") == "001"
-    assert c("*0*", "11") == "100"
-    assert c("0**", "00") == "010"
+    assert ternary_compose("0**", "1*") == "00*"
+    assert ternary_compose("**", "00") == "00"
+    assert ternary_compose("0**", "11") == "001"
+    assert ternary_compose("*0*", "11") == "100"
+    assert ternary_compose("0**", "00") == "010"
 
 
 def test_untwisted_compose_skips_parity():
-    f = TernaryMorphism(1, 2, "1*")
-    g = TernaryMorphism(2, 3, "0**")
-    assert ternary_compose(g, f, twist=False).seq == "01*"
-    assert ternary_compose(g, f).seq == "00*"
+    assert ternary_compose("0**", "1*", twist=False) == "01*"
+    assert ternary_compose("0**", "1*") == "00*"
 
 
 def test_row_maps_match_the_face_chain():
@@ -149,45 +149,48 @@ def test_row_maps_match_the_face_chain():
     # refuse when it is not dimension-preserving
     for m in range(4):
         for n in range(4):
-            for t in ternary.hom(m, n):
-                assert ternary_to_graphdim(t) == chain_ternary_to_graphdim(t)
-            for f in enumerate_graph_homs(twisted_cube(m), twisted_cube(n)):
+            src, tgt = twisted_cube(m), twisted_cube(n)
+            rows = ternary.rows(m, n)
+            for t, f in zip(rows.tolist(), ternary_to_graphdim_rows(m, n, rows)):
+                assert vertex_dict(src, tgt, f) == chain_ternary_to_graphdim(m, ternary_seq(t))
+            for f in hom_matrix(src, tgt):
                 try:
-                    expected = chain_graphdim_to_ternary(f)
+                    expected = chain_graphdim_to_ternary(m, vertex_dict(src, tgt, f))
                 except ValueError:
                     with pytest.raises(ValueError, match="dimension-preserving"):
-                        graphdim_to_ternary(f)
+                        graphdim_to_ternary_rows(m, n, f[None])
                 else:
-                    assert graphdim_to_ternary(f) == expected
+                    assert ternary_seq(graphdim_to_ternary_rows(m, n, f[None])[0]) == expected
 
 
 def test_ternary_compose_matches_the_reference_loop():
-    homs = {(m, n): ternary.hom(m, n) for m, n in product(range(4), repeat=2)}
+    homs = {(m, n): ternary.rows(m, n) for m, n in product(range(4), repeat=2)}
     for k, m, n in product(range(4), repeat=3):
-        for g in homs[(m, n)]:
-            for f in homs[(k, m)]:
-                for twist in (True, False):
-                    assert ternary_compose(g, f, twist) == ternary_compose_loop(g, f, twist)
+        gs, fs = homs[(m, n)], homs[(k, m)]
+        for twist in (True, False):
+            composites = ternary_compose_rows(gs, fs, twist)
+            for g, row in zip(map(ternary_seq, gs), composites):
+                for f, composite in zip(map(ternary_seq, fs), row):
+                    assert ternary_seq(composite) == ternary_compose_loop(g, f, twist)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 3), st.integers(0, 3), st.data())
 def test_ternary_identity_laws(m, n, data):
     t = data.draw(st.sampled_from(ternary.hom(m, n)))
-    assert ternary_compose(t, TernaryMorphism(m, m, "*" * m)) == t
-    assert ternary_compose(TernaryMorphism(n, n, "*" * n), t) == t
+    assert ternary_compose(t, "*" * m) == t
+    assert ternary_compose("*" * n, t) == t
 
 
 def test_ternary_to_graphdim_is_bijection_small():
     for m in range(4):
         for n in range(4):
-            arrows = ternary.hom(m, n)
-            graphs = twgraphdim.hom(m, n)
+            arrows = ternary.rows(m, n)
+            maps = ternary_to_graphdim_rows(m, n, arrows)
+            graphs = twgraphdim.rows(m, n)
             assert len(arrows) == len(graphs)
-            image = {ternary_to_graphdim(t) for t in arrows}
-            assert image == set(graphs)
-            for t in arrows:
-                assert graphdim_to_ternary(ternary_to_graphdim(t)) == t
+            assert set(map(tuple, maps.tolist())) == set(map(tuple, graphs.tolist()))
+            assert np.array_equal(graphdim_to_ternary_rows(m, n, maps), arrows)
 
 
 def test_ternary_counts_frozen():
@@ -209,44 +212,39 @@ def test_ternary_rows_match_the_candidate_filter():
 
 
 def test_ternary_functorial_exhaustive_dim_two():
-    homs = {(m, n): ternary.hom(m, n) for m, n in product(range(3), repeat=2)}
+    # phi(g ∘ f) = phi(g) ∘ phi(f) for g: m -> n and f: k -> m
     for k, m, n in product(range(3), repeat=3):
-        for g in homs[(m, n)]:
-            phi_g = ternary_to_graphdim(g)
-            for f in homs[(k, m)]:
-                lhs = ternary_to_graphdim(ternary_compose(g, f))
-                rhs = compose_graph_morphisms(phi_g, ternary_to_graphdim(f))
-                assert lhs == rhs
+        gs, fs = ternary.rows(m, n), ternary.rows(k, m)
+        composites = ternary_compose_rows(gs, fs).reshape(len(gs) * len(fs), n)
+        lhs = ternary_to_graphdim_rows(k, n, composites).reshape(len(gs), len(fs), 2**k)
+        phi_g, phi_f = ternary_to_graphdim_rows(m, n, gs), ternary_to_graphdim_rows(k, m, fs)
+        assert np.array_equal(lhs, compose_graph_rows(phi_g, phi_f))
 
 
 def test_identity_ternary_maps_to_identity_morphism():
     for n in range(4):
-        identity = GraphMorphism.from_indices(twisted_cube(n), twisted_cube(n), range(2**n))
-        assert ternary_to_graphdim(TernaryMorphism(n, n, "*" * n)) == identity
+        identity = ternary_to_graphdim_rows(n, n, np.full((1, n), 2))
+        assert identity.tolist() == [list(range(2**n))]
 
 
 def test_semi_ternary_uses_every_input():
     for m in range(4):
         for n in range(4):
-            arrows = semi.hom(m, n)
-            assert all(t.stars == m for t in arrows)
-            assert all(t.stars == t.m for t in arrows)
+            arrows = semi.rows(m, n)
+            assert ((arrows == 2).sum(axis=1) == m).all()
             assert len(arrows) == comb(n, m) * 2 ** (n - m) if m <= n else len(arrows) == 0
 
 
 def test_semi_closed_under_composition():
-    gs = semi.hom(2, 3)
-    for f in semi.hom(1, 2):
-        for g in gs:
-            assert ternary_compose(g, f).stars == 1
+    composites = ternary_compose_rows(semi.rows(2, 3), semi.rows(1, 2))
+    assert composites.shape[:2] == (6, 4)
+    assert ((composites == 2).sum(axis=2) == 1).all()
 
 
 def test_fibres_of_dimension_preserving_maps_are_uniform():
     for m in range(4):
         for n in range(4):
-            for f in twgraphdim.hom(m, n):
-                k = image_face(f).count("*")
-                sizes = {}
-                for v in f.source.vertices:
-                    sizes[f(v)] = sizes.get(f(v), 0) + 1
-                assert set(sizes.values()) == {2 ** (m - k)}
+            src, tgt = twisted_cube(m), twisted_cube(n)
+            for f in twgraphdim.rows(m, n):
+                k = image_face(vertex_dict(src, tgt, f)).count("*")
+                assert set(Counter(f.tolist()).values()) == {2 ** (m - k)}
