@@ -9,9 +9,10 @@ it is checking.
 
 Every check that reads a category's hom-sets works on morphisms as
 rows: each hom-set is a sorted integer matrix, composition is one
-batched row operation per triple of objects, and a composite is found
-in its hom-set by a binary search of its row key.  A counterexample
-names a row by the view's describe, in its notation's text.
+batched row operation per triple of objects, a composite is found in
+its hom-set by a binary search of its row key, and _one_side_only
+compares two hom-sets by these lookups.  A counterexample names a row
+by the view's describe, in its notation's text.
 
 Every call into the code under check goes through _call: a view's
 callbacks, an isomorphism's functors, the factorization's face
@@ -19,10 +20,11 @@ injections, and the cube builders, preorder, order and path of the
 theorem checks.  An exception there becomes a RowError, and so does a
 result of the wrong form: an array that checked_rows refuses, a build
 that is no Graph, a preorder that is no square boolean array over the
-cube's vertices, or a path that is not 2^n - 1 vertex pairs.  _run
-turns a RowError into the counterexample {"error": message}, tagged
-{"law": "exception"} in the laws and {"stage": "exception"} in the
-isomorphisms.  An exception in the oracle's own code propagates.
+cube's vertices, ranks that are not one integer per vertex, or a path
+that is not 2^n - 1 vertex pairs.  _run turns a RowError into the
+counterexample {"error": message}, tagged {"law": "exception"} in the
+laws and {"stage": "exception"} in the isomorphisms.  An exception in
+the oracle's own code propagates.
 
 The check functions take the pieces they verify as parameters where a
 mutation test needs to swap them out (a cube builder, a hom enumerator,
@@ -189,6 +191,19 @@ def _first(bad: np.ndarray) -> Optional[tuple]:
     """Position of the first True of bad in row-major order, or None."""
     found = np.argwhere(bad)
     return tuple(int(i) for i in found[0]) if len(found) else None
+
+
+def _one_side_only(left: HomRows, right: HomRows) -> Optional[tuple[list, bool]]:
+    """The least row in exactly one of two hom-sets, and whether it is in
+    left, or None when they hold the same rows.  Each side's rows are looked
+    up in the other, so both sides' order is checked first."""
+    checked_rows(right.rows, (None, left.width), right.what)
+    firsts = [
+        (row, side)
+        for hom, other, side in ((left, right, True), (right, left, False))
+        for row in hom.rows[other.index(hom.rows) < 0][:1].tolist()
+    ]
+    return min(firsts, default=None)
 
 
 def _associativity_failure(gf: np.ndarray, hg: np.ndarray, x_f: np.ndarray, h_y: np.ndarray):
@@ -586,7 +601,7 @@ def check_meet_equals_dim(max_dim: int = 3) -> CheckReport:
     """Meet-and-join preservation and dimension preservation pick the same maps.
 
     Both sides are the hom-sets of a category view, graphmeet and
-    graphdim, as lexicographic rows; equal arrays are equal sets.
+    graphdim, compared by _one_side_only.
     """
     counts = {"hom_sets": 0, "morphisms": 0}
     objs = range(max_dim + 1)
@@ -595,13 +610,11 @@ def check_meet_equals_dim(max_dim: int = 3) -> CheckReport:
         meet_homs = _Rows(category_view("graphmeet"), objs).homs
         dim_homs = _Rows(category_view("graphdim"), objs).homs
         for m, n in product(objs, repeat=2):
-            meets, dims = meet_homs[(m, n)].rows, dim_homs[(m, n)].rows
-            if not np.array_equal(meets, dims):
-                meet_set = set(map(tuple, meets.tolist()))
-                diff = min(meet_set ^ set(map(tuple, dims.tolist())))
-                return {"m": m, "n": n, "vmap": list(diff), "in_meet": diff in meet_set}
+            diff = _one_side_only(meet_homs[(m, n)], dim_homs[(m, n)])
+            if diff is not None:
+                return {"m": m, "n": n, "vmap": diff[0], "in_meet": diff[1]}
             counts["hom_sets"] += 1
-            counts["morphisms"] += len(meets)
+            counts["morphisms"] += len(meet_homs[(m, n)])
         return None
 
     return _run("meet_equals_dim", {"max_dim": max_dim}, counts, first_failure)
@@ -629,7 +642,10 @@ def check_total_order(max_n: int = 5, build: Callable[[int], Graph] = twisted_cu
                 raise RowError(f"{what}, expected bool of shape {(k, k)}")
             if not is_total_order(leq):
                 return {"n": n, "reason": "not total"}
-            ranks = np.array([_call(order_g, n, v) for v in g.vertices])
+            ranks = _call(np.asarray, [_call(order_g, n, v) for v in g.vertices])
+            if ranks.shape != (k,) or ranks.dtype.kind not in "iu":
+                what = f"order_g({n}, v) over build({n}) gave {ranks.dtype} of shape {ranks.shape}"
+                raise RowError(f"{what}, expected integers of shape {(k,)}")
             expected = ranks[:, None] <= ranks[None, :]
             if not (leq == expected).all():
                 i, j = np.argwhere(leq != expected)[0]
@@ -802,8 +818,8 @@ def check_fibre_dimension(
 ) -> CheckReport:
     """Equal non-empty fibre sizes characterize dimension preservation.
 
-    Both sides are the rows of a graph view over build: every
-    edge-preserving map, and the dimension-preserving ones.
+    _one_side_only compares the edge-preserving maps with equal non-empty
+    fibres with the whole dimension hom-set, both graph views over build.
     """
     counts = {"morphisms": 0}
     objs = range(max_dim + 1)
@@ -816,16 +832,10 @@ def check_fibre_dimension(
             fibres = kernels.fibre_counts(mat, 2**n)
             biggest = fibres.max(axis=1)
             equal = np.where(fibres == 0, biggest[:, None], fibres).min(axis=1) == biggest
-            dimpres = dim_homs[(m, n)].index(mat) >= 0
-            if (equal != dimpres).any():
-                row = int(np.nonzero(equal != dimpres)[0][0])
-                return {
-                    "m": m,
-                    "n": n,
-                    "vmap": mat[row].tolist(),
-                    "equal_fibres": bool(equal[row]),
-                    "dimension_preserving": bool(dimpres[row]),
-                }
+            diff = _one_side_only(HomRows(mat[equal], homs[(m, n)].what), dim_homs[(m, n)])
+            if diff is not None:
+                sides = {"equal_fibres": diff[1], "dimension_preserving": not diff[1]}
+                return {"m": m, "n": n, "vmap": diff[0], **sides}
             counts["morphisms"] += len(mat)
         return None
 

@@ -3,10 +3,11 @@
 A hom-set is a 2-D array of non-negative integers, one row per
 morphism, in strictly increasing lexicographic order.  A row's key is
 its digits as big-endian bytes of the smallest unsigned type that holds
-the hom-set's largest digit, so keys sort as rows do and a row is found
-in its hom-set by a binary search of its key.  The oracle checks every
-array a view or functor returns with checked_rows before it indexes
-with it.
+the hom-set's largest digit.  Keys sort as rows do, so HomRows checks a
+hom-set's order as "its keys strictly increase" and finds a row by a
+binary search of its key; oracle._one_side_only compares two hom-sets
+by these lookups.  The oracle checks every array a view or functor
+returns with checked_rows before it indexes with it.
 """
 
 from __future__ import annotations
@@ -40,23 +41,10 @@ def checked_rows(value: object, shape: tuple, what: str) -> np.ndarray:
     return arr
 
 
-def _strictly_increasing(rows: np.ndarray) -> bool:
-    """Whether each row differs from the next, and at the first column
-    where they differ has the smaller digit."""
-    if len(rows) < 2:
-        return True
-    before, after = rows[:-1], rows[1:]
-    differ = before != after
-    if not differ.any(axis=1).all():
-        return False
-    first = differ.argmax(axis=1)[:, None]
-    return bool((np.take_along_axis(before, first, 1) < np.take_along_axis(after, first, 1)).all())
-
-
 class HomRows:
     """The rows of one hom-set, and the sorted keys that find a row's index in it.
 
-    The keys are built, and the order of the rows checked, on first lookup.
+    The keys are built on first lookup, and refused unless they strictly increase.
     """
 
     def __init__(self, rows: object, what: str):
@@ -65,7 +53,7 @@ class HomRows:
         self.what = what
         largest = int(self.rows.max()) if self.rows.size else 0
         self.digit = np.min_scalar_type(largest).newbyteorder(">")
-        self.key = np.dtype(f"V{self.digit.itemsize * self.width}")
+        self.key = np.dtype(f"S{self.digit.itemsize * self.width}")
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -78,9 +66,10 @@ class HomRows:
 
     @cached_property
     def keys(self) -> np.ndarray:
-        if not _strictly_increasing(self.rows):
+        keys = self._keys(self.rows)
+        if not (keys[:-1] < keys[1:]).all():
             raise RowError(f"{self.what} gave rows that are not strictly increasing")
-        return self._keys(self.rows)
+        return keys
 
     def index(self, rows: np.ndarray) -> np.ndarray:
         """The index of each row of rows in this hom-set, -1 for a row not in it.

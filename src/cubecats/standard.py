@@ -49,8 +49,8 @@ def bch_names(n: int, entries: Sequence[int]) -> list[str]:
 
 def bch_from_json(text: str) -> tuple[int, int, tuple[int, ...]]:
     """(m, n, entries) of the arrow {"m": m, "n": n, "map": [...]}: m and n
-    non-negative JSON integers, map a JSON list of m entries, each "j" and
-    ASCII digits, "b0" or "b1", no two naming one output slot."""
+    non-negative JSON integers, n + 1 an intp, map a JSON list of m entries,
+    each "j" and ASCII digits, "b0" or "b1", no two naming one output slot."""
     payload = json.loads(text)
     m, n = payload["m"], payload["n"]
     if type(m) is not int or type(n) is not int:
@@ -65,8 +65,8 @@ def bch_from_json(text: str) -> tuple[int, int, tuple[int, ...]]:
             raise ValueError(f"map entry {pos}: constant must be b0 or b1, got {item!r}")
         value = int(item[1:])
         entries.append(value if item[0] == "j" else n + value)
-    if m < 0 or n < 0:
-        raise ValueError(f"arity must be non-negative, got {m}->{n}")
+    if m < 0 or not 0 <= n < np.iinfo(np.intp).max:
+        raise ValueError(f"arity must be non-negative, n below the largest intp, got {m}->{n}")
     if len(entries) != m:
         raise ValueError(f"expected {m} entries, got {len(entries)}")
     for i, e in enumerate(entries):

@@ -219,11 +219,16 @@ _GRAPH_FILES = {
         ["compose", "--cat", "bch", '{"m": 1, "n": 1, "map": ["j\u0660"]}', _BCH_ID],
         ["compose", "--cat", "bch", '{"m": 1, "n": 1, "map": ["b0_1"]}', _BCH_ID],
         ["compose", "--cat", "bch", _BCH_ID, '{"m": 0, "n": 1, "map": ""}'],
+        [
+            "compose", "--cat", "bch",
+            '{"m": 0, "n": 100000000000000000000, "map": []}', '{"m": 0, "n": 0, "map": []}',
+        ],
     ],
     ids=[
         "bch-overflow", "bch-nesting", "export-nesting", "bch-negative", "bch-float", "bch-bool",
         "export-string-vertices", "export-object-vertices", "export-bool-dimension",
         "bch-space", "bch-sign", "bch-arabic-indic-digit", "bch-underscore", "bch-string-map",
+        "bch-huge-arity",
     ],
 )
 def test_malformed_input_usage_error(capsys, tmp_path, argv):

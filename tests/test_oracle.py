@@ -458,6 +458,38 @@ def test_meets_only_bounds_fail_meet_equals_dim():
     assert check_meet_equals_dim(2).passed
 
 
+@pytest.mark.parametrize("cat_id", ["graphmeet", "graphdim"])
+def test_reversed_rows_are_an_error_in_meet_equals_dim(monkeypatch, cat_id):
+    def view(name):
+        if name != cat_id:
+            return category_view(name)
+        return dataclasses.replace(
+            category_view(name), rows=lambda m, n: category_view(name).rows(m, n)[::-1]
+        )
+
+    monkeypatch.setattr(oracle, "category_view", view)
+    rep = check_meet_equals_dim(2)
+    assert rep.counterexample == {"error": "rows(0, 1) gave rows that are not strictly increasing"}
+    assert rep.counts == {"hom_sets": 1, "morphisms": 1}
+
+
+def test_extra_dimension_row_fails_fibre_dimension(monkeypatch):
+    # a dimension listing that holds the swap [1, 0] of T^1, which is not
+    # edge-preserving, has a row that no map with equal fibres matches
+    def with_swap(src, tgt, constraints):
+        rows = hom_matrix(src, tgt, constraints)
+        if constraints is dimension_constraints and src.dimension == tgt.dimension == 1:
+            return np.unique(np.vstack([rows, [[1, 0]]]), axis=0)
+        return rows
+
+    monkeypatch.setattr(oracle, "hom_matrix", with_swap)
+    rep = check_fibre_dimension(1)
+    assert rep.counterexample == {
+        "m": 1, "n": 1, "vmap": [1, 0], "equal_fibres": False, "dimension_preserving": True
+    }
+    assert rep.counts == {"morphisms": 4}
+
+
 def _drop_constants(m, n, rows):
     # every constant becomes b0: b1 is lost
     return bchop_to_graphmeet_rows(m, n, np.minimum(rows, m))
@@ -829,6 +861,11 @@ MALFORMED = {
         f"free_preorder(build(0)) gave {np.dtype(int)} of shape (1, 1),"
         " expected bool of shape (1, 1)",
     ),
+    "ranks not integers": (
+        lambda patch: patch.setattr(oracle, "order_g", lambda n, v: None),
+        check_total_order,
+        "order_g(0, v) over build(0) gave object of shape (1,), expected integers of shape (1,)",
+    ),
     "build not a graph": (
         lambda patch: patch.setattr(check_unique_hamiltonian, "__defaults__", (4, lambda n: None)),
         check_unique_hamiltonian,
@@ -894,6 +931,25 @@ def test_row_keys_find_members_only(width, top):
         HomRows(rows[::-1], "rows").index(rows)
     with pytest.raises(RowError, match="not strictly increasing"):
         HomRows(np.repeat(rows, 2, axis=0), "rows").index(rows)
+
+
+@pytest.mark.parametrize(
+    "rows, ordered",
+    [
+        ([[0, 1], [0, 256]], True),
+        ([[255, 0], [256, 0], [256, 1]], True),
+        ([[0, 256], [0, 1]], False),
+        ([[0, 256], [0, 256]], False),
+    ],
+    ids=["increasing", "increasing-first-digit", "descending", "equal"],
+)
+def test_row_keys_check_order_with_two_byte_digits(rows, ordered):
+    hom = HomRows(np.array(rows), "rows")
+    if ordered:
+        assert hom.index(hom.rows).tolist() == list(range(len(rows)))
+    else:
+        with pytest.raises(RowError, match="rows gave rows that are not strictly increasing"):
+            hom.index(hom.rows)
 
 
 def test_row_keys_find_members_only_of_width_zero():
