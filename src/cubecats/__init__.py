@@ -52,7 +52,7 @@ from .oracle import (
     CATEGORY_IDS,
     CheckReport,
     FiniteCategoryView,
-    brute_hamiltonian,
+    acyclic_hamiltonian_paths,
     category_view,
     check_category_laws,
     check_isomorphism,

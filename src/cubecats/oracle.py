@@ -1,7 +1,9 @@
-"""Brute-force verifiers: category laws, isomorphisms, Hamiltonian search.
+"""Brute-force verifiers: category laws, isomorphisms, Hamiltonian paths.
 
 Every theorem the package implements structurally is re-checked here by
-exhaustive computation over small dimensions.  Each check keeps its
+exhaustive computation over small dimensions, except Hamiltonian paths:
+Kahn's algorithm either finds a cycle in a built cube or gives its one
+candidate path, its topological order.  Each check keeps its
 loops in one first_failure() that returns the first counterexample in
 canonical order, or None, and counts the work done as it goes; _run
 times it and builds the CheckReport.  No check assumes the statement
@@ -171,7 +173,9 @@ class _Rows:
     def __init__(self, cat: FiniteCategoryView, objs: range):
         self.cat = cat
         self.homs = {
-            (m, n): HomRows(_call(cat.rows, m, n), f"rows({m}, {n})") for m in objs for n in objs
+            (m, n): HomRows(_call(cat.rows, m, n), f"{cat.name} rows({m}, {n})")
+            for m in objs
+            for n in objs
         }
 
     def identity(self, n: int) -> np.ndarray:
@@ -454,31 +458,21 @@ def check_isomorphism(
     return _run(name, params, counts, first_failure, {"stage": "exception"})
 
 
-def brute_hamiltonian(g: Graph) -> list[list[str]]:
-    """All directed Hamiltonian paths, found by exhaustive search."""
-    nv = len(g.vertices)
-    if nv > 16:
-        raise CapacityError("brute_hamiltonian is limited to 16 vertices")
-    succ = [
-        [g.index[v] for u2, v in g.edge_list if u2 == u and v != u]
-        for u in g.vertices
-    ]
-    paths: list[list[str]] = []
-    path = [0] * nv
+def acyclic_hamiltonian_paths(g: Graph) -> Optional[list[list[str]]]:
+    """The directed Hamiltonian paths of g, or None when g has a cycle.
 
-    def dfs(v: int, visited: int, depth: int) -> None:
-        path[depth] = v
-        if depth == nv - 1:
-            paths.append([g.vertices[i] for i in path])
-            return
-        for w in succ[v]:
-            bit = 1 << w
-            if not visited & bit:
-                dfs(w, visited | bit, depth + 1)
-
-    for start in range(nv):
-        dfs(start, 1 << start, 0)
-    return paths
+    Loops aside, an acyclic graph has at most one: its topological order,
+    found by Kahn's algorithm, when each vertex of it has an edge to the next.
+    """
+    adj = g.adjacency & ~np.eye(len(g.vertices), dtype=bool)
+    indegree = adj.sum(axis=0)
+    order = np.flatnonzero(indegree == 0).tolist()
+    for v in order:  # order grows as the loop reads it: a queue
+        indegree[adj[v]] -= 1
+        order += np.flatnonzero(adj[v] & (indegree == 0)).tolist()
+    if len(order) < len(g.vertices):
+        return None
+    return [[g.vertices[v] for v in order]] if order and adj[order[:-1], order[1:]].all() else []
 
 
 CATEGORY_IDS = (
@@ -678,13 +672,16 @@ def _path(n: int, g: Graph) -> list:
 def check_unique_hamiltonian(
     max_n: int = 4, build: Callable[[int], Graph] = twisted_cube
 ) -> CheckReport:
-    """Exhaustive search finds exactly the one constructed Hamiltonian path."""
+    """Each built cube is acyclic and has exactly one Hamiltonian path, the
+    constructed one, whose one step that changes the first bit is its middle step."""
     counts = {"paths_searched": 0}
 
     def first_failure() -> Optional[dict]:
         for n in range(1, max_n + 1):
             g = _built(build, n)
-            found = brute_hamiltonian(g)
+            found = acyclic_hamiltonian_paths(g)
+            if found is None:
+                return {"n": n, "reason": "cyclic"}
             counts["paths_searched"] += len(found)
             constructed = _path(n, g)
             vertex_order = [constructed[0][0]] + [t for _, t in constructed]

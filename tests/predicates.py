@@ -4,7 +4,8 @@ A bch arrow is (m, n, entries), a ternary arrow its string, and a graph
 morphism a dict from source to target vertex names, which edge_checked
 refuses unless it sends every edge to an edge.  The predicates check
 the constrained hom enumerations row by row, with meets and joins from
-a search over every vertex pair.  The composition loops, the (z, d)
+a search over every vertex pair, and the Hamiltonian paths of a graph
+come from an exhaustive search.  The composition loops, the (z, d)
 chain and the face chain are the plain one-arrow versions of the row
 operations in the package, which the tests compare them with, and the
 candidate filters list the bch and ternary rows without the hom
@@ -65,6 +66,37 @@ def bound_tables_reference(g: Graph) -> tuple[np.ndarray, np.ndarray]:
                 if len(idx) == 1:
                     join[i, j] = join[j, i] = idx[0]
     return meet, join
+
+
+def hamiltonian_paths_reference(g: Graph) -> list[list[Vertex]]:
+    """All directed Hamiltonian paths of g, by exhaustive depth-first search."""
+    nv = len(g.vertices)
+    succ = [[g.index[v] for u2, v in g.edge_list if u2 == u and v != u] for u in g.vertices]
+    paths: list[list[Vertex]] = []
+    path = [0] * nv
+
+    def dfs(v: int, visited: int, depth: int) -> None:
+        path[depth] = v
+        if depth == nv - 1:
+            paths.append([g.vertices[i] for i in path])
+            return
+        for w in succ[v]:
+            bit = 1 << w
+            if not visited & bit:
+                dfs(w, visited | bit, depth + 1)
+
+    for start in range(nv):
+        dfs(start, 1 << start, 0)
+    return paths
+
+
+def has_cycle_reference(g: Graph) -> bool:
+    """Whether g has a directed cycle through two or more vertices, from
+    Warshall's transitive closure of its edges that are not loops."""
+    reach = g.adjacency & ~np.eye(len(g.vertices), dtype=bool)
+    for k in range(len(g.vertices)):
+        reach |= reach[:, k : k + 1] & reach[k : k + 1, :]
+    return bool(reach.diagonal().any())
 
 
 def edge_checked(src: Graph, tgt: Graph, mapping: dict[Vertex, Vertex]) -> dict[Vertex, Vertex]:

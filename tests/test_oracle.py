@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubecats
 from cubecats import cli, cubes, graphs, kernels, oracle, standard, twisted
@@ -20,7 +22,7 @@ from cubecats.rows import HomRows, RowError
 from cubecats.oracle import (
     CATEGORY_IDS,
     CheckReport,
-    brute_hamiltonian,
+    acyclic_hamiltonian_paths,
     category_view,
     check_bchop_graphmeet_iso,
     check_category_laws,
@@ -45,6 +47,7 @@ from cubecats.standard import (
     hom_matrix,
 )
 from cubecats.twisted import semi_rows, ternary_compose_rows, ternary_rows
+from predicates import has_cycle_reference, hamiltonian_paths_reference
 
 
 def test_check_report_requires_counterexample_iff_failed():
@@ -458,8 +461,9 @@ def test_meets_only_bounds_fail_meet_equals_dim():
     assert check_meet_equals_dim(2).passed
 
 
-@pytest.mark.parametrize("cat_id", ["graphmeet", "graphdim"])
-def test_reversed_rows_are_an_error_in_meet_equals_dim(monkeypatch, cat_id):
+def _meet_equals_dim_reversing(monkeypatch, cat_id):
+    """check_meet_equals_dim(2) with the rows of view cat_id in reverse order."""
+
     def view(name):
         if name != cat_id:
             return category_view(name)
@@ -468,9 +472,21 @@ def test_reversed_rows_are_an_error_in_meet_equals_dim(monkeypatch, cat_id):
         )
 
     monkeypatch.setattr(oracle, "category_view", view)
-    rep = check_meet_equals_dim(2)
-    assert rep.counterexample == {"error": "rows(0, 1) gave rows that are not strictly increasing"}
+    return check_meet_equals_dim(2)
+
+
+@pytest.mark.parametrize("cat_id", ["graphmeet", "graphdim"])
+def test_reversed_rows_are_an_error_in_meet_equals_dim(monkeypatch, cat_id):
+    rep = _meet_equals_dim_reversing(monkeypatch, cat_id)
+    error = f"{cat_id} rows(0, 1) gave rows that are not strictly increasing"
+    assert rep.counterexample == {"error": error}
     assert rep.counts == {"hom_sets": 1, "morphisms": 1}
+
+
+def test_reversed_rows_error_names_the_view(monkeypatch):
+    meet = _meet_equals_dim_reversing(monkeypatch, "graphmeet").counterexample
+    dim = _meet_equals_dim_reversing(monkeypatch, "graphdim").counterexample
+    assert meet != dim
 
 
 def test_extra_dimension_row_fails_fibre_dimension(monkeypatch):
@@ -692,7 +708,7 @@ def test_negative_vertex_is_an_error_not_a_surjection():
         return rows.astype(np.intp) - 1 if n == 0 else rows
 
     view = dataclasses.replace(twgraphdim, rows=minus_one_into_zero)
-    error = {"error": "rows(0, 0) gave the negative value -1"}
+    error = {"error": "twgraphdim rows(0, 0) gave the negative value -1"}
     assert check_unique_surjection(2, view).counterexample == error
     assert check_factorization(2, view).counterexample == error
 
@@ -703,10 +719,10 @@ def test_rows_that_are_not_vertex_maps_are_an_error():
     beyond = dataclasses.replace(twgraphdim, rows=lambda m, n: np.full((1, 2**m), 2**n))
     for check in (check_unique_surjection, check_factorization):
         assert check(1, wide).counterexample == {
-            "error": "rows(0, 0) gave shape (1, 2), expected (*, 1)"
+            "error": "twgraphdim rows(0, 0) gave shape (1, 2), expected (*, 1)"
         }
         assert check(1, beyond).counterexample == {
-            "error": "rows(0, 0) gave the vertex 1, expected one below 1"
+            "error": "twgraphdim rows(0, 0) gave the vertex 1, expected one below 1"
         }
 
 
@@ -730,17 +746,60 @@ def test_surjection_and_factorization_at_dimension_five():
     assert rep.passed and rep.counts == {"factored": 1637}
 
 
-def test_brute_hamiltonian_counts():
-    assert brute_hamiltonian(standard_cube(1)) == [["0", "1"]]
-    assert brute_hamiltonian(standard_cube(2)) == []
-    assert brute_hamiltonian(twisted_cube(2)) == [["01", "00", "10", "11"]]
-    assert len(brute_hamiltonian(twisted_cube(3))) == 1
+def test_acyclic_hamiltonian_paths_counts():
+    assert acyclic_hamiltonian_paths(standard_cube(1)) == [["0", "1"]]
+    assert acyclic_hamiltonian_paths(standard_cube(2)) == []
+    assert acyclic_hamiltonian_paths(twisted_cube(2)) == [["01", "00", "10", "11"]]
+    assert len(acyclic_hamiltonian_paths(twisted_cube(3))) == 1
 
 
-def test_brute_hamiltonian_capacity():
-    big = Graph([format(k, "05b") for k in range(32)], [])
-    with pytest.raises(CapacityError):
-        brute_hamiltonian(big)
+@pytest.mark.parametrize("build", [standard_cube, twisted_cube])
+@pytest.mark.parametrize("n", range(5))
+def test_acyclic_hamiltonian_paths_match_the_search_on_cubes(build, n):
+    g = build(n)
+    assert acyclic_hamiltonian_paths(g) == hamiltonian_paths_reference(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_acyclic_hamiltonian_paths_match_the_search_on_small_digraphs(data):
+    names = [format(k, "03b") for k in range(8)]
+    vertices = data.draw(st.lists(st.sampled_from(names), max_size=8, unique=True))
+    edges = []
+    if vertices:
+        pair = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+        edges = data.draw(st.lists(pair, max_size=20))
+    if data.draw(st.booleans()):
+        # only edges that go forward in the drawn order, so no cycle, and
+        # sometimes its chain, so a Hamiltonian path
+        rank = {v: i for i, v in enumerate(vertices)}
+        edges = [(u, v) for u, v in edges if rank[u] <= rank[v]]
+        if data.draw(st.booleans()):
+            edges += list(zip(vertices, vertices[1:]))
+    g = Graph(vertices, edges)
+    found = acyclic_hamiltonian_paths(g)
+    if has_cycle_reference(g):
+        assert found is None
+    else:
+        assert found == hamiltonian_paths_reference(g)
+
+
+def _with_back_edge(n):
+    """twisted_cube(n) with the reverse of its first edge that is not a loop: a cycle."""
+    g = twisted_cube(n)
+    u, v = next((u, v) for u, v in g.edge_list if u != v)
+    return Graph(g.vertices, g.edges | {(v, u)})
+
+
+def test_cyclic_build_fails_hamiltonian():
+    rep = check_unique_hamiltonian(3, build=_with_back_edge)
+    assert rep.counterexample == {"n": 1, "reason": "cyclic"}
+    assert rep.counts == {"paths_searched": 0}
+
+
+def test_unique_hamiltonian_at_dimension_eight():
+    rep = check_unique_hamiltonian(8)
+    assert rep.passed and rep.counts == {"paths_searched": 8}
 
 
 def test_positive_checks_pass_small():
