@@ -11,8 +11,8 @@ it is checking.
 
 Every check that reads a category's hom-sets works on morphisms as
 rows: each hom-set is a sorted integer matrix, composition is one
-batched row operation per triple of objects, a composite is found in
-its hom-set by a binary search of its row key, and _one_side_only
+batched row operation per block of pairs, a composite is found in its
+hom-set by a binary search of its row key, and _one_side_only
 compares two hom-sets by these lookups.  A counterexample names a row
 by the view's describe, in its notation's text.
 
@@ -41,7 +41,7 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -73,7 +73,7 @@ from .twisted import (
 )
 
 DEFAULT_TRIPLE_CAP = 10**8
-# Largest gathered block of associativity composites, in bytes.
+# Largest block of hom-set indices of a pair product, in bytes.
 GATHER_BYTES = 1 << 22
 
 
@@ -121,8 +121,9 @@ class FiniteCategoryView:
     equal morphisms.  identity(n) is the row of id_n.
     compose_rows(m, n, p, h, g) takes rows h of hom(n, p) and rows g of
     hom(m, n) and returns the (len(h), len(g), w) array of the rows of
-    every h∘g.  describe(m, n, row) names a row of hom(m, n) in a
-    counterexample.
+    every h∘g.  It is called on blocks of h rows, so each composite may
+    depend only on its own pair.  describe(m, n, row) names a row of
+    hom(m, n) in a counterexample.
     """
 
     name: str
@@ -187,8 +188,20 @@ class _Rows:
         composites = _call(self.cat.compose_rows, m, n, p, h, g)
         return checked_rows(composites, shape, f"compose_rows({m}, {n}, {p})")
 
+    def table_blocks(self, m: int, n: int, p: int, h: np.ndarray, g: np.ndarray) -> Iterator:
+        """The index in hom(m, p) of each h[i]∘g[j], or -1, in _blocks of rows i, each
+        of at most GATHER_BYTES of 8-byte indices: the blocks depend only on len(h), len(g)."""
+        for rows in _blocks(len(h), 8 * len(g)):
+            yield self.homs[(m, p)].index(self.compose(m, n, p, h[rows], g))
+
     def describe(self, m: int, n: int, row: np.ndarray) -> str:
         return _call(self.cat.describe, m, n, row)
+
+
+def _blocks(rows: int, row_bytes: int) -> list[slice]:
+    """In-order slices over range(rows), at least one: a row, or GATHER_BYTES at row_bytes a row."""
+    step = max(1, GATHER_BYTES // max(1, row_bytes))
+    return [slice(start, start + step) for start in range(0, max(rows, 1), step)]
 
 
 def _first(bad: np.ndarray) -> Optional[tuple]:
@@ -215,16 +228,13 @@ def _associativity_failure(gf: np.ndarray, hg: np.ndarray, x_f: np.ndarray, h_y:
 
     gf[g, f] and hg[h, g] index g∘f and h∘g in their hom-sets; x_f[x, f]
     indexes x∘f for x in the hom-set of h∘g, and h_y[h, y] indexes h∘y
-    for y in the hom-set of g∘f.  Rows of h are compared in blocks of at
-    most GATHER_BYTES bytes per gathered array.
+    for y in the hom-set of g∘f.  Rows of h are compared in _blocks.
     """
-    step = max(1, GATHER_BYTES // max(1, gf.nbytes))
-    for start in range(0, len(hg), step):
-        stop = start + step
-        ok = x_f[hg[start:stop]] == h_y[start:stop][:, gf]
+    for rows in _blocks(len(hg), gf.nbytes):
+        ok = x_f[hg[rows]] == h_y[rows][:, gf]
         if not ok.all():
             ih, ig, jf = np.unravel_index(int(ok.argmin()), ok.shape)
-            return start + int(ih), int(ig), int(jf)
+            return rows.start + int(ih), int(ig), int(jf)
     return None
 
 
@@ -234,11 +244,11 @@ def check_category_laws(
     """Exhaustive identity laws up to max_dim; closure and associativity up to max_assoc_dim.
 
     Each hom-set is composed with the identities on both sides in two
-    batched calls.  Then the rows of hom(n, p) and hom(m, n) are
-    composed in one call per (m, n, p) with objects up to max_assoc_dim,
-    and each composite is looked up in hom(m, p) by its row key.  A
-    composite that is not there fails closure; the others fill a table
-    of hom-set indices, on which associativity is checked.  An exception
+    batched calls.  Then _Rows.table_blocks composes the rows of hom(n, p)
+    and hom(m, n) per (m, n, p) with objects up to max_assoc_dim and looks
+    each composite up in hom(m, p).  A composite that is not there fails
+    closure; the others fill a table of hom-set indices, on which
+    associativity is checked in blocks of the same size.  An exception
     from a callback of the view, or a result of the wrong shape or with
     a negative value, is an "exception" counterexample.
     """
@@ -277,7 +287,7 @@ def check_category_laws(
         tables = {}  # tables[m, n, p][h, g]: index of h∘g in hom(m, p)
         for m, n, p in product(aobjs, repeat=3):
             hs, gs = homs[(n, p)].rows, homs[(m, n)].rows
-            table = homs[(m, p)].index(view.compose(m, n, p, hs, gs))
+            table = np.concatenate(list(view.table_blocks(m, n, p, hs, gs)))
             bad = _first(table < 0)
             if bad is not None:
                 ih, ig = bad
@@ -349,21 +359,19 @@ def check_isomorphism(
     image of each row of hom_a(m, n).  Composition preservation runs on
     all composable pairs with objects up to comp_dim (default max_dim),
     then on comp_samples seeded random pairs with objects up to max_dim.
-    For each (k, m, n) it is one comparison of index tables:
-    phi[k, n][T_a] == T_b[phi[m, n], phi[k, m]], where T_a and T_b index
-    the composites of each pair in hom_a(k, n) and hom_b(k, n).  A
-    composite outside hom_a(k, n) goes through forward; one outside
-    hom_b(k, n) matches nothing.
+    For each (k, m, n) it compares phi[k, n][T_a] with T_b, block by block
+    of _Rows.table_blocks, where T_a indexes each g∘f in hom_a(k, n) and
+    T_b each forward(g)∘forward(f) in hom_b(k, n), from hom_b's rows in
+    phi order.  A pair with a composite outside its hom-set fails.
 
     When comp_samples > 0 the tables cover every (k, m, n) up to
     max_dim, so a sample can fail only if a pair in them fails.  The
     seeded stream is drawn only when one does, to find and count the
     first failing draw, or when a hom-set is empty, to count the draws
     that are not skipped; otherwise every draw would pass, sampled_pairs
-    is comp_samples and nothing is drawn.  An exception from
-    forward, backward or a callback of either view, or a result of the
-    wrong shape or with a negative value, is an "exception"
-    counterexample.
+    is comp_samples and nothing is drawn.  An exception from forward,
+    backward or a callback of either view, or a result of the wrong
+    shape or with a negative value, is an "exception" counterexample.
     """
     if comp_dim is None:
         comp_dim = max_dim
@@ -411,16 +419,10 @@ def check_isomorphism(
         def agree(k: int, m: int, n: int) -> np.ndarray:
             """agree[g, f]: forward(g∘f) == forward(g)∘forward(f), for g in hom_a(m, n)
             and f in hom_a(k, m)."""
-            ha_kn, hb_kn = a.homs[(k, n)], b.homs[(k, n)]
-            composites = a.compose(k, m, n, a.homs[(m, n)].rows, a.homs[(k, m)].rows)
-            t_a = ha_kn.index(composites)
-            lhs = np.append(phi[(k, n)], -1)[t_a]
-            outside = t_a < 0
-            if outside.any():
-                lhs[outside] = hb_kn.index(mapped("forward", k, n, composites[outside], hb_kn))
-            t_b = hb_kn.index(b.compose(k, m, n, b.homs[(m, n)].rows, b.homs[(k, m)].rows))
-            rhs = t_b[phi[(m, n)][:, None], phi[(k, m)][None, :]]
-            return (lhs == rhs) & (rhs >= 0)
+            lhs = a.table_blocks(k, m, n, a.homs[(m, n)].rows, a.homs[(k, m)].rows)
+            rhs = b.table_blocks(k, m, n, *(b.homs[mn].rows[phi[mn]] for mn in ((m, n), (k, m))))
+            phi_kn = np.append(phi[(k, n)], -1)
+            return np.concatenate([(phi_kn[t_a] == t_b) & (t_b >= 0) for t_a, t_b in zip(lhs, rhs)])
 
         def composition_failure(stage: str, k: int, m: int, n: int, g: int, f: int) -> dict:
             return {
@@ -440,9 +442,7 @@ def check_isomorphism(
                 return composition_failure("composition", k, m, n, g, f)
             counts["composition_pairs"] += ok[(k, m, n)].size
         if comp_samples:
-            for kmn in product(objs, repeat=3):
-                if kmn not in ok:
-                    ok[kmn] = agree(*kmn)
+            ok.update((kmn, agree(*kmn)) for kmn in product(objs, repeat=3) if kmn not in ok)
             sizes = {mn: len(hom) for mn, hom in a.homs.items()}
             if all(block.all() for block in ok.values()) and all(sizes.values()):
                 counts["sampled_pairs"] = comp_samples

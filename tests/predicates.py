@@ -9,11 +9,13 @@ come from an exhaustive search.  The composition loops, the (z, d)
 chain and the face chain are the plain one-arrow versions of the row
 operations in the package, which the tests compare them with, and the
 candidate filters list the bch and ternary rows without the hom
-enumeration kernel.
+enumeration kernel.  The hom-set counts are closed forms from each
+notation's definition.
 """
 
 from functools import lru_cache
 from itertools import combinations
+from math import comb, perm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -21,6 +23,22 @@ import numpy as np
 from cubecats.cubes import base_subgraph, standard_cube, twisted_cube
 from cubecats.graphs import Graph, Vertex, bits_to_int, free_preorder, int_to_bits
 from cubecats.twisted import STAR
+
+
+def bch_count(m: int, n: int) -> int:
+    """|bch(m, n)|: choose which inputs hit outputs, an injection for them,
+    constants elsewhere."""
+    return sum(comb(m, k) * perm(n, k) * 2 ** (m - k) for k in range(min(m, n) + 1))
+
+
+def ternary_count(m: int, n: int) -> int:
+    """|ternary(m, n)|: n digits with k <= m stars, each other digit 0 or 1."""
+    return sum(comb(n, k) * 2 ** (n - k) for k in range(min(m, n) + 1))
+
+
+def semi_count(m: int, n: int) -> int:
+    """|semi(m, n)|: n digits with exactly m stars, each other digit 0 or 1."""
+    return comb(n, m) * 2 ** (n - m) if m <= n else 0
 
 
 def bch_rows_reference(m: int, n: int) -> np.ndarray:

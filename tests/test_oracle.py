@@ -47,7 +47,13 @@ from cubecats.standard import (
     hom_matrix,
 )
 from cubecats.twisted import semi_rows, ternary_compose_rows, ternary_rows
-from predicates import has_cycle_reference, hamiltonian_paths_reference
+from predicates import (
+    bch_count,
+    has_cycle_reference,
+    hamiltonian_paths_reference,
+    semi_count,
+    ternary_count,
+)
 
 
 def test_check_report_requires_counterexample_iff_failed():
@@ -181,10 +187,15 @@ def test_non_associative_mutant_matches_reference_loop():
 
 
 def test_gather_blocks_give_the_same_counts(monkeypatch):
-    views = [category_view("graphcube"), _shifted_bch_view()]
-    whole = [check_category_laws(view, 2).to_dict() for view in views]
+    checks = [
+        lambda: check_category_laws(category_view("graphcube"), 2),
+        lambda: check_category_laws(_shifted_bch_view(), 2),
+        lambda: check_bchop_graphmeet_iso(3, 2),
+        lambda: check_ternary_iso(3, 2, 20000),
+    ]
+    whole = [check().to_dict() for check in checks]
     monkeypatch.setattr(oracle, "GATHER_BYTES", 1)  # one row of h per block
-    assert [check_category_laws(view, 2).to_dict() for view in views] == whole
+    assert [check().to_dict() for check in checks] == whole
 
 
 def _origin_or_top_fixing(m, n):
@@ -625,8 +636,31 @@ def test_isomorphism_composes_each_distinct_pair_once():
         assert rep.counts["sampled_pairs"] == comp_samples
 
 
-def test_composite_outside_hom_a_goes_through_forward():
-    # Composites equal to the swap are replaced by [j0, j0], which is not in hom_a(2, 2).
+def test_isomorphism_composes_one_row_blocks(monkeypatch):
+    monkeypatch.setattr(oracle, "GATHER_BYTES", 1)
+    batches = collections.Counter()
+
+    def counted(view):
+        def compose_rows(m, n, p, h, g):
+            batches[len(h)] += 1
+            return view.compose_rows(m, n, p, h, g)
+
+        return dataclasses.replace(view, compose_rows=compose_rows)
+
+    bchop, graphmeet = category_view("bchop"), category_view("graphmeet")
+    rep = check_isomorphism(
+        counted(bchop), counted(graphmeet), bchop_to_graphmeet_rows, graphmeet_to_bchop_rows,
+        max_dim=3, comp_dim=2,
+    )
+    assert rep.passed
+    # each side composes every row of hom(m, n) alone, once per k
+    rows = sum(len(bchop.rows(m, n)) for k, m, n in itertools.product(range(3), repeat=3))
+    assert batches == {1: 2 * rows}
+
+
+def test_composite_outside_hom_a_fails_composition():
+    # Composites equal to the swap are replaced by [j0, j0], which is not in
+    # hom_a(2, 2): that pair fails, whatever forward would make of [j0, j0].
     swap, outside = [1, 0], [0, 0]
     bch = category_view("bch")
 
@@ -653,24 +687,18 @@ def test_composite_outside_hom_a_goes_through_forward():
         rep = check_isomorphism(a, bch, forward, _same, max_dim=2, comp_dim=2, comp_samples=50)
         return rep, seen
 
-    rep, seen = check(restore=True)
-    assert rep.passed
-    assert seen == [outside] * 2
-    assert rep.counts == {
-        "round_trips": 76, "identities": 3, "composition_pairs": 623, "sampled_pairs": 50
-    }
-    rep, seen = check(restore=False)
-    # both composites outside hom_a(2, 2) go through forward in one call
-    assert seen == [outside] * 2
-    assert rep.counterexample == {
-        "stage": "composition",
-        "dims": [2, 2, 2],
-        "f": "BchMorphism(2->2, [j1, j0])",
-        "g": "BchMorphism(2->2, [j0, j1])",
-    }
-    assert rep.counts == {
-        "round_trips": 76, "identities": 3, "composition_pairs": 430, "sampled_pairs": 0
-    }
+    for restore in (True, False):
+        rep, seen = check(restore)
+        assert seen == []  # forward maps arrows of A only
+        assert rep.counterexample == {
+            "stage": "composition",
+            "dims": [2, 2, 2],
+            "f": "BchMorphism(2->2, [j1, j0])",
+            "g": "BchMorphism(2->2, [j0, j1])",
+        }
+        assert rep.counts == {
+            "round_trips": 76, "identities": 3, "composition_pairs": 430, "sampled_pairs": 0
+        }
 
 
 def test_isomorphism_comp_dim_within_max_dim():
@@ -1052,6 +1080,26 @@ def test_hom_table_frozen_rows():
     assert hom_table("graphcube", 2)[2][2] == 24
 
 
+# each hom-set count from its notation's definition: bchop and the graph
+# categories equivalent to it count as bch(n, m), and twgraphdim as ternary
+_CLOSED_FORM_COUNTS = {
+    "bch": bch_count,
+    "bchop": lambda m, n: bch_count(n, m),
+    "graphmeet": lambda m, n: bch_count(n, m),
+    "graphdim": lambda m, n: bch_count(n, m),
+    "ternary": ternary_count,
+    "twgraphdim": ternary_count,
+    "semi": semi_count,
+}
+
+
+@pytest.mark.parametrize("cat_id", list(_CLOSED_FORM_COUNTS))
+def test_hom_table_matches_closed_form_counts(cat_id):
+    # evidence that does not come from the hom enumeration kernel
+    count = _CLOSED_FORM_COUNTS[cat_id]
+    assert hom_table(cat_id, 5) == [[count(m, n) for n in range(6)] for m in range(6)]
+
+
 def test_hom_tables_of_equivalent_categories_agree():
     assert hom_table("bchop", 3) == hom_table("graphmeet", 3) == hom_table("graphdim", 3)
     assert hom_table("ternary", 3) == hom_table("twgraphdim", 3)
@@ -1201,3 +1249,9 @@ def test_failing_reports_match_golden(capsys, monkeypatch):
     assert len(out.splitlines()) == len(sites)
     assert all(not json.loads(line)["passed"] for line in out.splitlines())
     assert out.encode() == (Path(__file__).parent / "golden" / "failing_reports.txt").read_bytes()
+
+
+def test_failing_reports_match_golden_in_one_row_blocks(capsys, monkeypatch):
+    # no counterexample or count depends on where a block ends
+    monkeypatch.setattr(oracle, "GATHER_BYTES", 1)
+    test_failing_reports_match_golden(capsys, monkeypatch)

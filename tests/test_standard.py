@@ -2,7 +2,6 @@
 
 import json
 from itertools import product
-from math import comb, perm
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from cubecats.oracle import category_view
 from predicates import (
     PartialInjection,
     bch_compose_loop,
+    bch_count,
     bch_rows_reference,
     chain_bchop_to_graphmeet,
     chain_graphmeet_to_bchop,
@@ -52,11 +52,6 @@ def compose1(outer, inner, n):
 def meet_maps(m, n):
     """The vertex maps C^m -> C^n of the arrows n -> m, one row each."""
     return bchop_to_graphmeet_rows(m, n, bch.rows(n, m))
-
-
-def bch_count(m, n):
-    # choose which inputs hit outputs, an injection for them, constants elsewhere
-    return sum(comb(m, k) * perm(n, k) * 2 ** (m - k) for k in range(min(m, n) + 1))
 
 
 def test_bch_counts_match_formula():
