@@ -48,15 +48,6 @@ from .twisted import (
     ternary_row,
     ternary_to_graphdim_rows,
 )
-from .oracle import (
-    CATEGORY_IDS,
-    CheckReport,
-    FiniteCategoryView,
-    acyclic_hamiltonian_paths,
-    category_view,
-    check_category_laws,
-    check_isomorphism,
-    hom_table,
-)
+from .rows import CATEGORY_IDS, FiniteCategoryView, category_view, hom_table
 
 __all__ = [name for name in dir() if not name.startswith("_")]

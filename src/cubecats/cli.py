@@ -6,13 +6,14 @@ tables, and re-export graph JSON.  Everything written to stdout is
 byte-stable across runs; progress and timing go to stderr.
 
 Exit codes: 0 success, 1 a check failed, 2 usage error, 3 capacity
-error.
+error, 141 stdout closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -24,23 +25,7 @@ from .graphs import CapacityError, Graph, graph_from_json, graph_to_json
 from .cubes import standard_cube, standard_cube_rec, to_dot, twisted_cube, twisted_cube_rec
 from .standard import bch_compose_rows, bch_from_json, bch_names, vertex_dict
 from .twisted import order_g, ternary_compose, ternary_seq
-from .oracle import (
-    CATEGORY_IDS,
-    CheckReport,
-    category_view,
-    graph_cube,
-    check_bchop_graphmeet_iso,
-    check_category_laws,
-    check_factorization,
-    check_fibre_dimension,
-    check_meet_equals_dim,
-    check_rec_nonrec,
-    check_ternary_iso,
-    check_total_order,
-    check_unique_hamiltonian,
-    check_unique_surjection,
-    hom_table,
-)
+from .rows import CATEGORY_IDS, category_view, graph_cube, hom_table
 
 SUITES = ("all", "standard", "twisted", "laws", "iso")
 # Largest cube dimension of build (json), homs and table: cubes and their bound
@@ -67,15 +52,15 @@ def cmd_build(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         "standard": (standard_cube_rec, standard_cube),
         "twisted": (twisted_cube_rec, twisted_cube),
     }[kind]
+    cube = nonrec(n)
     if args.verify_iso:
-        if rec(n) != nonrec(n):
+        if rec(n) != cube:
             print(f"rec and nonrec {kind} cubes differ at n={n}", file=sys.stderr)
             return 1
         print(
             f"verified: rec and nonrec {kind} cubes are equal, so isomorphic, at n={n}",
             file=sys.stderr,
         )
-    cube = (rec if args.definition == "rec" else nonrec)(n)
     if args.out == "json":
         sys.stdout.write(graph_to_json(cube))
     else:
@@ -125,26 +110,28 @@ def cmd_compose(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 0
 
 
-def _suite_steps(suite: str, d: int) -> list[tuple[str, Callable[[], CheckReport]]]:
-    steps: list[tuple[str, Callable[[], CheckReport]]] = []
+def _suite_steps(suite: str, d: int) -> list[tuple[str, Callable]]:
+    from . import oracle
+    steps: list[tuple[str, Callable]] = []
     comp_dim = min(d, 2)
     samples = 20000 if d >= 3 else 0
     if suite in ("all", "standard"):
-        steps.append(("rec_nonrec", lambda: check_rec_nonrec(d)))
-        steps.append(("meet_equals_dim", lambda: check_meet_equals_dim(d)))
+        steps.append(("rec_nonrec", lambda: oracle.check_rec_nonrec(d)))
+        steps.append(("meet_equals_dim", lambda: oracle.check_meet_equals_dim(d)))
     if suite in ("all", "standard", "iso"):
-        steps.append(("bchop_graphmeet_iso", lambda: check_bchop_graphmeet_iso(d, comp_dim)))
+        steps.append(("bchop_graphmeet_iso", lambda: oracle.check_bchop_graphmeet_iso(d, comp_dim)))
     if suite in ("all", "iso"):
-        steps.append(("ternary_iso", lambda: check_ternary_iso(d, comp_dim, samples)))
+        steps.append(("ternary_iso", lambda: oracle.check_ternary_iso(d, comp_dim, samples)))
     if suite in ("all", "twisted"):
-        steps.append(("total_order", lambda: check_total_order(d)))
-        steps.append(("unique_hamiltonian", lambda: check_unique_hamiltonian(d)))
-        steps.append(("unique_surjection", lambda: check_unique_surjection(d)))
-        steps.append(("factorization", lambda: check_factorization(d)))
-        steps.append(("fibre_dimension", lambda: check_fibre_dimension(d)))
+        steps.append(("total_order", lambda: oracle.check_total_order(d)))
+        steps.append(("unique_hamiltonian", lambda: oracle.check_unique_hamiltonian(d)))
+        steps.append(("unique_surjection", lambda: oracle.check_unique_surjection(d)))
+        steps.append(("factorization", lambda: oracle.check_factorization(d)))
+        steps.append(("fibre_dimension", lambda: oracle.check_fibre_dimension(d)))
     if suite in ("all", "laws"):
         for view in map(category_view, CATEGORY_IDS):
-            steps.append((f"laws[{view.name}]", partial(check_category_laws, view, d, comp_dim)))
+            laws = partial(oracle.check_category_laws, view, d, comp_dim)
+            steps.append((f"laws[{view.name}]", laws))
     return steps
 
 
@@ -152,7 +139,7 @@ def cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     d = args.max_dim
     if not 0 <= d <= 4:
         parser.error("--max-dim must be between 0 and 4")
-    reports: list[CheckReport] = []
+    reports = []
     capacity_skips = 0
     for name, thunk in _suite_steps(args.suite, d):
         try:
@@ -243,7 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="emit a cube graph as JSON or DOT")
     p.add_argument("--kind", choices=("standard", "twisted"), required=True)
     p.add_argument("--n", type=int, required=True, help="dimension")
-    p.add_argument("--def", dest="definition", choices=("rec", "nonrec"), default="nonrec")
     p.add_argument("--out", choices=("json", "dot"), default="json")
     p.add_argument(
         "--verify-iso",
@@ -286,10 +272,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
-        return 3
+        code = 3
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    return code
 
 
 if __name__ == "__main__":

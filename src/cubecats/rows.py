@@ -1,20 +1,37 @@
-"""Morphisms as rows: checked row arrays, and byte keys to look rows up.
+"""Morphisms as rows: the nine category views, checked row arrays, and
+byte keys to look rows up.
 
 A hom-set is a 2-D array of non-negative integers, one row per
-morphism, in strictly increasing lexicographic order.  A row's key is
-its digits as big-endian bytes of the smallest unsigned type that holds
-the hom-set's largest digit.  Keys sort as rows do, so HomRows checks a
-hom-set's order as "its keys strictly increase" and finds a row by a
-binary search of its key; oracle._one_side_only compares two hom-sets
-by these lookups.  The oracle checks every array a view or functor
-returns with checked_rows before it indexes with it.
+morphism, in strictly increasing lexicographic order; category_view
+lists, composes and names the rows of each of the nine categories.  A
+row's key is its digits as big-endian bytes of the smallest unsigned
+type that holds the hom-set's largest digit.  Keys sort as rows do, so
+HomRows checks a hom-set's order as "its keys strictly increase" and
+finds a row by a binary search of its key.  The oracle checks every
+array a view or functor returns with checked_rows before it indexes.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
+
+from .graphs import Graph
+from .cubes import standard_cube, twisted_cube
+from .standard import (
+    bch_compose_rows,
+    bch_names,
+    bch_rows,
+    bound_constraints,
+    compose_graph_rows,
+    dimension_constraints,
+    hom_matrix,
+    vertex_dict,
+)
+from .twisted import semi_rows, ternary_compose_rows, ternary_rows, ternary_seq
 
 
 class RowError(Exception):
@@ -91,3 +108,112 @@ class HomRows:
         if inside is not None:
             found &= inside
         return np.where(found, at, -1)
+
+
+@dataclass(frozen=True)
+class FiniteCategoryView:
+    """Just enough of a category to brute-force its laws, with morphisms as rows.
+
+    Objects are the natural numbers up to some bound.  rows(m, n) is
+    hom(m, n) as a 2-D array of non-negative integers, one row per
+    morphism, in strictly increasing lexicographic order; equal rows are
+    equal morphisms.  identity(n) is the row of id_n.
+    compose_rows(m, n, p, h, g) takes rows h of hom(n, p) and rows g of
+    hom(m, n) and returns the (len(h), len(g), w) array of the rows of
+    every h∘g.  It is called on blocks of h rows, so each composite may
+    depend only on its own pair.  describe(m, n, row) names a row of
+    hom(m, n) in a counterexample.
+    """
+
+    name: str
+    rows: Callable[[int, int], np.ndarray]
+    identity: Callable[[int], np.ndarray]
+    compose_rows: Callable[[int, int, int, np.ndarray, np.ndarray], np.ndarray]
+    describe: Callable[[int, int, np.ndarray], str]
+
+    def hom(self, m: int, n: int) -> tuple[str, ...]:
+        """The names of the rows of hom(m, n), in row order."""
+        return tuple(self.describe(m, n, row) for row in self.rows(m, n))
+
+
+CATEGORY_IDS = (
+    "bch", "bchop", "graphcube", "graphmeet", "graphdim",
+    "twcubecat", "twgraphdim", "ternary", "semi",
+)
+# graph category id: (its objects are twisted cubes, its hom constraints)
+_GRAPH_CATEGORIES = {
+    "graphcube": (False, None),
+    "graphmeet": (False, bound_constraints),
+    "graphdim": (False, dimension_constraints),
+    "twcubecat": (True, None),
+    "twgraphdim": (True, dimension_constraints),
+}
+
+
+def _bch_text(m: int, n: int, row: np.ndarray) -> str:
+    """A bch arrow m -> n by name, as in BchMorphism(2->1, [j0, b1])."""
+    return f"BchMorphism({m}->{n}, [{', '.join(bch_names(n, row.tolist()))}])"
+
+
+def _graph_view(
+    name: str, build: Callable[[int], Graph], constraints: Optional[Callable]
+) -> FiniteCategoryView:
+    def describe(m: int, n: int, row: np.ndarray) -> str:
+        names = vertex_dict(build(m), build(n), row.tolist())
+        return f"GraphMorphism({', '.join(f'{v}>{w}' for v, w in names.items())})"
+
+    return FiniteCategoryView(
+        name,
+        lambda m, n: hom_matrix(build(m), build(n), constraints),
+        lambda n: np.arange(len(build(n).vertices)),
+        lambda m, n, p, h, g: compose_graph_rows(h, g),
+        describe,
+    )
+
+
+def _ternary_view(name: str, rows: Callable[[int, int], np.ndarray]) -> FiniteCategoryView:
+    return FiniteCategoryView(
+        name,
+        rows,
+        lambda n: np.full(n, 2),
+        lambda m, n, p, h, g: ternary_compose_rows(h, g),
+        lambda m, n, row: ternary_seq(row),
+    )
+
+
+def graph_cube(cat_id: str) -> Callable[[int], Graph]:
+    """The cube builder of the graph category cat_id: its object n is graph_cube(cat_id)(n)."""
+    return twisted_cube if _GRAPH_CATEGORIES[cat_id][0] else standard_cube
+
+
+def category_view(cat_id: str) -> FiniteCategoryView:
+    """The nine categories by name, as brute-forceable views."""
+    if cat_id == "bch":
+        return FiniteCategoryView(
+            "bch",
+            bch_rows,
+            np.arange,
+            lambda m, n, p, h, g: bch_compose_rows(h, g, p),
+            _bch_text,
+        )
+    if cat_id == "bchop":
+        return FiniteCategoryView(
+            "bchop",
+            lambda m, n: bch_rows(n, m),
+            np.arange,
+            lambda m, n, p, h, g: bch_compose_rows(g, h, m).transpose(1, 0, 2),
+            lambda m, n, row: _bch_text(n, m, row),
+        )
+    if cat_id in _GRAPH_CATEGORIES:
+        return _graph_view(cat_id, graph_cube(cat_id), _GRAPH_CATEGORIES[cat_id][1])
+    if cat_id == "ternary":
+        return _ternary_view("ternary", ternary_rows)
+    if cat_id == "semi":
+        return _ternary_view("semi", semi_rows)
+    raise ValueError(f"unknown category id {cat_id!r}; choose one of {', '.join(CATEGORY_IDS)}")
+
+
+def hom_table(cat_id: str, max_dim: int) -> list[list[int]]:
+    """|hom(m, n)| for m, n in 0..max_dim."""
+    view = category_view(cat_id)
+    return [[len(view.rows(m, n)) for n in range(max_dim + 1)] for m in range(max_dim + 1)]

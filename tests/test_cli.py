@@ -13,7 +13,7 @@ import cubecats
 from cubecats import cli
 from cubecats.cli import main
 from cubecats.graphs import CapacityError
-from cubecats.oracle import CATEGORY_IDS, category_view
+from cubecats.rows import CATEGORY_IDS, category_view
 
 
 def run_cli(capsys, *argv):
@@ -29,14 +29,18 @@ def run_cli_error(capsys, *argv):
     return exc.value.code, captured.err
 
 
-def run_child(script):
+def child_env():
     src = str(Path(cubecats.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_child(script):
     return subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         timeout=120,
     )
 
@@ -73,9 +77,7 @@ def test_build_output_is_byte_stable(capsys):
 
 
 def test_build_verify_iso_flag(capsys):
-    code, out, err = run_cli(
-        capsys, "build", "--kind", "twisted", "--n", "3", "--def", "rec", "--verify-iso"
-    )
+    code, out, err = run_cli(capsys, "build", "--kind", "twisted", "--n", "3", "--verify-iso")
     assert code == 0
     assert "isomorphic" in err
     json.loads(out)
@@ -101,17 +103,6 @@ def test_build_usage_errors(capsys):
         capsys, "build", "--kind", "standard", "--n", "5", "--out", "dot"
     )
     assert code == 2
-
-
-@pytest.mark.parametrize("kind", ["standard", "twisted"])
-def test_build_dot_same_from_either_definition(capsys, kind):
-    # edge labels are read off the edges, so the recursive cube draws the same
-    for n in range(5):
-        argv = ("build", "--kind", kind, "--n", str(n), "--out", "dot")
-        _, nonrec, _ = run_cli(capsys, *argv, "--def", "nonrec")
-        code, rec, _ = run_cli(capsys, *argv, "--def", "rec")
-        assert code == 0
-        assert rec == nonrec
 
 
 def test_homs_bchop_one_one(capsys):
@@ -396,3 +387,43 @@ def test_export_invalid_json_usage_error(tmp_path, capsys):
     path.write_text('{"dimension": 1, "vertices": ["0"], "edges": [["0", "1"]]}')
     code, err = run_cli_error(capsys, "export", "--in", str(path))
     assert code == 2
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the reader takes one line and closes the pipe, as `| head -1` does
+    argv = [sys.executable, "-m", "cubecats.cli", "homs", "--cat", "graphcube", "5", "2"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 141, err
+    assert err == ""  # no Traceback, and no "Exception ignored" at exit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--kind", "twisted", "--n", "2"],
+        ["homs", "--cat", "bch", "2", "2"],
+        ["table", "--cat", "ternary", "--max-dim", "2"],
+        ["compose", "--cat", "ternary", "0**", "1*"],
+        ["export", "--in", "GRAPH"],
+        ["check", "--suite", "twisted", "--max-dim", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_only_check_loads_the_oracle(tmp_path, argv):
+    graph = tmp_path / "g.json"
+    graph.write_text('{"dimension": 0, "vertices": [""], "edges": [["", ""]]}')
+    argv = [str(graph) if arg == "GRAPH" else arg for arg in argv]
+    proc = run_child(
+        "import sys\n"
+        "from cubecats.cli import main\n"
+        f"code = main({argv!r})\n"
+        'print("cubecats.oracle" in sys.modules, file=sys.stderr)\n'
+        "sys.exit(code)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == str(argv[0] == "check")

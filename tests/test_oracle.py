@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubecats
-from cubecats import cli, cubes, graphs, kernels, oracle, standard, twisted
+from cubecats import cli, cubes, graphs, kernels, oracle, rows, standard, twisted
 from cubecats.cubes import standard_cube, twisted_cube
 from cubecats.graphs import CapacityError, Graph
-from cubecats.rows import HomRows, RowError
+from cubecats.rows import HomRows, RowError, hom_table
 from cubecats.oracle import (
     CATEGORY_IDS,
     CheckReport,
@@ -35,7 +35,6 @@ from cubecats.oracle import (
     check_total_order,
     check_unique_hamiltonian,
     check_unique_surjection,
-    hom_table,
 )
 from cubecats.standard import (
     bch_rows,
@@ -295,9 +294,12 @@ def test_oracle_bug_propagates(monkeypatch):
         check_isomorphism(view, view, _same, _same, max_dim=1)
 
 
-# The oracle's routines that name one arrow: a passing run calls none of
-# them, so it makes no object per morphism, only rows of hom-sets.
-ARROW_NAMERS = ("bch_names", "vertex_dict", "ternary_seq")
+# The routines that name one arrow, where the views and the oracle bind
+# them: a passing run calls none of them, so it makes no object per
+# morphism, only rows of hom-sets.
+ARROW_NAMERS = (
+    (rows, "bch_names"), (rows, "vertex_dict"), (rows, "ternary_seq"), (oracle, "vertex_dict"),
+)
 
 
 def _count_arrow_names(monkeypatch) -> collections.Counter:
@@ -310,8 +312,9 @@ def _count_arrow_names(monkeypatch) -> collections.Counter:
 
         return namer
 
-    for name in ARROW_NAMERS:
-        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    for module, name in ARROW_NAMERS:
+        label = f"{module.__name__}.{name}"
+        monkeypatch.setattr(module, name, counted(label, getattr(module, name)))
     return named
 
 
@@ -319,8 +322,8 @@ def _refuse_arrow_names(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("an arrow was named")
 
-    for name in ARROW_NAMERS:
-        monkeypatch.setattr(oracle, name, refuse)
+    for module, name in ARROW_NAMERS:
+        monkeypatch.setattr(module, name, refuse)
 
 
 @pytest.mark.parametrize("cat_id", ["graphcube", "twcubecat"])
@@ -503,14 +506,18 @@ def test_reversed_rows_error_names_the_view(monkeypatch):
 def test_extra_dimension_row_fails_fibre_dimension(monkeypatch):
     # a dimension listing that holds the swap [1, 0] of T^1, which is not
     # edge-preserving, has a row that no map with equal fibres matches
-    def with_swap(src, tgt, constraints):
-        rows = hom_matrix(src, tgt, constraints)
-        if constraints is dimension_constraints and src.dimension == tgt.dimension == 1:
-            return np.unique(np.vstack([rows, [[1, 0]]]), axis=0)
-        return rows
+    swapped = []
 
-    monkeypatch.setattr(oracle, "hom_matrix", with_swap)
+    def with_swap(src, tgt, constraints):
+        listed = hom_matrix(src, tgt, constraints)
+        if constraints is dimension_constraints and src.dimension == tgt.dimension == 1:
+            swapped.append((src, tgt))
+            return np.unique(np.vstack([listed, [[1, 0]]]), axis=0)
+        return listed
+
+    monkeypatch.setattr(rows, "hom_matrix", with_swap)
     rep = check_fibre_dimension(1)
+    assert swapped  # the mutant reached the check
     assert rep.counterexample == {
         "m": 1, "n": 1, "vmap": [1, 0], "equal_fibres": False, "dimension_preserving": True
     }
@@ -1166,7 +1173,7 @@ def _failing_sites():
     raising = dataclasses.replace(bch, compose_rows=_raising(TypeError))
     union = dataclasses.replace(category_view("graphcube"), rows=_origin_or_top_fixing)
     untwisted = partial(ternary_compose_rows, twist=False)
-    reversed_bits = oracle._graph_view("reversed", _reversed_bits_twisted, dimension_constraints)
+    reversed_bits = rows._graph_view("reversed", _reversed_bits_twisted, dimension_constraints)
     builder_failed = _raising(ValueError, "builder failed")
     f0, w, o = (1, 0), (0, 0), (1, 1)
     return [
