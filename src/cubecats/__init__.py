@@ -19,18 +19,7 @@ from .graphs import (
     join,
     meet,
 )
-from .cubes import (
-    base_subgraph,
-    ordinary_iteration,
-    standard_cube,
-    standard_cube_nonrec,
-    standard_cube_rec,
-    to_dot,
-    twisted_cube,
-    twisted_cube_nonrec,
-    twisted_cube_rec,
-    twisted_iteration,
-)
+from .cubes import base_subgraph, cube_rec, standard_cube, to_dot, twisted_cube
 from .standard import (
     bch_compose_rows,
     bchop_to_graphmeet_rows,

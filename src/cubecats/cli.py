@@ -22,22 +22,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .graphs import CapacityError, Graph, graph_from_json, graph_to_json
-from .cubes import standard_cube, standard_cube_rec, to_dot, twisted_cube, twisted_cube_rec
+from .cubes import cube_rec, standard_cube, to_dot, twisted_cube
 from .standard import bch_compose_rows, bch_from_json, bch_names, vertex_dict
-from .twisted import order_g, ternary_compose, ternary_seq
+from .twisted import ternary_compose, ternary_seq
 from .rows import CATEGORY_IDS, category_view, graph_cube, hom_table
 
 SUITES = ("all", "standard", "twisted", "laws", "iso")
 # Largest cube dimension of build (json), homs and table: cubes and their bound
 # tables are built before any enumeration, and a 14-cube takes over 300 MB.
 MAX_DIM = 8
-
-
-def _cube_dot(cube: Graph, kind: str) -> str:
-    """to_dot of a cube of the kind, a twisted one listed in its total order."""
-    n, twisted = cube.dimension, kind == "twisted"
-    order = sorted(cube.vertices, key=lambda v: order_g(n, v)) if twisted else None
-    return to_dot(cube, twisted, order)
 
 
 def cmd_build(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -48,23 +41,17 @@ def cmd_build(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error(f"json output is limited to --n {MAX_DIM}")
     if args.out == "dot" and n > 4:
         parser.error("dot output is limited to --n 4")
-    rec, nonrec = {
-        "standard": (standard_cube_rec, standard_cube),
-        "twisted": (twisted_cube_rec, twisted_cube),
-    }[kind]
-    cube = nonrec(n)
+    twisted = kind == "twisted"
+    cube = (twisted_cube if twisted else standard_cube)(n)
     if args.verify_iso:
-        if rec(n) != cube:
+        if cube_rec(n, twisted) != cube:
             print(f"rec and nonrec {kind} cubes differ at n={n}", file=sys.stderr)
             return 1
         print(
             f"verified: rec and nonrec {kind} cubes are equal, so isomorphic, at n={n}",
             file=sys.stderr,
         )
-    if args.out == "json":
-        sys.stdout.write(graph_to_json(cube))
-    else:
-        sys.stdout.write(_cube_dot(cube, kind))
+    sys.stdout.write(graph_to_json(cube) if args.out == "json" else to_dot(cube, twisted))
     return 0
 
 
@@ -188,15 +175,13 @@ def _generic_dot(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _detect_cube(g: Graph) -> Optional[str]:
-    """The kind of cube g is, if any; standard first, as C^0 = T^0 and C^1 = T^1."""
+def _detect_cube(g: Graph) -> Optional[bool]:
+    """Whether g is a twisted cube, None when it is no cube; standard first,
+    as C^0 = T^0 and C^1 = T^1."""
     n = g.dimension
-    if n > 4:
-        return None
-    if g == standard_cube(n):
-        return "standard"
-    if g == twisted_cube(n):
-        return "twisted"
+    for twisted, closed in ((False, standard_cube), (True, twisted_cube)):
+        if n <= 4 and g == closed(n):
+            return twisted
     return None
 
 
@@ -214,8 +199,8 @@ def cmd_export(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         return 0
     if len(graph.vertices) > 16:
         raise CapacityError("dot output is limited to 16 vertices")
-    kind = _detect_cube(graph)
-    sys.stdout.write(_generic_dot(graph) if kind is None else _cube_dot(graph, kind))
+    twisted = _detect_cube(graph)
+    sys.stdout.write(_generic_dot(graph) if twisted is None else to_dot(graph, twisted))
     return 0
 
 

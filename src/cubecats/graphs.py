@@ -188,7 +188,8 @@ def graph_to_json(g: Graph) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
-    """The graph of a graph_to_json encoding; each field must have its JSON type."""
+    """The graph of a graph_to_json encoding; each field must have its JSON
+    type, and no vertex or edge may be listed twice."""
     payload = json.loads(text)
     dimension, vertices, edges = payload["dimension"], payload["vertices"], payload["edges"]
     if type(dimension) is not int:
@@ -198,6 +199,8 @@ def graph_from_json(text: str) -> Graph:
     if type(edges) is not list or not all(type(e) is list and len(e) == 2 for e in edges):
         raise ValueError("edges must be a list of [source, target] lists")
     g = Graph(vertices, [tuple(e) for e in edges])
+    if len(g.vertices) < len(vertices) or len(g.edges) < len(edges):
+        raise ValueError("each vertex and each edge must be listed once")
     if g.dimension != dimension:
         raise ValueError(
             f"declared dimension {dimension} does not match vertices of length {g.dimension}"

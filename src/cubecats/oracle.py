@@ -457,12 +457,9 @@ def check_rec_nonrec(max_n: int = 4) -> CheckReport:
 
     def first_failure() -> Optional[dict]:
         for n in range(max_n + 1):
-            for kind, rec, nonrec in (
-                ("standard", _call(cubes.standard_cube_rec, n), _call(standard_cube, n)),
-                ("twisted", _call(cubes.twisted_cube_rec, n), _call(twisted_cube, n)),
-            ):
-                if rec != nonrec:
-                    return {"kind": kind, "n": n}
+            for twisted, closed in ((False, standard_cube), (True, twisted_cube)):
+                if _call(cubes.cube_rec, n, twisted) != _call(closed, n):
+                    return {"kind": "twisted" if twisted else "standard", "n": n}
                 counts["isomorphisms"] += 1
         return None
 

@@ -174,16 +174,23 @@ def graphmeet_to_bchop_rows(m: int, n: int, vmaps: np.ndarray) -> np.ndarray:
 
 def bound_constraints(src: Graph, tgt: Graph) -> list[tuple]:
     """f(i ⊓ j) = f(i) ⊓ f(j) and f(i ⊔ j) = f(i) ⊔ f(j) for each pair i < j
-    with a source bound, as hom enumeration constraints into a poset.  A pair
-    whose bound is i or j is comparable; an edge-preserving map keeps it
-    comparable, so the condition holds and the pair is left out."""
+    with a source bound w, as hom enumeration constraints into a poset: one
+    test per table and level, the largest of i, j and w.  A pair whose bound
+    is i or j is comparable; an edge-preserving map keeps it comparable, so
+    the condition holds and the pair is left out."""
     out = []
     for src_table, tgt_table in zip(_bound_tables(src), _bound_tables(tgt)):
-        for i, j in zip(*np.triu_indices(len(src_table), 1)):
-            w = int(src_table[i, j])
-            if w >= 0 and w != i and w != j:
-                test = lambda f, i=i, j=j, w=w, t=tgt_table: t[f[:, i], f[:, j]] == f[:, w]
-                out.append(((i, j, w), test))
+        i, j = np.triu_indices(len(src_table), 1)
+        w = src_table[i, j]
+        keep = (w >= 0) & (w != i) & (w != j)
+        i, j, w = i[keep], j[keep], w[keep]
+        level = np.maximum(j, w)
+        for k in np.unique(level).tolist():
+            at = level == k
+            test = lambda f, I=i[at], J=j[at], W=w[at], t=tgt_table: (
+                t[f[:, I], f[:, J]] == f[:, W]
+            ).all(axis=1)
+            out.append(((k,), test))
     return out
 
 

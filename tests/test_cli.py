@@ -190,6 +190,8 @@ _GRAPH_FILES = {
     "STRING_VERTICES": '{"dimension": 1, "vertices": "01", "edges": [["0", "1"]]}',
     "OBJECT_VERTICES": '{"dimension": 1, "vertices": {"0": 1, "1": 2}, "edges": [["0", "1"]]}',
     "BOOL_DIMENSION": '{"dimension": true, "vertices": ["0", "1"], "edges": [["0", "1"]]}',
+    "REPEATED_VERTEX": '{"dimension": 1, "vertices": ["0", "1", "0"], "edges": []}',
+    "REPEATED_EDGE": '{"dimension": 1, "vertices": ["0", "1"], "edges": [["0", "1"], ["0", "1"]]}',
 }
 
 
@@ -205,6 +207,8 @@ _GRAPH_FILES = {
         ["export", "--in", "STRING_VERTICES"],
         ["export", "--in", "OBJECT_VERTICES"],
         ["export", "--in", "BOOL_DIMENSION"],
+        ["export", "--in", "REPEATED_VERTEX"],
+        ["export", "--in", "REPEATED_EDGE"],
         ["compose", "--cat", "bch", '{"m": 1, "n": 1, "map": ["j 0"]}', _BCH_ID],
         ["compose", "--cat", "bch", '{"m": 1, "n": 1, "map": ["j+0"]}', _BCH_ID],
         ["compose", "--cat", "bch", '{"m": 1, "n": 1, "map": ["j\u0660"]}', _BCH_ID],
@@ -218,6 +222,7 @@ _GRAPH_FILES = {
     ids=[
         "bch-overflow", "bch-nesting", "export-nesting", "bch-negative", "bch-float", "bch-bool",
         "export-string-vertices", "export-object-vertices", "export-bool-dimension",
+        "export-repeated-vertex", "export-repeated-edge",
         "bch-space", "bch-sign", "bch-arabic-indic-digit", "bch-underscore", "bch-string-map",
         "bch-huge-arity",
     ],
@@ -343,11 +348,15 @@ def test_export_round_trip_identical(tmp_path, capsys):
     assert out == original
 
 
-def test_export_detects_twisted_cube_for_dot(tmp_path, capsys):
-    _, original, _ = run_cli(capsys, "build", "--kind", "twisted", "--n", "2")
-    path = tmp_path / "t2.json"
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("kind", ["standard", "twisted"])
+def test_export_detects_twisted_cube_for_dot(tmp_path, capsys, kind, n):
+    _, original, _ = run_cli(capsys, "build", "--kind", kind, "--n", str(n))
+    path = tmp_path / "cube.json"
     path.write_text(original)
-    _, dot_direct, _ = run_cli(capsys, "build", "--kind", "twisted", "--n", "2", "--out", "dot")
+    # T^0 = C^0 and T^1 = C^1, and export names them C
+    named = "standard" if n < 2 else kind
+    _, dot_direct, _ = run_cli(capsys, "build", "--kind", named, "--n", str(n), "--out", "dot")
     code, out, _ = run_cli(capsys, "export", "--in", str(path), "--out", "dot")
     assert code == 0
     assert out == dot_direct

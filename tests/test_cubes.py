@@ -4,18 +4,8 @@ from itertools import product
 
 import pytest
 
-from cubecats.cubes import (
-    base_subgraph,
-    ordinary_iteration,
-    standard_cube,
-    standard_cube_nonrec,
-    standard_cube_rec,
-    to_dot,
-    twisted_cube,
-    twisted_cube_nonrec,
-    twisted_cube_rec,
-    twisted_iteration,
-)
+from cubecats.cubes import _double, base_subgraph, cube_rec, standard_cube, to_dot, twisted_cube
+from cubecats.twisted import order_g
 
 
 def test_standard_square_edges():
@@ -57,13 +47,13 @@ def test_zero_cube_is_single_looped_vertex():
 
 
 def test_iterations_match_builders():
-    assert ordinary_iteration(standard_cube(2)) == standard_cube(3)
-    assert twisted_iteration(twisted_cube(2)) == twisted_cube(3)
+    assert _double(standard_cube(2), False) == standard_cube(3)
+    assert _double(twisted_cube(2), True) == twisted_cube(3)
 
 
 def test_twisted_iteration_reverses_zero_copy():
     t2 = twisted_cube(2)
-    t3 = twisted_iteration(t2)
+    t3 = _double(t2, True)
     for u, v in t2.edges:
         if u != v:
             assert t3.has_edge("0" + v, "0" + u)
@@ -72,8 +62,8 @@ def test_twisted_iteration_reverses_zero_copy():
 
 def test_rec_nonrec_isomorphic_small():
     for n in range(7):
-        assert standard_cube_rec(n) == standard_cube(n)
-        assert twisted_cube_rec(n) == twisted_cube(n)
+        assert cube_rec(n, False) == standard_cube(n)
+        assert cube_rec(n, True) == twisted_cube(n)
 
 
 def _label_edge(i: int, residue: str, twisted: bool) -> tuple[str, str]:
@@ -84,7 +74,7 @@ def _label_edge(i: int, residue: str, twisted: bool) -> tuple[str, str]:
 
 
 def test_edge_labels_standard():
-    cube = standard_cube_nonrec(2)
+    cube = standard_cube(2)
     assert _label_edge(0, "0", False) == ("00", "10") and cube.has_edge("00", "10")
     assert _label_edge(1, "1", False) == ("10", "11") and cube.has_edge("10", "11")
     assert cube.has_edge("01", "01")
@@ -92,7 +82,7 @@ def test_edge_labels_standard():
 
 
 def test_edge_labels_twisted_flip():
-    cube = twisted_cube_nonrec(2)
+    cube = twisted_cube(2)
     # residue "0" has one zero before index 1, so source gets bit 1
     assert _label_edge(1, "0", True) == ("01", "00") and cube.has_edge("01", "00")
     assert not cube.has_edge("00", "01")
@@ -104,7 +94,7 @@ def test_every_label_is_an_edge():
     # the proper edges are exactly the edges of the labels <i, x>, and the
     # endpoints of the edge of <i, x> differ at i alone
     for n, twisted in product(range(5), (False, True)):
-        cube = (twisted_cube_nonrec if twisted else standard_cube_nonrec)(n)
+        cube = (twisted_cube if twisted else standard_cube)(n)
         labels = {
             _label_edge(i, format(x, f"0{n - 1}b") if n > 1 else "", twisted): i
             for i in range(n)
@@ -118,7 +108,7 @@ def test_every_label_is_an_edge():
 def test_label_count():
     # one loop per vertex plus n * 2^(n-1) proper edges
     for n in range(5):
-        for cube in (standard_cube_nonrec(n), twisted_cube_nonrec(n)):
+        for cube in (standard_cube(n), twisted_cube(n)):
             assert len(cube.edges) == 2**n + n * 2 ** (n - 1)
 
 
@@ -130,8 +120,7 @@ def test_base_subgraph_vertices():
 
 
 def test_to_dot_twisted_square_frozen():
-    order = ["01", "00", "10", "11"]
-    text = to_dot(twisted_cube_nonrec(2), True, order)
+    text = to_dot(twisted_cube(2), True)
     assert text == (
         "digraph T2 {\n"
         "  rankdir=LR;\n"
@@ -147,19 +136,22 @@ def test_to_dot_twisted_square_frozen():
     )
 
 
-def test_to_dot_hides_loops_and_validates_order():
-    text = to_dot(standard_cube_nonrec(1), False)
+@pytest.mark.parametrize("n", range(5))
+def test_to_dot_lists_twisted_cube_in_order_g_order(n):
+    cube = twisted_cube(n)
+    listed = [line[3:-2] for line in to_dot(cube, True).splitlines() if line.endswith('";')]
+    assert listed == sorted(cube.vertices, key=lambda v: order_g(n, v))
+
+
+def test_to_dot_hides_loops():
+    text = to_dot(standard_cube(1), False)
     assert "->" in text and "loop" not in text
     assert text.count("->") == 1
-    with pytest.raises(ValueError):
-        to_dot(standard_cube_nonrec(1), False, ["0"])
-    with pytest.raises(ValueError):
-        to_dot(standard_cube_nonrec(1), False, ["0", "0", "1"])
 
 
 def test_to_dot_zero_cube_labels_empty_residue():
-    text = to_dot(standard_cube_nonrec(0), False)
+    text = to_dot(standard_cube(0), False)
     assert '""' in text
     assert "->" not in text
     # the one edge of a 1-cube has the empty residue, shown as ε
-    assert '  "0" -> "1" [label="⟨0, ε⟩"];\n' in to_dot(standard_cube_nonrec(1), False)
+    assert '  "0" -> "1" [label="⟨0, ε⟩"];\n' in to_dot(standard_cube(1), False)

@@ -149,6 +149,15 @@ def test_constrained_kernel_dimension_four_counts():
         assert maps.shape == (count, 16)
 
 
+def test_bound_constraints_one_test_per_table_and_level():
+    # the meet tests, then the join tests, each in increasing level order
+    for n in range(5):
+        cube = standard_cube(n)
+        levels = [max(positions) for positions, _ in bound_constraints(cube, cube)]
+        assert sum(a >= b for a, b in zip(levels, levels[1:])) <= 1
+        assert len(levels) <= 2 * 2**n
+
+
 def test_fibre_counts_matches_counter():
     src, tgt = twisted_cube(2), twisted_cube(1)
     mat = hom_matrix(src, tgt)

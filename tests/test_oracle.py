@@ -996,8 +996,13 @@ def _reversed_bits_twisted(n):
     return Graph([v[::-1] for v in g.vertices], [(u[::-1], v[::-1]) for u, v in g.edges])
 
 
+def _reversed_bits_twisted_rec(n, twisted, rec=cubes.cube_rec):
+    """cubes.cube_rec with every twisted cube relabelled by _reversed_bits_twisted."""
+    return _reversed_bits_twisted(n) if twisted else rec(n, twisted)
+
+
 def test_relabelled_rec_builder_fails_rec_nonrec(monkeypatch):
-    monkeypatch.setattr(cubes, "twisted_cube_rec", _reversed_bits_twisted)
+    monkeypatch.setattr(cubes, "cube_rec", _reversed_bits_twisted_rec)
     rep = check_rec_nonrec(3)
     assert not rep.passed
     assert rep.counterexample == {"kind": "twisted", "n": 2}
@@ -1206,10 +1211,10 @@ def _failing_sites():
         ("sampled composition", lambda: check_ternary_iso(3, 0, 200, compose=untwisted)),
         ("stage exception", lambda: check_isomorphism(raising, raising, _same, _same, max_dim=1)),
         ("rec_nonrec", lambda: _patched(
-            cubes, "twisted_cube_rec", _reversed_bits_twisted, check_rec_nonrec, 3
+            cubes, "cube_rec", _reversed_bits_twisted_rec, check_rec_nonrec, 3
         )),
         ("rec_nonrec error", lambda: _patched(
-            cubes, "twisted_cube_rec", builder_failed, check_rec_nonrec, 3
+            cubes, "cube_rec", builder_failed, check_rec_nonrec, 3
         )),
         ("meet_equals_dim", lambda: _meet_equals_dim_with(_meet_tables_only)),
         ("meet_equals_dim error", lambda: _meet_equals_dim_with(

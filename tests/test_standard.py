@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubecats import kernels
-from cubecats.cubes import base_subgraph, standard_cube, standard_cube_rec, twisted_cube
+from cubecats.cubes import base_subgraph, cube_rec, standard_cube, twisted_cube
 from cubecats.graphs import CapacityError, graph_from_json, graph_to_json
 from cubecats.standard import (
     bch_compose_rows,
@@ -296,7 +296,7 @@ def test_graphmeet_counts_match_bch():
 
 
 def test_equal_graphs_built_apart_hash_and_compare_equal():
-    pairs = [(standard_cube_rec(n), standard_cube(n)) for n in range(4)]
+    pairs = [(cube_rec(n, False), standard_cube(n)) for n in range(4)]
     pairs += [(graph_from_json(graph_to_json(g)), g) for g in (standard_cube(2), twisted_cube(3))]
     for a, b in pairs:
         assert a is not b
