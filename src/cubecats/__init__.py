@@ -1,7 +1,7 @@
 """Standard and twisted cube categories as executable constructions.
 
-Cube graphs in recursive and closed form, five interchangeable views of
-their morphisms as rows, composition in ternary notation, and brute-force
+Cube graphs in recursive and closed form, the hom-sets of the nine
+categories as rows, composition in ternary notation, and brute-force
 oracles that cross-verify every equivalence at small dimensions.
 """
 
@@ -12,14 +12,11 @@ from .graphs import (
     Graph,
     Vertex,
     free_preorder,
-    full_subgraph,
     graph_from_json,
     graph_to_json,
     is_total_order,
-    join,
-    meet,
 )
-from .cubes import base_subgraph, cube_rec, standard_cube, to_dot, twisted_cube
+from .cubes import cube_rec, standard_cube, to_dot, twisted_cube
 from .standard import (
     bch_compose_rows,
     bchop_to_graphmeet_rows,

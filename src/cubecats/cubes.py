@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .graphs import Graph, Vertex, free_preorder, full_subgraph
+from .graphs import Graph, Vertex, free_preorder
 
 
 def _insert(residue: str, i: int, bit: int) -> Vertex:
@@ -72,12 +72,6 @@ def standard_cube(n: int) -> Graph:
 def twisted_cube(n: int) -> Graph:
     """The twisted cube graph in its closed form."""
     return _closed_form(n, twisted=True)
-
-
-@lru_cache(maxsize=None)
-def base_subgraph(n: int) -> Graph:
-    """Full subgraph of the standard cube on the origin and the one-hot vertices."""
-    return full_subgraph(standard_cube(n), lambda v: v.count("1") <= 1)
 
 
 def to_dot(cube: Graph, twisted: bool) -> str:

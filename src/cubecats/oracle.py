@@ -337,6 +337,12 @@ def check_isomorphism(
     T_b each forward(g)∘forward(f) in hom_b(k, n), from hom_b's rows in
     phi order.  A pair with a composite outside its hom-set fails.
 
+    The round trip b->a->b can fail only when forward's or backward's
+    row depends on the rest of its batch: once hom sizes, round trip
+    a->b->a and forward images pass, a forward that maps each row on its
+    own is a bijection of hom_a(m, n) onto hom_b(m, n) that backward
+    inverts.
+
     When comp_samples > 0 the tables cover every (k, m, n) up to
     max_dim, so a sample can fail only if a pair in them fails.  The
     seeded stream is drawn only when one does, to find and count the

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from cubecats.cubes import base_subgraph, standard_cube, twisted_cube
+from cubecats.cubes import standard_cube, twisted_cube
 from cubecats.graphs import Graph, Vertex, bits_to_int, free_preorder, int_to_bits
 from cubecats.twisted import STAR
 
@@ -270,6 +270,15 @@ def transpose_partial_injection(p: PartialInjection) -> PartialInjection:
 
 def _one_hot(n: int, i: int) -> Vertex:
     return int_to_bits(1 << (n - 1 - i), n)
+
+
+@lru_cache(maxsize=None)
+def base_subgraph(n: int) -> Graph:
+    """The chain's first step: the full subgraph of the standard n-cube on
+    the origin and the one-hot vertices."""
+    cube = standard_cube(n)
+    kept = {v for v in cube.vertices if v.count("1") <= 1}
+    return Graph(kept, ((u, v) for u, v in cube.edges if u in kept and v in kept))
 
 
 def extend_base_morphism(m: int, n: int, h: dict[Vertex, Vertex]) -> dict[Vertex, Vertex]:

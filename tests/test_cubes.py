@@ -4,8 +4,10 @@ from itertools import product
 
 import pytest
 
-from cubecats.cubes import _double, base_subgraph, cube_rec, standard_cube, to_dot, twisted_cube
+from cubecats.cubes import _double, cube_rec, standard_cube, to_dot, twisted_cube
 from cubecats.twisted import order_g
+
+from predicates import base_subgraph
 
 
 def test_standard_square_edges():

@@ -1,4 +1,4 @@
-"""Graph container, preorder closure, meets and joins, JSON round trip."""
+"""Graph container, preorder closure, bound tables, JSON round trip."""
 
 import json
 
@@ -12,13 +12,10 @@ from cubecats.graphs import (
     _bound_tables,
     bits_to_int,
     free_preorder,
-    full_subgraph,
     graph_from_json,
     graph_to_json,
     int_to_bits,
     is_total_order,
-    join,
-    meet,
 )
 from cubecats.cubes import standard_cube, twisted_cube
 from predicates import bound_tables_reference
@@ -67,6 +64,12 @@ def _brute_reachable(g: Graph) -> np.ndarray:
         reach = nxt
 
 
+def _assert_bound_tables_match_reference(g: Graph) -> None:
+    for table, reference in zip(_bound_tables(g), bound_tables_reference(g)):
+        assert table.dtype == reference.dtype
+        assert np.array_equal(table, reference)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 3), st.data())
 def test_free_preorder_is_reflexive_transitive_closure(n, data):
@@ -75,6 +78,8 @@ def test_free_preorder_is_reflexive_transitive_closure(n, data):
     edges = data.draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True))
     g = Graph(verts, set(edges) | {(v, v) for v in verts})
     assert (free_preorder(g) == _brute_reachable(g)).all()
+    # cyclic preorders included: vertices on one cycle share a down-set
+    _assert_bound_tables_match_reference(g)
 
 
 def test_free_preorder_total_on_twisted_square_only():
@@ -92,21 +97,25 @@ def test_twisted_square_order_chain():
 
 def test_meet_join_on_standard_square():
     c2 = standard_cube(2)
-    assert meet(c2, "01", "10") == "00"
-    assert join(c2, "01", "10") == "11"
-    assert meet(c2, "00", "11") == "00"
+    meet, join = _bound_tables(c2)
+    i = c2.index
+    assert meet[i["01"], i["10"]] == i["00"]
+    assert join[i["01"], i["10"]] == i["11"]
+    assert meet[i["00"], i["11"]] == i["00"]
 
 
 def test_meet_on_twisted_square_follows_total_order():
     t2 = twisted_cube(2)
-    assert meet(t2, "01", "10") == "01"
-    assert join(t2, "01", "10") == "10"
+    meet, join = _bound_tables(t2)
+    i = t2.index
+    assert meet[i["01"], i["10"]] == i["01"]
+    assert join[i["01"], i["10"]] == i["10"]
 
 
 def test_meet_missing_when_no_lower_bound():
     g = Graph(["0", "1"], [("0", "0"), ("1", "1")])
-    assert meet(g, "0", "1") is None
-    assert join(g, "0", "1") is None
+    meet, join = _bound_tables(g)
+    assert meet[0, 1] == join[0, 1] == -1
 
 
 BOUND_GRAPHS = {
@@ -125,18 +134,7 @@ BOUND_GRAPHS = {
 
 @pytest.mark.parametrize("name", BOUND_GRAPHS)
 def test_bound_tables_match_pairwise_reference(name):
-    g = BOUND_GRAPHS[name]
-    for table, reference in zip(_bound_tables(g), bound_tables_reference(g)):
-        assert table.dtype == reference.dtype
-        assert np.array_equal(table, reference)
-
-
-def test_full_subgraph_keeps_induced_edges():
-    c2 = standard_cube(2)
-    sub = full_subgraph(c2, lambda v: v != "11")
-    assert sub.vertices == ("00", "01", "10")
-    assert sub.has_edge("00", "01") and sub.has_edge("00", "10")
-    assert not any(v == "11" for e in sub.edges for v in e)
+    _assert_bound_tables_match_reference(BOUND_GRAPHS[name])
 
 
 def test_json_round_trip_exact():

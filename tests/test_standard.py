@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubecats import kernels
-from cubecats.cubes import base_subgraph, cube_rec, standard_cube, twisted_cube
+from cubecats.cubes import cube_rec, standard_cube, twisted_cube
 from cubecats.graphs import CapacityError, graph_from_json, graph_to_json
 from cubecats.standard import (
     bch_compose_rows,
@@ -26,6 +26,7 @@ from cubecats.oracle import category_view
 
 from predicates import (
     PartialInjection,
+    base_subgraph,
     bch_compose_loop,
     bch_count,
     bch_rows_reference,
