@@ -26,17 +26,6 @@ class CapacityError(Exception):
     """A requested computation exceeds the configured brute-force bounds."""
 
 
-def int_to_bits(value: int, n: int) -> Vertex:
-    """Big-endian bit string of length n for value (index 0 is leftmost)."""
-    if not 0 <= value < (1 << n):
-        raise ValueError(f"value {value} out of range for {n} bits")
-    return format(value, f"0{n}b") if n else ""
-
-
-def bits_to_int(bits: Vertex) -> int:
-    return int(bits, 2) if bits else 0
-
-
 class Graph:
     """Finite directed graph with at most one edge per ordered vertex pair.
 

@@ -24,6 +24,9 @@ from .graphs import CapacityError
 # columns, the last level of the full candidate set of a 3-cube pair.
 # This is the one bound on a hom-set's size; it holds for any source.
 MAX_FRONTIER = 2**27
+# Largest block of a batched row operation, in bytes: the oracle's pair
+# products and the bound tests of hom enumeration work in blocks of rows.
+GATHER_BYTES = 1 << 22
 
 
 def edge_preserving_maps(
@@ -67,6 +70,12 @@ def edge_preserving_maps(
             maps = maps[test(maps)]
     maps.setflags(write=False)
     return maps
+
+
+def row_blocks(rows: int, row_bytes: int) -> list[slice]:
+    """In-order slices over range(rows), at least one: a row, or GATHER_BYTES at row_bytes a row."""
+    step = max(1, GATHER_BYTES // max(1, row_bytes))
+    return [slice(start, start + step) for start in range(0, max(rows, 1), step)]
 
 
 def fibre_counts(maps: np.ndarray, nt: int) -> np.ndarray:

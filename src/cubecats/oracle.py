@@ -72,8 +72,6 @@ from .twisted import (
 )
 
 DEFAULT_TRIPLE_CAP = 10**8
-# Largest block of hom-set indices of a pair product, in bytes.
-GATHER_BYTES = 1 << 22
 
 
 @dataclass
@@ -162,19 +160,13 @@ class _Rows:
         return checked_rows(composites, shape, f"compose_rows({m}, {n}, {p})")
 
     def table_blocks(self, m: int, n: int, p: int, h: np.ndarray, g: np.ndarray) -> Iterator:
-        """The index in hom(m, p) of each h[i]∘g[j], or -1, in _blocks of rows i, each
-        of at most GATHER_BYTES of 8-byte indices: the blocks depend only on len(h), len(g)."""
-        for rows in _blocks(len(h), 8 * len(g)):
+        """The index in hom(m, p) of each h[i]∘g[j], or -1, in kernels.row_blocks of rows i,
+        each of at most GATHER_BYTES of 8-byte indices: the blocks depend only on len(h), len(g)."""
+        for rows in kernels.row_blocks(len(h), 8 * len(g)):
             yield self.homs[(m, p)].index(self.compose(m, n, p, h[rows], g))
 
     def describe(self, m: int, n: int, row: np.ndarray) -> str:
         return _call(self.cat.describe, m, n, row)
-
-
-def _blocks(rows: int, row_bytes: int) -> list[slice]:
-    """In-order slices over range(rows), at least one: a row, or GATHER_BYTES at row_bytes a row."""
-    step = max(1, GATHER_BYTES // max(1, row_bytes))
-    return [slice(start, start + step) for start in range(0, max(rows, 1), step)]
 
 
 def _first(bad: np.ndarray) -> Optional[tuple]:
@@ -201,9 +193,9 @@ def _associativity_failure(gf: np.ndarray, hg: np.ndarray, x_f: np.ndarray, h_y:
 
     gf[g, f] and hg[h, g] index g∘f and h∘g in their hom-sets; x_f[x, f]
     indexes x∘f for x in the hom-set of h∘g, and h_y[h, y] indexes h∘y
-    for y in the hom-set of g∘f.  Rows of h are compared in _blocks.
+    for y in the hom-set of g∘f.  Rows of h are compared in kernels.row_blocks.
     """
-    for rows in _blocks(len(hg), gf.nbytes):
+    for rows in kernels.row_blocks(len(hg), gf.nbytes):
         ok = x_f[hg[rows]] == h_y[rows][:, gf]
         if not ok.all():
             ih, ig, jf = np.unravel_index(int(ok.argmin()), ok.shape)

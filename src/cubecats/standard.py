@@ -21,10 +21,14 @@ meet-and-join-preserving cube morphisms is, as a chain, six invertible
 steps: split an arrow into a constant vector z and a partial injection
 e, transpose e, read the result as a morphism from the base subgraph,
 and extend it join-preservingly to the whole cube.  On rows it is one
-substitution: bit j of the image of a vertex v is bit a(j) of v when
-a(j) is a slot, and the constant a(j) otherwise.  The test suite keeps
-the chain and checks the two readings against each other on every
-arrow up to dimension 3.
+substitution, substitution_maps, which twisted reuses with a flip:
+bit j of the image of a vertex v is bit a(j) of v when a(j) is a slot,
+and the constant a(j) otherwise, so the image is v, read as the arrow
+m -> 0 of its bits, after the arrow.  The inverse reads the entries
+off the images of the origin and the one-hot vertices, and refuses a
+map the substitution does not give back.  The test suite keeps the
+chain and checks the readings against each other on every arrow up to
+dimension 3.
 """
 
 from __future__ import annotations
@@ -85,8 +89,10 @@ def bch_compose_rows(outer: np.ndarray, inner: np.ndarray, n: int) -> np.ndarray
     constants n and n + 1 when it is a constant itself.
     """
     outer = np.asarray(outer)
-    constants = np.broadcast_to(np.array([n, n + 1], dtype=outer.dtype), (len(outer), 2))
-    return np.concatenate([outer, constants], axis=1)[:, np.asarray(inner)]
+    extended = np.empty((len(outer), outer.shape[1] + 2), dtype=outer.dtype)
+    extended[:, :-2] = outer
+    extended[:, -2:] = n, n + 1
+    return extended[:, np.asarray(inner)]
 
 
 @lru_cache(maxsize=None)
@@ -136,39 +142,41 @@ def _bit_weights(n: int) -> np.ndarray:
     return 1 << np.arange(n - 1, -1, -1, dtype=np.intp)
 
 
-def bchop_to_graphmeet_rows(m: int, n: int, rows: np.ndarray) -> np.ndarray:
-    """Vertex maps C^m -> C^n of the entry rows of arrows n -> m, one row each.
+def substitution_maps(m: int, n: int, entries: np.ndarray, flips: int | np.ndarray) -> np.ndarray:
+    """Vertex maps C^m -> C^n of substitution entry rows of width n, one row each.
 
-    Bit j of the image of vertex v is bit a(j) of v when a(j) < m is a
-    slot, and the constant a(j) - m otherwise: the join-preserving
-    extension of the chain, read off in one substitution.
+    Bit j of the image of vertex v is bit a(j) of v xored with flips[j]
+    when a(j) < m is a slot, and the constant a(j) - m otherwise: v, as
+    the bch arrow m -> 0 of its bits, composed with each entry row.
+    flips is 0 or an array of the shape of entries, 0 at each constant.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    slot = rows < m
-    shift = np.where(slot, m - 1 - rows, 0)[:, None, :]
-    vertices = np.arange(2**m)[None, :, None]
-    bits = np.where(slot[:, None, :], (vertices >> shift) & 1, rows[:, None, :] - m)
-    return bits @ _bit_weights(n)
+    vertices = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    return (bch_compose_rows(vertices, entries, 0) ^ flips).transpose(1, 0, 2) @ _bit_weights(n)
+
+
+def bchop_to_graphmeet_rows(m: int, n: int, rows: np.ndarray) -> np.ndarray:
+    """Vertex maps C^m -> C^n of the entry rows of arrows n -> m, one row each:
+    the join-preserving extension of the chain, in one substitution."""
+    return substitution_maps(m, n, rows, 0)
 
 
 def graphmeet_to_bchop_rows(m: int, n: int, vmaps: np.ndarray) -> np.ndarray:
     """Entry rows of arrows n -> m read off vertex maps C^m -> C^n, one row each.
 
-    The origin's image gives the constants z.  The image of one-hot
-    vertex i differs from z in no bit, or in one bit j that is 0 in z;
-    then a(j) = i.  Raises ValueError when a map is not of that form,
-    or when two one-hot vertices change the same bit.
+    The origin's image gives the constants, and a one-hot vertex i whose
+    image changes bit j gives a(j) = i.  Raises ValueError when a one-hot
+    vertex changes two bits, or when bchop_to_graphmeet_rows does not
+    give the maps back from the entries read.
     """
     vmaps = np.asarray(vmaps, dtype=np.intp)
     z = vmaps[:, 0]
     changed = vmaps[:, _bit_weights(m)] ^ z[:, None]  # changed[r, i]: bits one-hot i changes
     bits = (changed[:, :, None] & _bit_weights(n)) != 0  # bits[r, i, j]: one-hot i changes bit j
-    several = (bits.sum(axis=2) > 1).any() or (bits.sum(axis=1) > 1).any()
-    if several or (changed & z[:, None]).any():
-        raise ValueError("morphism is not in the meet-and-join-preserving class")
     entries = m + ((z[:, None] & _bit_weights(n)) != 0)
     for i in range(m):
         entries = np.where(bits[:, i], i, entries)
+    if (bits.sum(axis=2) > 1).any() or (bchop_to_graphmeet_rows(m, n, entries) != vmaps).any():
+        raise ValueError("morphism is not in the meet-and-join-preserving class")
     return entries
 
 
@@ -177,7 +185,8 @@ def bound_constraints(src: Graph, tgt: Graph) -> list[tuple]:
     with a source bound w, as hom enumeration constraints into a poset: one
     test per table and level, the largest of i, j and w.  A pair whose bound
     is i or j is comparable; an edge-preserving map keeps it comparable, so
-    the condition holds and the pair is left out."""
+    the condition holds and the pair is left out.  A test reads the frontier
+    in kernels.row_blocks, at the 8 bytes of an index for each of its pairs."""
     out = []
     for src_table, tgt_table in zip(_bound_tables(src), _bound_tables(tgt)):
         i, j = np.triu_indices(len(src_table), 1)
@@ -187,9 +196,10 @@ def bound_constraints(src: Graph, tgt: Graph) -> list[tuple]:
         level = np.maximum(j, w)
         for k in np.unique(level).tolist():
             at = level == k
-            test = lambda f, I=i[at], J=j[at], W=w[at], t=tgt_table: (
-                t[f[:, I], f[:, J]] == f[:, W]
-            ).all(axis=1)
+            test = lambda f, I=i[at], J=j[at], W=w[at], t=tgt_table: np.concatenate([
+                (t[f[r, I], f[r, J]] == f[r, W]).all(axis=1)
+                for r in kernels.row_blocks(len(f), 8 * len(I))
+            ])
             out.append(((k,), test))
     return out
 

@@ -2,12 +2,15 @@
 
 The twisted cube of dimension n is totally ordered by its free preorder
 and carries a unique Hamiltonian path; the mutually inverse bijections
-hamiltonian_f / order_g realize that order.  Dimension-preserving
-morphisms between twisted cubes factor uniquely through an image face,
-which yields the ternary-notation presentation: arrows are strings over
-{0, 1, ⋆} composed by substitution with a parity twist.  An arrow
-m -> n is a row of n digits, 0 and 1 for the constants and 2 for ⋆,
-with at most m stars.  ternary_seq spells a row as its string, and
+hamiltonian_f / order_g realize that order in closed form.
+Dimension-preserving morphisms between twisted cubes factor uniquely
+through an image face, which yields the ternary-notation presentation:
+arrows are strings over {0, 1, ⋆} composed by substitution with a twist.
+An arrow m -> n is a row of n digits, 0 and 1 for the constants and 2
+for ⋆, with at most m stars; as substitution entries, its k-th star is
+slot k - 1 and its constant d is m + d.  Its graph maps and composites
+are standard's, flipped at each star by the parity of the zeros since
+the previous star.  ternary_seq spells a row as its string, and
 ternary_row reads a string back, checking it.
 """
 
@@ -19,43 +22,36 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .graphs import Vertex, bits_to_int, int_to_bits
+from .graphs import Vertex
 from .cubes import twisted_cube
+from .standard import bch_compose_rows, substitution_maps
 
 STAR = "*"
 
 
-def rev(x: str) -> str:
-    """Flip every bit; as a number this sends i to 2^n - 1 - i."""
-    return "".join("1" if c == "0" else "0" for c in x)
-
-
-def _f_bits(x: str) -> str:
-    if not x:
-        return ""
-    if x[0] == "0":
-        return "0" + _f_bits(rev(x[1:]))
-    return "1" + _f_bits(x[1:])
-
-
-def _g_bits(x: str) -> str:
-    if not x:
-        return ""
-    if x[0] == "0":
-        return "0" + rev(_g_bits(x[1:]))
-    return "1" + _g_bits(x[1:])
-
-
 def hamiltonian_f(n: int, k: int) -> Vertex:
-    """Vertex at position k in the total order of the twisted n-cube."""
-    return _f_bits(int_to_bits(k, n))
+    """Vertex at position k in the total order of the twisted n-cube, solving
+    order_g bit by bit.  Raises ValueError for k outside 0..2^n - 1."""
+    if not 0 <= k < 1 << n:
+        raise ValueError(f"position {k} out of range for the twisted {n}-cube")
+    bits, flip = [], 0
+    for i in range(n - 1, -1, -1):
+        bit = ((k >> i) & 1) ^ flip
+        bits.append(str(bit))
+        flip ^= 1 - bit
+    return "".join(bits)
 
 
 def order_g(n: int, v: Vertex) -> int:
-    """Position of vertex v in the total order; inverse of hamiltonian_f."""
+    """Position of vertex v in the total order: its bit i is bit i of v xored
+    with the parity of the zeros of v before i, the closed-form cube's flip."""
     if len(v) != n:
         raise ValueError(f"expected a vertex of length {n}")
-    return bits_to_int(_g_bits(v))
+    k = flip = 0
+    for c in v:
+        k = 2 * k + ((c != "0") ^ flip)
+        flip ^= c == "0"
+    return k
 
 
 def hamiltonian_path(n: int) -> list[tuple[Vertex, Vertex]]:
@@ -95,33 +91,36 @@ def ternary_seq(row: Sequence[int]) -> str:
 def ternary_compose_rows(g: np.ndarray, f: np.ndarray, twist: bool = True) -> np.ndarray:
     """Composites g[i] ∘ f[j] of digit rows, as a (len(g), len(f), width of g) array.
 
-    Copy g's constants and substitute f along g's stars: the k-th star
-    takes f's k-th digit.  A binary value substituted at a star is xored
-    with the parity of zeros among g's own constants since g's previous
-    star.  (Counting zeros of the composite output instead breaks the
-    identity laws; the graph side fixes this rule, and the tests
-    cross-check it there.)  With twist=False the value is copied as it
-    is: plain substitution, the standard-cube variant.
+    bch_compose_rows of g's entries after f: copy g's constants, and the
+    k-th star takes f's k-th digit.  A binary value substituted at a star
+    is xored with the parity of zeros among g's own constants since g's
+    previous star.  (Counting zeros of the composite output instead
+    breaks the identity laws; the graph side fixes this rule, and the
+    tests cross-check it there.)  With twist=False the value is copied
+    as it is: plain substitution, the standard-cube variant.
     """
     g, f = np.asarray(g), np.asarray(f)
-    star = g == 2
-    # a position that is not a star reads the padding column, which is discarded
-    source = np.where(star, np.cumsum(star, axis=1) - 1, f.shape[1])
-    padded = np.zeros((len(f), f.shape[1] + 1), dtype=f.dtype)
-    padded[:, :-1] = f
-    values = padded[:, source].transpose(1, 0, 2)
+    composites = bch_compose_rows(f, _entries(g, f.shape[1]), 0).transpose(1, 0, 2)
     if twist:
-        values = np.where(values == 2, values, values ^ _zero_parity(g)[:, None, :])
-    return np.where(star[:, None, :], values, g[:, None, :])
+        composites = composites ^ (_zero_parity(g)[:, None, :] & (composites != 2))
+    return composites
+
+
+def _entries(rows: np.ndarray, m: int) -> np.ndarray:
+    """The substitution entries of digit rows of arrows from m: slot k - 1 at
+    the k-th star, and m + d at the constant d."""
+    star = rows == 2
+    return np.where(star, np.cumsum(star, axis=1) - 1, rows + np.intp(m))
 
 
 def _zero_parity(rows: np.ndarray) -> np.ndarray:
-    """At each position, the parity of the zeros of the row since its previous star."""
+    """At each star, the parity of the zeros of the row since its previous star; 0 elsewhere."""
+    star = rows == 2
     zeros = np.cumsum(rows == 0, axis=1)
-    at_star = np.maximum.accumulate(np.where(rows == 2, zeros, 0), axis=1)
+    at_star = np.maximum.accumulate(np.where(star, zeros, 0), axis=1)
     before = np.zeros_like(zeros)
     before[:, 1:] = at_star[:, :-1]
-    return (zeros - before) & 1
+    return (zeros - before) & star
 
 
 def ternary_compose(g: str, f: str, twist: bool = True) -> str:
@@ -137,8 +136,7 @@ def ternary_to_graphdim_rows(m: int, n: int, rows: np.ndarray) -> np.ndarray:
     """Vertex maps T^m -> T^n of the digit rows of ternary arrows m -> n, one row each.
 
     The unique surjection onto the star count, then the face injection:
-    bit i of the image of vertex v is the constant at a fixed position,
-    and at the k-th star bit k of v xored with the face's flip there,
+    the substitution maps of the rows' entries, flipped at each star by
     the parity of the zeros since the previous star.  That flip is the
     one choice that makes the injection edge-preserving: the source bit
     at a star lands after the earlier stars' flipped bits, whose flips
@@ -146,14 +144,9 @@ def ternary_to_graphdim_rows(m: int, n: int, rows: np.ndarray) -> np.ndarray:
     Raises ValueError for a row with more than m stars.
     """
     rows = np.asarray(rows)
-    star = rows == 2
-    if (star.sum(axis=1) > m).any():
+    if ((rows == 2).sum(axis=1) > m).any():
         raise ValueError(f"a ternary arrow from {m} has at most {m} stars")
-    shift = np.where(star, m - np.cumsum(star, axis=1), 0)[:, None, :]
-    vertices = np.arange(2**m)[None, :, None]
-    flipped = ((vertices >> shift) & 1) ^ _zero_parity(rows)[:, None, :]
-    bits = np.where(star[:, None, :], flipped, rows[:, None, :])
-    return bits @ (1 << np.arange(n - 1, -1, -1))
+    return substitution_maps(m, n, _entries(rows, m), _zero_parity(rows))
 
 
 def graphdim_to_ternary_rows(m: int, n: int, vmaps: np.ndarray) -> np.ndarray:

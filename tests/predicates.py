@@ -4,13 +4,14 @@ A bch arrow is (m, n, entries), a ternary arrow its string, and a graph
 morphism a dict from source to target vertex names, which edge_checked
 refuses unless it sends every edge to an edge.  The predicates check
 the constrained hom enumerations row by row, with meets and joins from
-a search over every vertex pair, and the Hamiltonian paths of a graph
-come from an exhaustive search.  The composition loops, the (z, d)
-chain and the face chain are the plain one-arrow versions of the row
-operations in the package, which the tests compare them with, and the
-candidate filters list the bch and ternary rows without the hom
-enumeration kernel.  The hom-set counts are closed forms from each
-notation's definition.
+a search over every vertex pair.  The Hamiltonian paths of a graph
+come from an exhaustive search, and the total order of a twisted cube
+from the paper's recursion over bit strings.  The composition loops,
+the (z, d) chain and the face chain are the plain one-arrow versions
+of the row operations in the package, which the tests compare them
+with, and the candidate filters list the bch and ternary rows without
+the hom enumeration kernel.  The hom-set counts are closed forms from
+each notation's definition.
 """
 
 from functools import lru_cache
@@ -21,8 +22,44 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from cubecats.cubes import standard_cube, twisted_cube
-from cubecats.graphs import Graph, Vertex, bits_to_int, free_preorder, int_to_bits
+from cubecats.graphs import Graph, Vertex, free_preorder
 from cubecats.twisted import STAR
+
+
+def int_to_bits(value: int, n: int) -> Vertex:
+    """Big-endian bit string of length n for value (index 0 is leftmost)."""
+    if not 0 <= value < (1 << n):
+        raise ValueError(f"value {value} out of range for {n} bits")
+    return format(value, f"0{n}b") if n else ""
+
+
+def bits_to_int(bits: Vertex) -> int:
+    return int(bits, 2) if bits else 0
+
+
+def rev(x: str) -> str:
+    """Flip every bit; as a number this sends i to 2^n - 1 - i."""
+    return "".join("1" if c == "0" else "0" for c in x)
+
+
+def f_bits(x: str) -> str:
+    """The paper's recursion for the vertex at the position x spells:
+    0x goes to 0 f(rev x), and 1x to 1 f(x)."""
+    if not x:
+        return ""
+    if x[0] == "0":
+        return "0" + f_bits(rev(x[1:]))
+    return "1" + f_bits(x[1:])
+
+
+def g_bits(x: str) -> str:
+    """The paper's recursion for the position of the vertex x, inverse of
+    f_bits: 0x goes to 0 rev(g(x)), and 1x to 1 g(x)."""
+    if not x:
+        return ""
+    if x[0] == "0":
+        return "0" + rev(g_bits(x[1:]))
+    return "1" + g_bits(x[1:])
 
 
 def bch_count(m: int, n: int) -> int:
@@ -322,7 +359,10 @@ def chain_bchop_to_graphmeet(m: int, n: int, entries: Sequence[int]) -> dict[Ver
 
 def chain_graphmeet_to_bchop(m: int, n: int, g: dict[Vertex, Vertex]) -> tuple[int, ...]:
     """The inverse chain from a map C^m -> C^n to the entries of a bch arrow
-    n -> m: read (z, d) off the origin and one-hot images."""
+    n -> m: read (z, d) off the origin and one-hot images, when the
+    join-preserving extension of those images gives g back."""
+    if extend_base_morphism(m, n, {v: g[v] for v in base_subgraph(m).vertices}) != g:
+        raise ValueError("morphism is not in the meet-and-join-preserving class")
     z = g[int_to_bits(0, m)]
     d_entries = []
     for i in range(m):

@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 from cubecats.graphs import (
     Graph,
     _bound_tables,
-    bits_to_int,
     free_preorder,
     graph_from_json,
     graph_to_json,
-    int_to_bits,
     is_total_order,
 )
 from cubecats.cubes import standard_cube, twisted_cube
-from predicates import bound_tables_reference
+from predicates import bits_to_int, bound_tables_reference, int_to_bits
 
 
 def test_bit_conversions_round_trip():

@@ -193,7 +193,7 @@ def test_gather_blocks_give_the_same_counts(monkeypatch):
         lambda: check_ternary_iso(3, 2, 20000),
     ]
     whole = [check().to_dict() for check in checks]
-    monkeypatch.setattr(oracle, "GATHER_BYTES", 1)  # one row of h per block
+    monkeypatch.setattr(kernels, "GATHER_BYTES", 1)  # one row of h per block
     assert [check().to_dict() for check in checks] == whole
 
 
@@ -644,7 +644,7 @@ def test_isomorphism_composes_each_distinct_pair_once():
 
 
 def test_isomorphism_composes_one_row_blocks(monkeypatch):
-    monkeypatch.setattr(oracle, "GATHER_BYTES", 1)
+    monkeypatch.setattr(kernels, "GATHER_BYTES", 1)
     batches = collections.Counter()
 
     def counted(view):
@@ -861,14 +861,14 @@ def test_untwisted_builder_mutant_fails_hamiltonian():
     assert rep.counterexample["count"] == 0
 
 
-def _same_bits(x):
+def _untwisted_f(n, k):
     """hamiltonian_f without its twist: k's own bits, so the path leaves T^n at n = 2."""
-    return x
+    return format(k, f"0{n}b")
 
 
 def test_path_outside_the_cube_is_a_counterexample_not_a_crash(monkeypatch, capsys):
     # hamiltonian_path asserts that each of its steps is an edge
-    monkeypatch.setattr(twisted, "_f_bits", _same_bits)
+    monkeypatch.setattr(twisted, "hamiltonian_f", _untwisted_f)
     rep = check_unique_hamiltonian(3)
     assert not rep.passed
     assert rep.counterexample == {
@@ -1234,7 +1234,7 @@ def _failing_sites():
         )),
         ("unique_hamiltonian error", lambda: check_unique_hamiltonian(3, build=builder_failed)),
         ("path not in the cube", lambda: _patched(
-            twisted, "_f_bits", _same_bits, check_unique_hamiltonian, 3
+            twisted, "hamiltonian_f", _untwisted_f, check_unique_hamiltonian, 3
         )),
         ("surjection count", lambda: check_unique_surjection(2, category_view("graphdim"))),
         ("surjection found", lambda: check_unique_surjection(2, reversed_bits)),
@@ -1265,5 +1265,5 @@ def test_failing_reports_match_golden(capsys, monkeypatch):
 
 def test_failing_reports_match_golden_in_one_row_blocks(capsys, monkeypatch):
     # no counterexample or count depends on where a block ends
-    monkeypatch.setattr(oracle, "GATHER_BYTES", 1)
+    monkeypatch.setattr(kernels, "GATHER_BYTES", 1)
     test_failing_reports_match_golden(capsys, monkeypatch)

@@ -193,6 +193,18 @@ def test_graphmeet_is_bounded_by_the_kernel_frontier(monkeypatch):
         graphmeet.rows(3, 3)
 
 
+def test_graphmeet_rows_do_not_depend_on_the_bound_test_blocks(monkeypatch):
+    whole = {(m, n): graphmeet.rows(m, n) for m, n in product(range(4), repeat=2)}
+    hom_matrix.cache_clear()
+    monkeypatch.setattr(kernels, "GATHER_BYTES", 1)  # one frontier row per block
+    try:
+        for (m, n), rows in whole.items():
+            blocked = graphmeet.rows(m, n)
+            assert blocked.dtype == rows.dtype and np.array_equal(blocked, rows), (m, n)
+    finally:
+        hom_matrix.cache_clear()
+
+
 def test_graphmeet_equals_graphdim_sets():
     for m in range(3):
         for n in range(3):
@@ -212,13 +224,14 @@ def test_substitution_shortcut_agrees_with_structured_chain():
 
 def test_row_maps_match_the_chain():
     # the package's one-substitution maps against the six-step chain, on
-    # every arrow, and on every cube map for the inverse, which refuses the
-    # maps outside the meet-and-join class as the chain does
+    # every arrow, and on every cube map for the inverse, which accepts
+    # exactly the maps of the meet-and-join class, as the chain does
     for m in range(4):
         for n in range(4):
             src, tgt = standard_cube(m), standard_cube(n)
             for a, g in zip(bch.rows(n, m).tolist(), meet_maps(m, n)):
                 assert vertex_dict(src, tgt, g) == chain_bchop_to_graphmeet(n, m, a)
+            accepted = []
             for g in hom_matrix(src, tgt):
                 try:
                     expected = chain_graphmeet_to_bchop(m, n, vertex_dict(src, tgt, g))
@@ -227,6 +240,8 @@ def test_row_maps_match_the_chain():
                         graphmeet_to_bchop_rows(m, n, g[None])
                 else:
                     assert tuple(graphmeet_to_bchop_rows(m, n, g[None])[0]) == expected
+                    accepted.append(g)
+            assert np.array_equal(np.reshape(accepted, (-1, 2**m)), graphmeet.rows(m, n))
 
 
 def test_bch_compose_matches_the_reference_loop():

@@ -17,7 +17,6 @@ from cubecats.twisted import (
     hamiltonian_f,
     hamiltonian_path,
     order_g,
-    rev,
     semi_rows,
     ternary_compose,
     ternary_compose_rows,
@@ -28,10 +27,15 @@ from cubecats.twisted import (
 )
 
 from predicates import (
+    bits_to_int,
     chain_graphdim_to_ternary,
     chain_ternary_to_graphdim,
+    f_bits,
     face_to_injection,
+    g_bits,
     image_face,
+    int_to_bits,
+    rev,
     semi_count,
     ternary_compose_loop,
     ternary_rows_reference,
@@ -61,6 +65,17 @@ def test_order_g_inverts_hamiltonian_f(n, data):
 def test_rev_is_bitwise_complement():
     assert rev("0101") == "1010"
     assert rev("") == ""
+
+
+def test_closed_forms_match_the_recursion():
+    for n in range(11):
+        for k in range(2**n):
+            v = f_bits(int_to_bits(k, n))
+            assert hamiltonian_f(n, k) == v
+            assert order_g(n, v) == bits_to_int(g_bits(v)) == k
+    for k in (-1, 4):
+        with pytest.raises(ValueError, match="out of range"):
+            hamiltonian_f(2, k)
 
 
 def test_hamiltonian_path_steps_are_edges():
@@ -147,13 +162,14 @@ def test_untwisted_compose_skips_parity():
 
 def test_row_maps_match_the_face_chain():
     # every arrow, and for the inverse every twisted cube map, which both
-    # refuse when it is not dimension-preserving
+    # accept exactly when it is dimension-preserving
     for m in range(4):
         for n in range(4):
             src, tgt = twisted_cube(m), twisted_cube(n)
             rows = ternary.rows(m, n)
             for t, f in zip(rows.tolist(), ternary_to_graphdim_rows(m, n, rows)):
                 assert vertex_dict(src, tgt, f) == chain_ternary_to_graphdim(m, ternary_seq(t))
+            accepted = []
             for f in hom_matrix(src, tgt):
                 try:
                     expected = chain_graphdim_to_ternary(m, vertex_dict(src, tgt, f))
@@ -162,6 +178,8 @@ def test_row_maps_match_the_face_chain():
                         graphdim_to_ternary_rows(m, n, f[None])
                 else:
                     assert ternary_seq(graphdim_to_ternary_rows(m, n, f[None])[0]) == expected
+                    accepted.append(f)
+            assert np.array_equal(np.reshape(accepted, (-1, 2**m)), twgraphdim.rows(m, n))
 
 
 def test_ternary_compose_matches_the_reference_loop():
