@@ -23,9 +23,9 @@ import numpy as np
 
 from .graphs import CapacityError, Graph, graph_from_json, graph_to_json
 from .cubes import cube_rec, standard_cube, to_dot, twisted_cube
-from .standard import bch_compose_rows, bch_from_json, bch_names, vertex_dict
-from .twisted import ternary_compose, ternary_seq
-from .rows import CATEGORY_IDS, category_view, graph_cube, hom_table
+from .standard import bch_compose_rows, bch_from_json
+from .twisted import ternary_compose
+from .rows import CATEGORY_IDS, category_view, hom_table
 
 SUITES = ("all", "standard", "twisted", "laws", "iso")
 # Largest cube dimension of build (json), homs and table: cubes and their bound
@@ -55,27 +55,16 @@ def cmd_build(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _bch_json(m: int, n: int, entries: list[int]) -> str:
-    return json.dumps({"m": m, "n": n, "map": bch_names(n, entries)})
-
-
 def cmd_homs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    m, n, cat = args.m, args.n, args.cat
+    m, n = args.m, args.n
     if m < 0 or n < 0:
         parser.error("dimensions must be non-negative")
     if max(m, n) > MAX_DIM:
         raise CapacityError(f"homs builds cubes of dimension at most {MAX_DIM} (256 vertices)")
-    if cat in ("ternary", "semi"):
-        line = ternary_seq
-    elif cat == "bch":
-        line = partial(_bch_json, m, n)
-    elif cat == "bchop":  # an arrow of bchop(m, n) is a bch arrow n -> m
-        line = partial(_bch_json, n, m)
-    else:
-        src, tgt = graph_cube(cat)(m), graph_cube(cat)(n)
-        line = lambda row: json.dumps(vertex_dict(src, tgt, row))
-    for row in category_view(cat).rows(m, n):
-        print(line(row.tolist()))
+    view = category_view(args.cat)
+    for row in view.rows(m, n):
+        name = view.describe(m, n, row)
+        print(name if isinstance(name, str) else json.dumps(name))
     return 0
 
 
@@ -88,7 +77,8 @@ def cmd_compose(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         if f_n != g_m:
             parser.error(f"cannot compose {g_m}->{g_n} after {f_m}->{f_n}")
         outer, inner = (np.array([entries], dtype=np.intp) for entries in (g, f))
-        print(_bch_json(f_m, g_n, bch_compose_rows(outer, inner, g_n)[0, 0].tolist()))
+        gf = bch_compose_rows(outer, inner, g_n)[0, 0]
+        print(json.dumps(category_view("bch").describe(f_m, g_n, gf)))
         return 0
     try:
         print(ternary_compose(args.g, args.f, twist=args.cat == "ternary"))

@@ -67,7 +67,9 @@ def edge_preserving_maps(
         ext[:, :, k] = np.arange(nt)
         maps = ext.reshape(rows, k + 1)
         for test in tests[k]:
-            maps = maps[test(maps)]
+            # masked as one void item a row, so numpy builds no intp index of the kept rows
+            kept = maps.view(f"V{k + 1}")[:, 0][test(maps)]
+            maps = kept.view(np.uint8).reshape(len(kept), k + 1)
     maps.setflags(write=False)
     return maps
 

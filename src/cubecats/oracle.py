@@ -13,8 +13,9 @@ Every check that reads a category's hom-sets works on morphisms as
 rows: each hom-set is a sorted integer matrix, composition is one
 batched row operation per block of pairs, a composite is found in its
 hom-set by a binary search of its row key, and _one_side_only
-compares two hom-sets by these lookups.  A counterexample names a row
-by the view's describe, in its notation's text.
+compares two hom-sets by these lookups.  A counterexample names each
+arrow by _Rows.describe, the view's describe called through _call: the
+value homs prints for it.
 
 Every call into the code under check goes through _call: a view's
 callbacks, an isomorphism's functors, the factorization's face
@@ -57,12 +58,7 @@ from .rows import (
     category_view,
     checked_rows,
 )
-from .standard import (
-    bchop_to_graphmeet_rows,
-    dimension_constraints,
-    graphmeet_to_bchop_rows,
-    vertex_dict,
-)
+from .standard import bchop_to_graphmeet_rows, dimension_constraints, graphmeet_to_bchop_rows
 from .twisted import (
     graphdim_to_ternary_rows,
     hamiltonian_path,
@@ -165,8 +161,8 @@ class _Rows:
         for rows in kernels.row_blocks(len(h), 8 * len(g)):
             yield self.homs[(m, p)].index(self.compose(m, n, p, h[rows], g))
 
-    def describe(self, m: int, n: int, row: np.ndarray) -> str:
-        return _call(self.cat.describe, m, n, row)
+    def describe(self, m: int, n: int, row: np.ndarray) -> object:
+        return _call(self.cat.describe, m, n, np.asarray(row))
 
 
 def _first(bad: np.ndarray) -> Optional[tuple]:
@@ -486,14 +482,14 @@ def check_meet_equals_dim(max_dim: int = 3) -> CheckReport:
     objs = range(max_dim + 1)
 
     def first_failure() -> Optional[dict]:
-        meet_homs = _Rows(category_view("graphmeet"), objs).homs
-        dim_homs = _Rows(category_view("graphdim"), objs).homs
+        meet, dim = _Rows(category_view("graphmeet"), objs), _Rows(category_view("graphdim"), objs)
         for m, n in product(objs, repeat=2):
-            diff = _one_side_only(meet_homs[(m, n)], dim_homs[(m, n)])
+            diff = _one_side_only(meet.homs[(m, n)], dim.homs[(m, n)])
             if diff is not None:
-                return {"m": m, "n": n, "vmap": diff[0], "in_meet": diff[1]}
+                vmap = (meet if diff[1] else dim).describe(m, n, diff[0])
+                return {"m": m, "n": n, "vmap": vmap, "in_meet": diff[1]}
             counts["hom_sets"] += 1
-            counts["morphisms"] += len(meet_homs[(m, n)])
+            counts["morphisms"] += len(meet.homs[(m, n)])
         return None
 
     return _run("meet_equals_dim", {"max_dim": max_dim}, counts, first_failure)
@@ -602,17 +598,16 @@ def check_unique_surjection(
     objs = range(max_dim + 1)
 
     def first_failure() -> Optional[dict]:
-        homs = _Rows(view, objs).homs
+        arrows = _Rows(view, objs)
         for m, n in product(objs, repeat=2):
-            rows = _vertex_maps(homs[(m, n)], m, n)
+            rows = _vertex_maps(arrows.homs[(m, n)], m, n)
             surjective = rows[kernels.fibre_counts(rows, 2**n).all(axis=1)]
             expected = 1 if m >= n else 0
             if len(surjective) != expected:
                 return {"m": m, "n": n, "count": len(surjective), "expected": expected}
             counts["surjective_found"] += len(surjective)
             if m >= n and (surjective[0] != np.arange(2**m) >> (m - n)).any():
-                found = vertex_dict(twisted_cube(m), twisted_cube(n), surjective[0].tolist())
-                return {"m": m, "n": n, "found": found}
+                return {"m": m, "n": n, "found": arrows.describe(m, n, surjective[0])}
         return None
 
     return _run("unique_surjection", {"max_dim": max_dim}, counts, first_failure)
@@ -636,7 +631,8 @@ def check_factorization(
     objs = range(max_dim + 1)
 
     def first_failure() -> Optional[dict]:
-        homs = _Rows(view, objs).homs
+        arrows = _Rows(view, objs)
+        homs = arrows.homs
         for m, n in product(objs, repeat=2):
             rows = _vertex_maps(homs[(m, n)], m, n)
             bits = (rows[:, :, None] >> np.arange(n - 1, -1, -1)) & 1
@@ -664,7 +660,7 @@ def check_factorization(
             if bad is not None:
                 (r,) = bad
                 counts["factored"] += r
-                f = vertex_dict(twisted_cube(m), twisted_cube(n), rows[r].tolist())
+                f = arrows.describe(m, n, rows[r])
                 return {"m": m, "n": n, "f": f, "reason": "no factorization"}
             counts["factored"] += len(rows)
         return None
@@ -707,17 +703,18 @@ def check_fibre_dimension(
     objs = range(max_dim + 1)
 
     def first_failure() -> Optional[dict]:
-        homs = _Rows(_graph_view("maps", build, None), objs).homs
-        dim_homs = _Rows(_graph_view("dimension maps", build, dimension_constraints), objs).homs
+        maps = _Rows(_graph_view("maps", build, None), objs)
+        dims = _Rows(_graph_view("dimension maps", build, dimension_constraints), objs)
         for m, n in product(objs, repeat=2):
-            mat = _vertex_maps(homs[(m, n)], m, n)
+            mat = _vertex_maps(maps.homs[(m, n)], m, n)
             fibres = kernels.fibre_counts(mat, 2**n)
             biggest = fibres.max(axis=1)
             equal = np.where(fibres == 0, biggest[:, None], fibres).min(axis=1) == biggest
-            diff = _one_side_only(HomRows(mat[equal], homs[(m, n)].what), dim_homs[(m, n)])
+            diff = _one_side_only(HomRows(mat[equal], maps.homs[(m, n)].what), dims.homs[(m, n)])
             if diff is not None:
+                vmap = (maps if diff[1] else dims).describe(m, n, diff[0])
                 sides = {"equal_fibres": diff[1], "dimension_preserving": not diff[1]}
-                return {"m": m, "n": n, "vmap": diff[0], **sides}
+                return {"m": m, "n": n, "vmap": vmap, **sides}
             counts["morphisms"] += len(mat)
         return None
 

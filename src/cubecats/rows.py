@@ -121,17 +121,19 @@ class FiniteCategoryView:
     compose_rows(m, n, p, h, g) takes rows h of hom(n, p) and rows g of
     hom(m, n) and returns the (len(h), len(g), w) array of the rows of
     every h∘g.  It is called on blocks of h rows, so each composite may
-    depend only on its own pair.  describe(m, n, row) names a row of
-    hom(m, n) in a counterexample.
+    depend only on its own pair.  describe(m, n, row) is the one name of
+    a row of hom(m, n), a JSON value: the line homs prints for it (a
+    string as it is, anything else as JSON), and the value a
+    counterexample gives it.
     """
 
     name: str
     rows: Callable[[int, int], np.ndarray]
     identity: Callable[[int], np.ndarray]
     compose_rows: Callable[[int, int, int, np.ndarray, np.ndarray], np.ndarray]
-    describe: Callable[[int, int, np.ndarray], str]
+    describe: Callable[[int, int, np.ndarray], object]
 
-    def hom(self, m: int, n: int) -> tuple[str, ...]:
+    def hom(self, m: int, n: int) -> tuple:
         """The names of the rows of hom(m, n), in row order."""
         return tuple(self.describe(m, n, row) for row in self.rows(m, n))
 
@@ -140,34 +142,30 @@ CATEGORY_IDS = (
     "bch", "bchop", "graphcube", "graphmeet", "graphdim",
     "twcubecat", "twgraphdim", "ternary", "semi",
 )
-# graph category id: (its objects are twisted cubes, its hom constraints)
+# graph category id: (its cube builder, its hom constraints)
 _GRAPH_CATEGORIES = {
-    "graphcube": (False, None),
-    "graphmeet": (False, bound_constraints),
-    "graphdim": (False, dimension_constraints),
-    "twcubecat": (True, None),
-    "twgraphdim": (True, dimension_constraints),
+    "graphcube": (standard_cube, None),
+    "graphmeet": (standard_cube, bound_constraints),
+    "graphdim": (standard_cube, dimension_constraints),
+    "twcubecat": (twisted_cube, None),
+    "twgraphdim": (twisted_cube, dimension_constraints),
 }
 
 
-def _bch_text(m: int, n: int, row: np.ndarray) -> str:
-    """A bch arrow m -> n by name, as in BchMorphism(2->1, [j0, b1])."""
-    return f"BchMorphism({m}->{n}, [{', '.join(bch_names(n, row.tolist()))}])"
+def _bch_name(m: int, n: int, row: np.ndarray) -> dict:
+    """A bch arrow m -> n by name, as in {"m": 2, "n": 1, "map": ["j0", "b1"]}."""
+    return {"m": m, "n": n, "map": bch_names(n, row.tolist())}
 
 
 def _graph_view(
     name: str, build: Callable[[int], Graph], constraints: Optional[Callable]
 ) -> FiniteCategoryView:
-    def describe(m: int, n: int, row: np.ndarray) -> str:
-        names = vertex_dict(build(m), build(n), row.tolist())
-        return f"GraphMorphism({', '.join(f'{v}>{w}' for v, w in names.items())})"
-
     return FiniteCategoryView(
         name,
         lambda m, n: hom_matrix(build(m), build(n), constraints),
         lambda n: np.arange(len(build(n).vertices)),
         lambda m, n, p, h, g: compose_graph_rows(h, g),
-        describe,
+        lambda m, n, row: vertex_dict(build(m), build(n), row.tolist()),
     )
 
 
@@ -181,11 +179,6 @@ def _ternary_view(name: str, rows: Callable[[int, int], np.ndarray]) -> FiniteCa
     )
 
 
-def graph_cube(cat_id: str) -> Callable[[int], Graph]:
-    """The cube builder of the graph category cat_id: its object n is graph_cube(cat_id)(n)."""
-    return twisted_cube if _GRAPH_CATEGORIES[cat_id][0] else standard_cube
-
-
 def category_view(cat_id: str) -> FiniteCategoryView:
     """The nine categories by name, as brute-forceable views."""
     if cat_id == "bch":
@@ -194,7 +187,7 @@ def category_view(cat_id: str) -> FiniteCategoryView:
             bch_rows,
             np.arange,
             lambda m, n, p, h, g: bch_compose_rows(h, g, p),
-            _bch_text,
+            _bch_name,
         )
     if cat_id == "bchop":
         return FiniteCategoryView(
@@ -202,10 +195,10 @@ def category_view(cat_id: str) -> FiniteCategoryView:
             lambda m, n: bch_rows(n, m),
             np.arange,
             lambda m, n, p, h, g: bch_compose_rows(g, h, m).transpose(1, 0, 2),
-            lambda m, n, row: _bch_text(n, m, row),
+            lambda m, n, row: _bch_name(n, m, row),  # a bch arrow n -> m
         )
     if cat_id in _GRAPH_CATEGORIES:
-        return _graph_view(cat_id, graph_cube(cat_id), _GRAPH_CATEGORIES[cat_id][1])
+        return _graph_view(cat_id, *_GRAPH_CATEGORIES[cat_id])
     if cat_id == "ternary":
         return _ternary_view("ternary", ternary_rows)
     if cat_id == "semi":

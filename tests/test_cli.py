@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cubecats
-from cubecats import cli
+from cubecats import cli, oracle
 from cubecats.cli import main
 from cubecats.graphs import CapacityError
 from cubecats.rows import CATEGORY_IDS, category_view
@@ -119,6 +119,23 @@ def test_homs_ternary_plain_strings(capsys):
     code, out, _ = run_cli(capsys, "homs", "--cat", "ternary", "1", "1")
     assert code == 0
     assert out.splitlines() == ["0", "1", "*"]
+
+
+@pytest.mark.parametrize("cat_id", CATEGORY_IDS)
+def test_homs_prints_the_name_every_report_gives(capsys, cat_id):
+    # one name per arrow: homs prints the value a counterexample gives each
+    # row, the view's describe through the oracle, a string as it is and
+    # any other value as JSON
+    view = category_view(cat_id)
+    arrows = oracle._Rows(view, range(3))
+    for m in range(3):
+        for n in range(3):
+            code, out, _ = run_cli(capsys, "homs", "--cat", cat_id, str(m), str(n))
+            assert code == 0
+            names = [arrows.describe(m, n, row) for row in arrows.homs[(m, n)].rows]
+            assert out.splitlines() == [
+                name if isinstance(name, str) else json.dumps(name) for name in names
+            ]
 
 
 def test_homs_capacity_exit_three(capsys):

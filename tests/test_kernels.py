@@ -79,6 +79,25 @@ def test_frontier_guard_raises_before_allocating():
     assert peak < 16**7
 
 
+def test_filter_holds_no_index_of_the_kept_rows():
+    # one test keeps all 128^3 rows of 3 bytes: an 8-byte index of the kept
+    # rows would by itself be over twice the frontier
+    nt = 128
+    keep_all = ((2,), lambda f: np.ones(len(f), dtype=bool))
+    tracemalloc.start()
+    try:
+        maps = kernels.edge_preserving_maps(
+            3, nt, np.empty((0, 2), dtype=np.int64), np.ones((nt, nt), dtype=bool), [keep_all]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert maps.shape == (nt**3, 3) and maps.dtype == np.uint8 and not maps.flags.writeable
+    assert maps[[0, 1, nt, -1]].tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 0], [nt - 1] * 3]
+    # the frontier, its mask and the kept rows
+    assert peak < 3 * maps.nbytes
+
+
 def test_target_beyond_uint8_rows_raises():
     # 512 target vertices: uint8 rows would wrap indices 256..511 onto 0..255
     with pytest.raises(CapacityError, match="at most 256 target vertices"):
