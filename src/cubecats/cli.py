@@ -87,29 +87,26 @@ def cmd_compose(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 0
 
 
-def _suite_steps(suite: str, d: int) -> list[tuple[str, Callable]]:
+def _suite_steps(suite: str, d: int) -> list[Callable]:
+    """The checks that suite runs at depth d, in run order; all runs every one."""
     from . import oracle
-    steps: list[tuple[str, Callable]] = []
     comp_dim = min(d, 2)
     samples = 20000 if d >= 3 else 0
-    if suite in ("all", "standard"):
-        steps.append(("rec_nonrec", lambda: oracle.check_rec_nonrec(d)))
-        steps.append(("meet_equals_dim", lambda: oracle.check_meet_equals_dim(d)))
-    if suite in ("all", "standard", "iso"):
-        steps.append(("bchop_graphmeet_iso", lambda: oracle.check_bchop_graphmeet_iso(d, comp_dim)))
-    if suite in ("all", "iso"):
-        steps.append(("ternary_iso", lambda: oracle.check_ternary_iso(d, comp_dim, samples)))
-    if suite in ("all", "twisted"):
-        steps.append(("total_order", lambda: oracle.check_total_order(d)))
-        steps.append(("unique_hamiltonian", lambda: oracle.check_unique_hamiltonian(d)))
-        steps.append(("unique_surjection", lambda: oracle.check_unique_surjection(d)))
-        steps.append(("factorization", lambda: oracle.check_factorization(d)))
-        steps.append(("fibre_dimension", lambda: oracle.check_fibre_dimension(d)))
-    if suite in ("all", "laws"):
-        for view in map(category_view, CATEGORY_IDS):
-            laws = partial(oracle.check_category_laws, view, d, comp_dim)
-            steps.append((f"laws[{view.name}]", laws))
-    return steps
+    steps = [  # (the suites besides all that run the check, the check)
+        (("standard",), partial(oracle.check_rec_nonrec, d)),
+        (("standard",), partial(oracle.check_meet_equals_dim, d)),
+        (("standard", "iso"), partial(oracle.check_bchop_graphmeet_iso, d, comp_dim)),
+        (("iso",), partial(oracle.check_ternary_iso, d, comp_dim, samples)),
+        (("twisted",), partial(oracle.check_total_order, d)),
+        (("twisted",), partial(oracle.check_unique_hamiltonian, d)),
+        (("twisted",), partial(oracle.check_unique_surjection, d)),
+        (("twisted",), partial(oracle.check_factorization, d)),
+        (("twisted",), partial(oracle.check_fibre_dimension, d)),
+    ] + [
+        (("laws",), partial(oracle.check_category_laws, view, d, comp_dim))
+        for view in map(category_view, CATEGORY_IDS)
+    ]
+    return [check for suites, check in steps if suite == "all" or suite in suites]
 
 
 def cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -118,18 +115,18 @@ def cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error("--max-dim must be between 0 and 4")
     reports = []
     capacity_skips = 0
-    for name, thunk in _suite_steps(args.suite, d):
+    for check in _suite_steps(args.suite, d):
         try:
-            report = thunk()
+            report = check()
         except CapacityError as exc:
             capacity_skips += 1
             print(
                 json.dumps(
-                    {"check": name, "skipped": "capacity", "reason": str(exc)},
+                    {"check": exc.check, "skipped": "capacity", "reason": str(exc)},
                     separators=(", ", ": "),
                 )
             )
-            print(f"SKIP {name}: {exc}", file=sys.stderr)
+            print(f"SKIP {exc.check}: {exc}", file=sys.stderr)
             continue
         print(report.to_json())
         status = "PASS" if report.passed else "FAIL"

@@ -113,12 +113,16 @@ def _run(
 ) -> CheckReport:
     """The report of a check whose first_failure() gives its first counterexample,
     or None when it passes, and fills counts as it goes.  A RowError from it
-    is the counterexample {**tag, "error": message}."""
+    is the counterexample {**tag, "error": message}; a CapacityError leaves
+    with the check's name as its check attribute."""
     t0 = time.perf_counter()
     try:
         counterexample = first_failure()
     except RowError as exc:
         counterexample = {**(tag or {}), "error": str(exc)}
+    except CapacityError as exc:
+        exc.check = name
+        raise
     return CheckReport(
         name, params, counterexample is None, counterexample, counts, time.perf_counter() - t0
     )
@@ -204,10 +208,11 @@ def check_category_laws(
 ) -> CheckReport:
     """Exhaustive identity laws up to max_dim; closure and associativity up to max_assoc_dim.
 
-    Each hom-set is composed with the identities on both sides in two
-    batched calls.  Then _Rows.table_blocks composes the rows of hom(n, p)
-    and hom(m, n) per (m, n, p) with objects up to max_assoc_dim and looks
-    each composite up in hom(m, p).  A composite that is not there fails
+    Each identity(n) must be an arrow of hom(n, n).  Each hom-set is
+    composed with the identities on both sides in two batched calls.
+    Then _Rows.table_blocks composes the rows of hom(n, p) and hom(m, n)
+    per (m, n, p) with objects up to max_assoc_dim and looks each
+    composite up in hom(m, p).  A composite that is not there fails
     closure; the others fill a table of hom-set indices, on which
     associativity is checked in blocks of the same size.  An exception
     from a callback of the view, or a result of the wrong shape or with
@@ -224,6 +229,9 @@ def check_category_laws(
     def first_failure() -> Optional[dict]:
         view = _Rows(cat, objs)
         homs = view.homs
+        for n in objs:
+            if homs[(n, n)].index(view.identity(n)[None])[0] < 0:
+                return {"law": "identity arrow", "n": n}
         for (m, n), hom in homs.items():
             f = hom.rows
             right = view.compose(m, m, n, f, view.identity(m)[None])[:, 0]

@@ -138,20 +138,6 @@ class FiniteCategoryView:
         return tuple(self.describe(m, n, row) for row in self.rows(m, n))
 
 
-CATEGORY_IDS = (
-    "bch", "bchop", "graphcube", "graphmeet", "graphdim",
-    "twcubecat", "twgraphdim", "ternary", "semi",
-)
-# graph category id: (its cube builder, its hom constraints)
-_GRAPH_CATEGORIES = {
-    "graphcube": (standard_cube, None),
-    "graphmeet": (standard_cube, bound_constraints),
-    "graphdim": (standard_cube, dimension_constraints),
-    "twcubecat": (twisted_cube, None),
-    "twgraphdim": (twisted_cube, dimension_constraints),
-}
-
-
 def _bch_name(m: int, n: int, row: np.ndarray) -> dict:
     """A bch arrow m -> n by name, as in {"m": 2, "n": 1, "map": ["j0", "b1"]}."""
     return {"m": m, "n": n, "map": bch_names(n, row.tolist())}
@@ -179,31 +165,37 @@ def _ternary_view(name: str, rows: Callable[[int, int], np.ndarray]) -> FiniteCa
     )
 
 
-def category_view(cat_id: str) -> FiniteCategoryView:
-    """The nine categories by name, as brute-forceable views."""
-    if cat_id == "bch":
-        return FiniteCategoryView(
-            "bch",
-            bch_rows,
-            np.arange,
-            lambda m, n, p, h, g: bch_compose_rows(h, g, p),
-            _bch_name,
-        )
-    if cat_id == "bchop":
-        return FiniteCategoryView(
+# the nine categories by id, in the order check runs their laws
+_VIEWS = {
+    view.name: view
+    for view in (
+        FiniteCategoryView(
+            "bch", bch_rows, np.arange, lambda m, n, p, h, g: bch_compose_rows(h, g, p), _bch_name
+        ),
+        FiniteCategoryView(
             "bchop",
             lambda m, n: bch_rows(n, m),
             np.arange,
             lambda m, n, p, h, g: bch_compose_rows(g, h, m).transpose(1, 0, 2),
             lambda m, n, row: _bch_name(n, m, row),  # a bch arrow n -> m
-        )
-    if cat_id in _GRAPH_CATEGORIES:
-        return _graph_view(cat_id, *_GRAPH_CATEGORIES[cat_id])
-    if cat_id == "ternary":
-        return _ternary_view("ternary", ternary_rows)
-    if cat_id == "semi":
-        return _ternary_view("semi", semi_rows)
-    raise ValueError(f"unknown category id {cat_id!r}; choose one of {', '.join(CATEGORY_IDS)}")
+        ),
+        _graph_view("graphcube", standard_cube, None),
+        _graph_view("graphmeet", standard_cube, bound_constraints),
+        _graph_view("graphdim", standard_cube, dimension_constraints),
+        _graph_view("twcubecat", twisted_cube, None),
+        _graph_view("twgraphdim", twisted_cube, dimension_constraints),
+        _ternary_view("ternary", ternary_rows),
+        _ternary_view("semi", semi_rows),
+    )
+}
+CATEGORY_IDS = tuple(_VIEWS)
+
+
+def category_view(cat_id: str) -> FiniteCategoryView:
+    """The nine categories by name, as brute-forceable views."""
+    if cat_id not in _VIEWS:
+        raise ValueError(f"unknown category id {cat_id!r}; choose one of {', '.join(CATEGORY_IDS)}")
+    return _VIEWS[cat_id]
 
 
 def hom_table(cat_id: str, max_dim: int) -> list[list[int]]:

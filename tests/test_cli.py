@@ -330,6 +330,25 @@ def test_check_capacity_skip_exit_three():
     assert all("bytes, over the limit of 4096" in s["reason"] for s in skipped)
 
 
+def test_capacity_skips_carry_their_reports_names():
+    # a skip names its check as the report of an unrefused run does, step by step
+    proc = run_child(
+        "import sys\n"
+        "from cubecats import kernels\n"
+        "from cubecats.cli import main\n"
+        "kernels.MAX_FRONTIER = 2**12\n"
+        'sys.exit(main(["check", "--suite", "all", "--max-dim", "3"]))\n'
+    )
+    assert proc.returncode == 3, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    skipped = [line["check"] for line in lines if "skipped" in line]
+    assert len(lines) == 18 and len(skipped) == 7
+    assert all(f"SKIP {name}: " in proc.stderr for name in skipped)
+    golden = Path(__file__).parent / "golden" / "check_all_max_dim_3.txt"
+    unrefused = [json.loads(line)["check"] for line in golden.read_text().splitlines()]
+    assert [line["check"] for line in lines] == unrefused
+
+
 def test_check_laws_skips_one_category(capsys, monkeypatch):
     def refuse(m, n):
         raise CapacityError("graphcube refused")
@@ -342,11 +361,10 @@ def test_check_laws_skips_one_category(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "check", "--suite", "laws", "--max-dim", "2")
     assert code == 3
     lines = [json.loads(line) for line in out.splitlines()]
-    assert [line["check"] for line in lines] == [
-        "laws[graphcube]" if cat_id == "graphcube" else f"category_laws[{cat_id}]"
-        for cat_id in CATEGORY_IDS
-    ]
-    skip = {"check": "laws[graphcube]", "skipped": "capacity", "reason": "graphcube refused"}
+    assert [line["check"] for line in lines] == [f"category_laws[{c}]" for c in CATEGORY_IDS]
+    skip = {
+        "check": "category_laws[graphcube]", "skipped": "capacity", "reason": "graphcube refused"
+    }
     assert lines[2] == skip
     assert all(line["passed"] for line in lines if line is not lines[2])
 

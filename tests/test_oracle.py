@@ -79,8 +79,9 @@ def _reference_laws(cat, max_dim, max_assoc_dim):
     """check_category_laws without its index tables: every triple is composed
     twice, (h∘g)∘f and h∘(g∘f), and the two composite rows are compared.
 
-    It checks no closure, so it agrees with the table check exactly on
-    views whose hom-sets are closed under compose.
+    It checks no closure and does not look the identities up, so it agrees
+    with the table check exactly on views whose hom-sets are closed under
+    compose and hold their identities.
     """
     name = f"category_laws[{cat.name}]"
     counts = {"identity_checks": 0, "associativity_checks": 0}
@@ -370,6 +371,28 @@ def test_identity_on_another_graph_is_not_gathered():
     assert rep.counterexample == {
         "law": "exception", "error": "identity(0) gave shape (2,), expected (1,)"
     }
+
+
+def _without_identities(view):
+    """view with the row of id_n taken out of hom(n, n) for every n >= 1."""
+
+    def rows(m, n):
+        found = view.rows(m, n)
+        return found[(found != view.identity(n)).any(axis=1)] if m == n > 0 else found
+
+    return dataclasses.replace(view, rows=rows)
+
+
+@pytest.mark.parametrize("cat_id", CATEGORY_IDS)
+def test_identity_outside_its_hom_set_fails_identity_arrow(cat_id):
+    # composing with identity(n) cannot show that it is an arrow: for the
+    # graph views arange is a unit of any rows, and semi(n, n) holds
+    # nothing else, so semi without identities passed every other law
+    view = _without_identities(category_view(cat_id))
+    for max_dim, max_assoc_dim in ((2, 2), (3, 2)):
+        rep = check_category_laws(view, max_dim, max_assoc_dim)
+        assert rep.counterexample == {"law": "identity arrow", "n": 1}
+        assert rep.counts == {"identity_checks": 0, "associativity_checks": 0}
 
 
 def test_misshapen_rows_are_an_exception_in_laws():
@@ -1198,6 +1221,9 @@ def _failing_sites():
     builder_failed = _raising(ValueError, "builder failed")
     f0, w, o = (1, 0), (0, 0), (1, 1)
     return [
+        ("identity arrow", lambda: check_category_laws(
+            _without_identities(category_view("semi")), 2
+        )),
         ("right identity", lambda: check_category_laws(dataclasses.replace(
             bch, compose_rows=lambda m, n, p, h, g: bch.compose_rows(m, n, p, h, g[..., ::-1])
         ), 2)),
@@ -1271,7 +1297,7 @@ def test_failing_reports_match_golden(capsys, monkeypatch):
     # check prints each report as one JSON line; comparing bytes, not dicts,
     # also pins the order of the keys
     sites = _failing_sites()
-    monkeypatch.setattr(cli, "_suite_steps", lambda suite, d: sites)
+    monkeypatch.setattr(cli, "_suite_steps", lambda suite, d: [check for _, check in sites])
     assert cli.main(["check"]) == 1
     out = capsys.readouterr().out
     assert len(out.splitlines()) == len(sites)
