@@ -241,20 +241,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command and return its exit code; the process goes on."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args, parser)
+        try:
+            code = args.func(args, parser)
+        except CapacityError as exc:
+            print(f"capacity error: {exc}", file=sys.stderr)
+            code = 3
         sys.stdout.flush()
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        code = 3
     except BrokenPipeError:
-        # the reader is gone: point stdout at devnull so the flush at exit stays quiet
+        # the reader is gone: point stdout at devnull so a later flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141
     return code
 
 
+def run() -> None:
+    """The process entry: main, then an exit without interpreter teardown.
+
+    A usage error's SystemExit and any uncaught exception end the process
+    the normal way.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    # the output is written, so tearing down numpy and the hom-set caches only costs time
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -70,6 +70,7 @@ class HomRows:
         self.what = what
         largest = int(self.rows.max()) if self.rows.size else 0
         self.digit = np.min_scalar_type(largest).newbyteorder(">")
+        self.top = np.iinfo(self.digit).max
         self.key = np.dtype(f"S{self.digit.itemsize * self.width}")
 
     def __len__(self) -> int:
@@ -96,9 +97,8 @@ class HomRows:
         onto one.
         """
         inside = None
-        top = np.iinfo(self.digit).max
-        if rows.size and rows.max() > top:
-            inside = (rows <= top).all(axis=-1)
+        if rows.size and rows.max() > self.top:
+            inside = (rows <= self.top).all(axis=-1)
             rows = np.where(inside[..., None], rows, 0)
         keys = self._keys(rows)
         if not len(self.keys):

@@ -194,7 +194,7 @@ def bound_constraints(src: Graph, tgt: Graph) -> list[tuple]:
         keep = (w >= 0) & (w != i) & (w != j)
         i, j, w = i[keep], j[keep], w[keep]
         level = np.maximum(j, w)
-        for k in np.unique(level).tolist():
+        for k in sorted(set(level.tolist())):  # np.unique would import all of numpy.ma
             at = level == k
             test = lambda f, I=i[at], J=j[at], W=w[at], t=tgt_table: np.concatenate([
                 (t[f[r, I], f[r, J]] == f[r, W]).all(axis=1)

@@ -446,28 +446,75 @@ def test_closed_stdout_exits_141_without_traceback():
     assert err == ""  # no Traceback, and no "Exception ignored" at exit
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["build", "--kind", "twisted", "--n", "2"],
-        ["homs", "--cat", "bch", "2", "2"],
-        ["table", "--cat", "ternary", "--max-dim", "2"],
-        ["compose", "--cat", "ternary", "0**", "1*"],
-        ["export", "--in", "GRAPH"],
-        ["check", "--suite", "twisted", "--max-dim", "1"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_only_check_loads_the_oracle(tmp_path, argv):
+def test_process_entry_writes_all_output_before_it_exits(tmp_path):
+    # stdout to a file is block-buffered: what is not flushed before the
+    # entry's os._exit is lost
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    entry = [sys.executable, "-m", "cubecats.cli"]
+    out = tmp_path / "check.txt"
+    with out.open("wb") as stdout:
+        proc = subprocess.run(
+            entry + ["check", "--suite", "all", "--max-dim", "3"],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.endswith("18/18 checks passed, 0 skipped\n")
+    golden = Path(__file__).parent / "golden" / "check_all_max_dim_3.txt"
+    assert out.read_bytes() == golden.read_bytes()
+    for argv, code, message in [
+        (["check", "--max-dim", "9"], 2, "--max-dim must be between 0 and 4"),
+        (["homs", "--cat", "graphcube", "9", "9"], 3, "capacity error: "),
+    ]:
+        proc = subprocess.run(entry + argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+ONE_OF_EACH_COMMAND = [
+    ["build", "--kind", "twisted", "--n", "2"],
+    ["homs", "--cat", "bch", "2", "2"],
+    ["table", "--cat", "ternary", "--max-dim", "2"],
+    ["compose", "--cat", "ternary", "0**", "1*"],
+    ["export", "--in", "GRAPH"],
+    ["check", "--suite", "twisted", "--max-dim", "1"],
+]
+
+
+def modules_after_main(tmp_path, argv, module):
+    """Run main(argv) in a new process; its exit code and stderr end with
+    whether module was loaded.  GRAPH in argv names a one-vertex graph file."""
     graph = tmp_path / "g.json"
     graph.write_text('{"dimension": 0, "vertices": [""], "edges": [["", ""]]}')
     argv = [str(graph) if arg == "GRAPH" else arg for arg in argv]
-    proc = run_child(
+    return run_child(
         "import sys\n"
         "from cubecats.cli import main\n"
         f"code = main({argv!r})\n"
-        'print("cubecats.oracle" in sys.modules, file=sys.stderr)\n'
+        f"print({module!r} in sys.modules, file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
+
+
+@pytest.mark.parametrize("argv", ONE_OF_EACH_COMMAND, ids=lambda argv: argv[0])
+def test_only_check_loads_the_oracle(tmp_path, argv):
+    proc = modules_after_main(tmp_path, argv, "cubecats.oracle")
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == str(argv[0] == "check")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ONE_OF_EACH_COMMAND
+    + [
+        ["check", "--suite", "all", "--max-dim", "3"],
+        ["homs", "--cat", "graphmeet", "2", "2"],
+        ["table", "--cat", "graphmeet", "--max-dim", "2"],
+    ],
+    ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv),
+)
+def test_no_command_loads_numpy_ma(tmp_path, argv):
+    # np.unique imports all of numpy.ma, which no listing or check needs
+    proc = modules_after_main(tmp_path, argv, "numpy.ma")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False"

@@ -242,6 +242,23 @@ def test_category_laws_capacity(monkeypatch):
         check_category_laws(category_view("bch"), 2, 2)
 
 
+def test_graphcube_laws_at_five_are_refused_before_five_to_four():
+    # the hom dict is listed m-major: the kernel refuses C^4 -> C^5, so the
+    # 66,489,720 rows of C^5 -> C^4 are never listed
+    view = category_view("graphcube")
+    calls = []
+
+    def recorded(m, n):
+        calls.append((m, n))
+        return view.rows(m, n)
+
+    with pytest.raises(CapacityError) as exc:
+        check_category_laws(dataclasses.replace(view, rows=recorded), 5, 2)
+    assert exc.value.check == "category_laws[graphcube]"
+    assert calls[-1] == (4, 5)
+    assert (5, 4) not in calls
+
+
 def test_broken_composition_fails_associativity():
     # h∘g ignores g: every g is read as the first arrow of its hom-set
     view = category_view("bch")
