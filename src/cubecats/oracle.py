@@ -76,14 +76,14 @@ class CheckReport:
 
     name: str
     params: dict
-    passed: bool
     counterexample: Optional[dict]
     counts: dict = field(default_factory=dict)
     elapsed: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.passed == (self.counterexample is not None):
-            raise ValueError("counterexample must be present exactly when the check fails")
+    @property
+    def passed(self) -> bool:
+        """A check passes exactly when it found no counterexample."""
+        return self.counterexample is None
 
     def to_dict(self, include_elapsed: bool = False) -> dict:
         """The report as check prints it, without elapsed, so that stdout is
@@ -123,9 +123,7 @@ def _run(
     except CapacityError as exc:
         exc.check = name
         raise
-    return CheckReport(
-        name, params, counterexample is None, counterexample, counts, time.perf_counter() - t0
-    )
+    return CheckReport(name, params, counterexample, counts, time.perf_counter() - t0)
 
 
 def _call(fn: Callable, *args):
@@ -171,8 +169,9 @@ class _Rows:
 
 def _first(bad: np.ndarray) -> Optional[tuple]:
     """Position of the first True of bad in row-major order, or None."""
-    found = np.argwhere(bad)
-    return tuple(int(i) for i in found[0]) if len(found) else None
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
 
 
 def _one_side_only(left: HomRows, right: HomRows) -> Optional[tuple[list, bool]]:

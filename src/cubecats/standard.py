@@ -122,10 +122,9 @@ def hom_matrix(src: Graph, tgt: Graph, constraints: Optional[Callable] = None) -
     when None), as read-only lexicographic uint8 rows of target indices; the
     kernel's capacity rule applies.  The cache keys on the arguments as
     passed, so the package passes constraints positionally, None included."""
-    edges = [(src.index[u], src.index[v]) for u, v in src.edge_list]
     extra = constraints(src, tgt) if constraints else ()
     return kernels.edge_preserving_maps(
-        len(src.vertices), len(tgt.vertices), edges, tgt.adjacency, extra
+        len(src.vertices), len(tgt.vertices), np.argwhere(src.adjacency), tgt.adjacency, extra
     )
 
 
@@ -205,18 +204,16 @@ def bound_constraints(src: Graph, tgt: Graph) -> list[tuple]:
 
 
 def dimension_constraints(src: Graph, tgt: Graph) -> list[tuple]:
-    """Each non-loop edge of the cube src changes the same target bits as the
-    first edge of its dimension class, as hom enumeration constraints into
-    the cube tgt: a cube vertex index is its binary value, so the bits an
-    edge changes name its dimension, whichever cube tgt is."""
-    idx = src.index
+    """Each non-loop edge of the cube src after the first of its dimension
+    class, in edge_list order, changes the same target bits as that first
+    edge, as hom enumeration constraints into the cube tgt: a cube vertex
+    index is its binary value, so the bits an edge changes name its
+    dimension, whichever cube tgt is."""
     first: dict[int, tuple[int, int]] = {}
     out = []
-    for u, w in src.edge_list:
-        s, t = idx[u], idx[w]
-        if s == t:
-            continue
+    for s, t in np.argwhere(src.adjacency).tolist():
         s0, t0 = first.setdefault(s ^ t, (s, t))
-        test = lambda f, s=s, t=t, s0=s0, t0=t0: f[:, s] ^ f[:, t] == f[:, s0] ^ f[:, t0]
-        out.append(((s, t, s0, t0), test))
+        if s != t and (s0, t0) != (s, t):
+            test = lambda f, s=s, t=t, s0=s0, t0=t0: f[:, s] ^ f[:, t] == f[:, s0] ^ f[:, t0]
+            out.append(((s, t, s0, t0), test))
     return out

@@ -165,9 +165,9 @@ def graphdim_to_ternary_rows(m: int, n: int, vmaps: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def ternary_rows(m: int, n: int) -> np.ndarray:
     """Digit rows of all ternary arrows m -> n, read-only, in canonical order (0 < 1 < ⋆):
-    the kernel's rows of n digits, each prefix with at most m stars."""
+    the kernel's rows of n digits, each prefix of over m digits with at most m stars."""
     at_most_m_stars = lambda rows: (rows == 2).sum(axis=1) <= m
-    stars = [((k,), at_most_m_stars) for k in range(n)]
+    stars = [((k,), at_most_m_stars) for k in range(m, n)]
     return kernels.edge_preserving_maps(n, 3, (), np.ones((3, 3), dtype=bool), stars)
 
 

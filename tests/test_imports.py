@@ -1,4 +1,5 @@
-"""Every name a package module, or tests/predicates.py, imports is used in that module."""
+"""Every name a package module, or tests/predicates.py, imports is used in that
+module, and every package and test module parses as Python 3.10."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,12 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(Path(cubecats.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_parses_as_python_3_10(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -1,5 +1,6 @@
 """Hom enumeration kernel: brute-force agreement, ordering, capacity, constraints."""
 
+import hashlib
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -16,7 +17,7 @@ from cubecats.standard import (
     enumerate_graph_homs,
     hom_matrix,
 )
-from cubecats.oracle import category_view
+from cubecats.rows import CATEGORY_IDS, category_view
 
 from predicates import is_dimension_preserving, preserves_joins, preserves_meets
 
@@ -105,6 +106,25 @@ def test_target_beyond_uint8_rows_raises():
     assert hom_matrix(standard_cube(0), standard_cube(8)).ravel().tolist() == list(range(256))
 
 
+def test_a_loop_prunes_only_into_a_target_without_every_loop():
+    loops = np.array([[0, 0], [1, 1], [2, 2]], dtype=np.int64)
+    adj = np.ones((3, 3), dtype=bool)
+    adj[1, 1] = False
+    maps = kernels.edge_preserving_maps(3, 3, loops, adj)
+    assert maps.tolist() == [list(row) for row in product((0, 2), repeat=3)]
+    # into a target with every loop, the loops add no test: no mask and no
+    # kept copy is built beside the 128^3 rows of 3 bytes
+    nt = 128
+    tracemalloc.start()
+    try:
+        maps = kernels.edge_preserving_maps(3, nt, loops, np.ones((nt, nt), dtype=bool))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert maps.shape == (nt**3, 3)
+    assert peak < 1.5 * maps.nbytes
+
+
 def test_kernel_output_is_lexicographic():
     args = _args(standard_cube(2), standard_cube(2))
     maps = kernels.edge_preserving_maps(*args)
@@ -177,6 +197,14 @@ def test_bound_constraints_one_test_per_table_and_level():
         assert len(levels) <= 2 * 2**n
 
 
+def test_dimension_constraints_skip_the_first_edge_of_each_class():
+    # m 2^(m-1) non-loop edges in m classes, each class's first edge compared with no other
+    for m in range(5):
+        for n in range(5):
+            src, tgt = standard_cube(m), standard_cube(n)
+            assert len(dimension_constraints(src, tgt)) == m * 2**m // 2 - m
+
+
 def test_fibre_counts_matches_counter():
     src, tgt = twisted_cube(2), twisted_cube(1)
     mat = hom_matrix(src, tgt)
@@ -190,3 +218,29 @@ def test_enumerate_graph_homs_total_counts():
     assert len(enumerate_graph_homs(standard_cube(2), standard_cube(2))) == 24
     assert len(enumerate_graph_homs(standard_cube(3), standard_cube(3))) == 686
     assert len(enumerate_graph_homs(twisted_cube(3), twisted_cube(3))) == 111
+
+
+# sha256 of every listing rows(m, n), m, n <= 4, of each category
+LISTING_DIGESTS = {
+    "bch": "2027922f09248ba5ca2b2074403ff4c806a8349856e0a40b6188c29815e3af07",
+    "bchop": "7b014314293dbebfc30e4d9aea3349176b12ebe9439d5980606647ccf941112b",
+    "graphcube": "d3943e96275cb2e4cc6e8cc648605ddc61984110786d248e10af23420a5cf8d5",
+    "graphmeet": "a94712241bd712d4024bcebb720ea9361d39f99806a7b24b386b8dfe292d70d1",
+    "graphdim": "a94712241bd712d4024bcebb720ea9361d39f99806a7b24b386b8dfe292d70d1",
+    "twcubecat": "233a0140abbb329dcd3674d1b253248984d96eedb961da90cce715c116672ca6",
+    "twgraphdim": "24d405a1acf4655dd871cd1df4ce3eb029c50d570ece06c58d29c06c4ecb6b66",
+    "ternary": "c4f8a0cde4cdf3c0902da29e24715a735b42714ecffa5aff00fd59f8386e4ee8",
+    "semi": "0314b5c920eda62ba6bbe80feca5132022c052d7812147971290635573decce1",
+}
+
+
+@pytest.mark.parametrize("cat_id", CATEGORY_IDS)
+def test_listings_keep_their_bytes(cat_id):
+    view = category_view(cat_id)
+    digest = hashlib.sha256()
+    for m in range(5):
+        for n in range(5):
+            rows = view.rows(m, n)
+            digest.update(f"{m} {n} {rows.shape} {rows.dtype}\n".encode())
+            digest.update(rows.tobytes())
+    assert digest.hexdigest() == LISTING_DIGESTS[cat_id]

@@ -56,16 +56,12 @@ from predicates import (
 
 
 def test_check_report_requires_counterexample_iff_failed():
-    CheckReport("x", {}, True, None)
-    CheckReport("x", {}, False, {"why": "because"})
-    with pytest.raises(ValueError):
-        CheckReport("x", {}, True, {"why": "spurious"})
-    with pytest.raises(ValueError):
-        CheckReport("x", {}, False, None)
+    assert CheckReport("x", {}, None).passed
+    assert not CheckReport("x", {}, {"why": "because"}).passed
 
 
 def test_check_report_json_shape():
-    rep = CheckReport("x", {"d": 1}, True, None, {"n": 2}, elapsed=0.5)
+    rep = CheckReport("x", {"d": 1}, None, {"n": 2}, elapsed=0.5)
     assert json.loads(rep.to_json()) == {
         "check": "x",
         "params": {"d": 1},
@@ -296,6 +292,16 @@ def test_compose_memory_error_propagates():
         check_category_laws(view, 1, 1)
     with pytest.raises(MemoryError):
         check_isomorphism(view, view, _same, _same, max_dim=1)
+
+
+def test_first_failure_position_is_the_first_of_argwhere():
+    rng = np.random.default_rng(0)
+    for shape in [(0,), (0, 3), (5,), (4, 6), (3, 4, 5)]:
+        for density in (0.0, 0.05, 0.5, 1.0):
+            bad = rng.random(shape) < density
+            found = np.argwhere(bad)
+            expected = tuple(int(i) for i in found[0]) if len(found) else None
+            assert oracle._first(bad) == expected, (shape, density)
 
 
 def test_oracle_bug_propagates(monkeypatch):

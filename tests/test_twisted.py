@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubecats import kernels
 from cubecats.cubes import twisted_cube
 from cubecats.oracle import category_view
 from cubecats.standard import compose_graph_rows, hom_matrix, vertex_dict
@@ -228,6 +229,20 @@ def test_ternary_rows_match_the_candidate_filter():
             rows, reference = ternary_rows(m, n), ternary_rows_reference(m, n)
             assert rows.dtype == np.uint8 and rows.shape == reference.shape, (m, n)
             assert (rows == reference).all(), (m, n)
+
+
+def test_ternary_rows_test_stars_only_past_m_digits(monkeypatch):
+    calls, kernel = [], kernels.edge_preserving_maps
+
+    def recorded(ns, nt, edges, adj, constraints):
+        calls.append([positions for positions, _ in constraints])
+        return kernel(ns, nt, edges, adj, constraints)
+
+    monkeypatch.setattr(kernels, "edge_preserving_maps", recorded)
+    for m in range(5):
+        for n in range(5):
+            assert np.array_equal(ternary_rows.__wrapped__(m, n), ternary_rows(m, n))
+            assert calls.pop() == [(k,) for k in range(m, n)], (m, n)
 
 
 def test_ternary_functorial_exhaustive_dim_two():
