@@ -47,10 +47,10 @@ def edge_preserving_maps(
     if nt > 256:
         raise CapacityError(f"hom enumeration needs at most 256 target vertices, got {nt}")
     adj = np.asarray(adj, dtype=np.bool_)
-    loops_allowed = adj.diagonal().all()  # then a pair (s, s) can reject no map
+    all_pairs, all_loops = adj.all(), adj.diagonal().all()  # then no pair (loop) can reject a map
     tests: list[list] = [[] for _ in range(ns)]
     for s, t in np.asarray(edges, dtype=np.int64).reshape(-1, 2).tolist():
-        if s != t or not loops_allowed:
+        if not (all_pairs or s == t and all_loops):
             tests[max(s, t)].append(lambda f, s=s, t=t: adj[f[:, s], f[:, t]])
     for vertices, test in constraints:
         tests[max(vertices)].append(test)

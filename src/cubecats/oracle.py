@@ -10,12 +10,13 @@ times it and builds the CheckReport.  No check assumes the statement
 it is checking.
 
 Every check that reads a category's hom-sets works on morphisms as
-rows: each hom-set is a sorted integer matrix, composition is one
-batched row operation per block of pairs, a composite is found in its
-hom-set by a binary search of its row key, and _one_side_only
-compares two hom-sets by these lookups.  A counterexample names each
-arrow by _Rows.describe, the view's describe called through _call: the
-value homs prints for it.
+rows, read in two ways only: _Rows loads each hom-set as a HomRows, a
+sorted integer matrix whose order is checked at load, and
+_Rows.table_blocks composes a block of pairs in one batched row
+operation and finds each composite by a binary search of its row key.
+_one_side_only compares two hom-sets by these lookups.  A counterexample
+names each arrow by _Rows.describe, the view's describe called through
+_call: the value homs prints for it.
 
 Every call into the code under check goes through _call: a view's
 callbacks, an isomorphism's functors, the factorization's face
@@ -152,16 +153,15 @@ class _Rows:
         identity = _call(self.cat.identity, n)
         return checked_rows(identity, (self.homs[(n, n)].width,), f"identity({n})")
 
-    def compose(self, m: int, n: int, p: int, h: np.ndarray, g: np.ndarray) -> np.ndarray:
-        shape = (len(h), len(g), self.homs[(m, p)].width)
-        composites = _call(self.cat.compose_rows, m, n, p, h, g)
-        return checked_rows(composites, shape, f"compose_rows({m}, {n}, {p})")
-
     def table_blocks(self, m: int, n: int, p: int, h: np.ndarray, g: np.ndarray) -> Iterator:
         """The index in hom(m, p) of each h[i]∘g[j], or -1, in kernels.row_blocks of rows i,
-        each of at most GATHER_BYTES of 8-byte indices: the blocks depend only on len(h), len(g)."""
+        each of at most GATHER_BYTES of 8-byte indices: the blocks depend only on len(h), len(g).
+        This is the one call of the view's compose_rows."""
+        hom, what = self.homs[(m, p)], f"compose_rows({m}, {n}, {p})"
         for rows in kernels.row_blocks(len(h), 8 * len(g)):
-            yield self.homs[(m, p)].index(self.compose(m, n, p, h[rows], g))
+            hs = h[rows]
+            composites = _call(self.cat.compose_rows, m, n, p, hs, g)
+            yield hom.index(checked_rows(composites, (len(hs), len(g), hom.width), what))
 
     def describe(self, m: int, n: int, row: np.ndarray) -> object:
         return _call(self.cat.describe, m, n, np.asarray(row))
@@ -177,7 +177,7 @@ def _first(bad: np.ndarray) -> Optional[tuple]:
 def _one_side_only(left: HomRows, right: HomRows) -> Optional[tuple[list, bool]]:
     """The least row in exactly one of two hom-sets, and whether it is in
     left, or None when they hold the same rows.  Each side's rows are looked
-    up in the other, so both sides' order is checked first."""
+    up in the other, whose order was checked when it was loaded."""
     checked_rows(right.rows, (None, left.width), right.what)
     firsts = [
         (row, side)
@@ -207,15 +207,15 @@ def check_category_laws(
 ) -> CheckReport:
     """Exhaustive identity laws up to max_dim; closure and associativity up to max_assoc_dim.
 
-    Each identity(n) must be an arrow of hom(n, n).  Each hom-set is
-    composed with the identities on both sides in two batched calls.
-    Then _Rows.table_blocks composes the rows of hom(n, p) and hom(m, n)
-    per (m, n, p) with objects up to max_assoc_dim and looks each
-    composite up in hom(m, p).  A composite that is not there fails
-    closure; the others fill a table of hom-set indices, on which
-    associativity is checked in blocks of the same size.  An exception
-    from a callback of the view, or a result of the wrong shape or with
-    a negative value, is an "exception" counterexample.
+    Each identity(n) must be an arrow of hom(n, n).  _Rows.table_blocks
+    composes each hom-set with the identities on both sides, and each
+    composite must have its arrow's own index.  Then it composes the
+    rows of hom(n, p) and hom(m, n) per (m, n, p) with objects up to
+    max_assoc_dim and looks each composite up in hom(m, p).  A composite
+    that is not there fails closure; the others fill a table of hom-set
+    indices, on which associativity is checked in blocks of the same
+    size.  An exception from a callback of the view, or a result of the
+    wrong shape or with a negative value, is an "exception" counterexample.
     """
     if max_assoc_dim is None:
         max_assoc_dim = max_dim
@@ -232,11 +232,11 @@ def check_category_laws(
             if homs[(n, n)].index(view.identity(n)[None])[0] < 0:
                 return {"law": "identity arrow", "n": n}
         for (m, n), hom in homs.items():
-            f = hom.rows
-            right = view.compose(m, m, n, f, view.identity(m)[None])[:, 0]
-            left = view.compose(m, n, n, view.identity(n)[None], f)[0]
-            bad_right = (right != f).any(axis=1)
-            bad = _first(bad_right | (left != f).any(axis=1))
+            f, own = hom.rows, np.arange(len(hom))
+            right = np.concatenate(list(view.table_blocks(m, m, n, f, view.identity(m)[None])))
+            left = np.concatenate(list(view.table_blocks(m, n, n, view.identity(n)[None], f)))
+            bad_right = right[:, 0] != own
+            bad = _first(bad_right | (left[0] != own))
             if bad is not None:
                 (r,) = bad
                 counts["identity_checks"] += 2 * r

@@ -6,15 +6,14 @@ morphism, in strictly increasing lexicographic order; category_view
 lists, composes and names the rows of each of the nine categories.  A
 row's key is its digits as big-endian bytes of the smallest unsigned
 type that holds the hom-set's largest digit.  Keys sort as rows do, so
-HomRows checks a hom-set's order as "its keys strictly increase" and
-finds a row by a binary search of its key.  The oracle checks every
-array a view or functor returns with checked_rows before it indexes.
+HomRows checks a hom-set's order at load as "its keys strictly
+increase", and finds a row by a binary search of its key.  The oracle
+checks every array a view or functor returns with checked_rows first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,7 +60,7 @@ def checked_rows(value: object, shape: tuple, what: str) -> np.ndarray:
 class HomRows:
     """The rows of one hom-set, and the sorted keys that find a row's index in it.
 
-    The keys are built on first lookup, and refused unless they strictly increase.
+    The keys are built at load, and refused unless they strictly increase.
     """
 
     def __init__(self, rows: object, what: str):
@@ -72,6 +71,9 @@ class HomRows:
         self.digit = np.min_scalar_type(largest).newbyteorder(">")
         self.top = np.iinfo(self.digit).max
         self.key = np.dtype(f"S{self.digit.itemsize * self.width}")
+        self.keys = self._keys(self.rows)
+        if not (self.keys[:-1] < self.keys[1:]).all():
+            raise RowError(f"{what} gave rows that are not strictly increasing")
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -81,13 +83,6 @@ class HomRows:
         if not self.width:  # no bytes to view: every empty row has the one empty key
             return np.zeros(rows.shape[:-1], self.key)
         return np.ascontiguousarray(rows, self.digit).view(self.key)[..., 0]
-
-    @cached_property
-    def keys(self) -> np.ndarray:
-        keys = self._keys(self.rows)
-        if not (keys[:-1] < keys[1:]).all():
-            raise RowError(f"{self.what} gave rows that are not strictly increasing")
-        return keys
 
     def index(self, rows: np.ndarray) -> np.ndarray:
         """The index of each row of rows in this hom-set, -1 for a row not in it.

@@ -125,6 +125,27 @@ def test_a_loop_prunes_only_into_a_target_without_every_loop():
     assert peak < 1.5 * maps.nbytes
 
 
+def test_a_pair_prunes_only_into_a_target_without_every_pair():
+    pairs = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
+    adj = np.ones((3, 3), dtype=bool)
+    adj[2, 0] = False
+    maps = kernels.edge_preserving_maps(3, 3, pairs, adj)
+    allowed = [f for f in product(range(3), repeat=3) if all(adj[f[s], f[t]] for s, t in pairs)]
+    assert maps.tolist() == [list(f) for f in allowed]
+    # into a target that allows every pair, as bch_rows(m, 0) and every edge
+    # test into C^0 do, the pairs add no test: no mask and no kept copy is
+    # built beside the 128^3 rows of 3 bytes
+    nt = 128
+    tracemalloc.start()
+    try:
+        maps = kernels.edge_preserving_maps(3, nt, pairs, np.ones((nt, nt), dtype=bool))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert maps.shape == (nt**3, 3)
+    assert peak < 1.5 * maps.nbytes
+
+
 def test_kernel_output_is_lexicographic():
     args = _args(standard_cube(2), standard_cube(2))
     maps = kernels.edge_preserving_maps(*args)

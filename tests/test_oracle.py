@@ -374,6 +374,31 @@ def test_no_morphism_class_in_the_package():
     assert classes == []
 
 
+def _scopes_reading(tree: ast.AST, attr: str) -> list[str]:
+    """The dotted class and function names around each read of .attr in tree."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_compose_rows_is_called_in_table_blocks_only():
+    # the oracle reads a view two ways, loading a hom-set and looking a
+    # composite up: every composite comes from _Rows.table_blocks
+    assert _scopes_reading(ast.parse("class A:\n def f(s): s.x.y\ns.x"), "x") == ["A.f", ""]
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    assert _scopes_reading(tree, "compose_rows") == ["_Rows.table_blocks"]
+
+
 def test_constant_identity_mutant_fails_both_law_paths():
     # The table check and the reference loop report the same failure.
     view = dataclasses.replace(
@@ -539,7 +564,57 @@ def test_reversed_rows_are_an_error_in_meet_equals_dim(monkeypatch, cat_id):
     rep = _meet_equals_dim_reversing(monkeypatch, cat_id)
     error = f"{cat_id} rows(0, 1) gave rows that are not strictly increasing"
     assert rep.counterexample == {"error": error}
-    assert rep.counts == {"hom_sets": 1, "morphisms": 1}
+    # refused when the view's hom-sets are loaded, before any comparison
+    assert rep.counts == {"hom_sets": 0, "morphisms": 0}
+
+
+def _repeat_first(hom):
+    return np.vstack([hom[:1], hom])
+
+
+def _changed_at(view, at, change):
+    """view with its rows(*at) passed through change."""
+    return dataclasses.replace(
+        view, rows=lambda m, n: change(view.rows(m, n)) if (m, n) == at else view.rows(m, n)
+    )
+
+
+def _unordered(tag, cat_id, m, n):
+    """The counterexample {tag: "exception", ...} of rows(m, n) of cat_id out of order."""
+    error = f"{cat_id} rows({m}, {n}) gave rows that are not strictly increasing"
+    return {tag: "exception", "error": error}
+
+
+@pytest.mark.parametrize(
+    "changes, failed",
+    [
+        (
+            {"graphcube": ((3, 2), _repeat_first)},
+            {"category_laws[graphcube]": _unordered("law", "graphcube", 3, 2)},
+        ),
+        (
+            {"twcubecat": ((2, 3), _repeat_first)},
+            {"category_laws[twcubecat]": _unordered("law", "twcubecat", 2, 3)},
+        ),
+        (
+            {"bch": ((3, 2), np.flipud), "bchop": ((2, 3), np.flipud)},
+            {
+                "isomorphism[bchop~graphmeet]": _unordered("stage", "bchop", 2, 3),
+                "category_laws[bch]": _unordered("law", "bch", 3, 2),
+                "category_laws[bchop]": _unordered("law", "bchop", 2, 3),
+            },
+        ),
+    ],
+    ids=["graphcube-repeat", "twcubecat-repeat", "bch-bchop-reversed"],
+)
+def test_unordered_hom_set_no_lookup_reaches_fails_check(capsys, monkeypatch, changes, failed):
+    # no composite of these hom-sets is looked up at depth 3, so only the
+    # order check when a hom-set is loaded can refuse them
+    for cat_id, (at, change) in changes.items():
+        monkeypatch.setitem(rows._VIEWS, cat_id, _changed_at(category_view(cat_id), at, change))
+    assert cli.main(["check", "--suite", "all", "--max-dim", "3"]) == 1
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert {r["check"]: r["counterexample"] for r in reports if not r["passed"]} == failed
 
 
 def test_out_of_range_row_is_an_error_in_meet_equals_dim(monkeypatch):
@@ -1105,12 +1180,12 @@ def test_row_keys_find_members_only(width, top):
     ids=["increasing", "increasing-first-digit", "descending", "equal"],
 )
 def test_row_keys_check_order_with_two_byte_digits(rows, ordered):
-    hom = HomRows(np.array(rows), "rows")
     if ordered:
+        hom = HomRows(np.array(rows), "rows")
         assert hom.index(hom.rows).tolist() == list(range(len(rows)))
     else:
         with pytest.raises(RowError, match="rows gave rows that are not strictly increasing"):
-            hom.index(hom.rows)
+            HomRows(np.array(rows), "rows")
 
 
 def test_row_keys_find_members_only_of_width_zero():
