@@ -31,6 +31,9 @@ SUITES = ("all", "standard", "twisted", "laws", "iso")
 # Largest cube dimension of build (json), homs and table: cubes and their bound
 # tables are built before any enumeration, and a 14-cube takes over 300 MB.
 MAX_DIM = 8
+# Largest cube dimension drawn as DOT: build refuses larger n, export refuses
+# more than 2**MAX_DOT_DIM vertices and looks for no larger cube.
+MAX_DOT_DIM = 4
 
 
 def cmd_build(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -39,8 +42,8 @@ def cmd_build(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error("--n must be non-negative")
     if args.out == "json" and n > MAX_DIM:
         parser.error(f"json output is limited to --n {MAX_DIM}")
-    if args.out == "dot" and n > 4:
-        parser.error("dot output is limited to --n 4")
+    if args.out == "dot" and n > MAX_DOT_DIM:
+        parser.error(f"dot output is limited to --n {MAX_DOT_DIM}")
     twisted = kind == "twisted"
     cube = (twisted_cube if twisted else standard_cube)(n)
     if args.verify_iso:
@@ -60,7 +63,7 @@ def cmd_homs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if m < 0 or n < 0:
         parser.error("dimensions must be non-negative")
     if max(m, n) > MAX_DIM:
-        raise CapacityError(f"homs builds cubes of dimension at most {MAX_DIM} (256 vertices)")
+        raise CapacityError(f"homs lists hom-sets of dimension at most {MAX_DIM}")
     view = category_view(args.cat)
     for row in view.rows(m, n):
         name = view.describe(m, n, row)
@@ -167,7 +170,7 @@ def _detect_cube(g: Graph) -> Optional[bool]:
     as C^0 = T^0 and C^1 = T^1."""
     n = g.dimension
     for twisted, closed in ((False, standard_cube), (True, twisted_cube)):
-        if n <= 4 and g == closed(n):
+        if n <= MAX_DOT_DIM and g == closed(n):
             return twisted
     return None
 
@@ -184,8 +187,8 @@ def cmd_export(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if args.out == "json":
         sys.stdout.write(graph_to_json(graph))
         return 0
-    if len(graph.vertices) > 16:
-        raise CapacityError("dot output is limited to 16 vertices")
+    if len(graph.vertices) > 2**MAX_DOT_DIM:
+        raise CapacityError(f"dot output is limited to {2**MAX_DOT_DIM} vertices")
     twisted = _detect_cube(graph)
     sys.stdout.write(_generic_dot(graph) if twisted is None else to_dot(graph, twisted))
     return 0

@@ -31,9 +31,10 @@ laws and {"stage": "exception"} in the isomorphisms.  An exception in
 the oracle's own code propagates.
 
 The check functions take the pieces they verify as parameters where a
-mutation test needs to swap them out (a cube builder, a hom enumerator,
-a composition rule), so deliberately corrupted inputs demonstrate that
-the checks can fail.
+mutation test needs to swap them out (a cube builder or a category
+view), so deliberately corrupted inputs demonstrate that the checks can
+fail.  Every category is read through a view that rows.py builds; the
+oracle builds none of its own.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterator, Optional
 
@@ -55,18 +56,11 @@ from .rows import (
     FiniteCategoryView,
     HomRows,
     RowError,
-    _graph_view,
     category_view,
     checked_rows,
 )
-from .standard import bchop_to_graphmeet_rows, dimension_constraints, graphmeet_to_bchop_rows
-from .twisted import (
-    graphdim_to_ternary_rows,
-    hamiltonian_path,
-    order_g,
-    ternary_compose_rows,
-    ternary_to_graphdim_rows,
-)
+from .standard import bchop_to_graphmeet_rows, graphmeet_to_bchop_rows
+from .twisted import graphdim_to_ternary_rows, hamiltonian_path, order_g, ternary_to_graphdim_rows
 
 DEFAULT_TRIPLE_CAP = 10**8
 
@@ -680,14 +674,11 @@ def check_ternary_iso(
     comp_dim: int = 2,
     comp_samples: int = 20000,
     seed: int = 20260815,
-    compose: Callable[[np.ndarray, np.ndarray], np.ndarray] = ternary_compose_rows,
+    view: FiniteCategoryView = category_view("ternary"),
 ) -> CheckReport:
-    """Ternary notation matches dimension-preserving twisted-cube maps.
-
-    compose(g, f) composes digit rows as ternary_compose_rows does.
-    """
+    """Ternary notation, read through view, matches dimension-preserving twisted-cube maps."""
     return check_isomorphism(
-        replace(category_view("ternary"), compose_rows=lambda m, n, p, h, g: compose(h, g)),
+        view,
         category_view("twgraphdim"),
         ternary_to_graphdim_rows,
         graphdim_to_ternary_rows,
@@ -699,27 +690,29 @@ def check_ternary_iso(
 
 
 def check_fibre_dimension(
-    max_dim: int = 3, build: Callable[[int], Graph] = twisted_cube
+    max_dim: int = 3,
+    maps: FiniteCategoryView = category_view("twcubecat"),
+    dims: FiniteCategoryView = category_view("twgraphdim"),
 ) -> CheckReport:
     """Equal non-empty fibre sizes characterize dimension preservation.
 
-    _one_side_only compares the edge-preserving maps with equal non-empty
-    fibres with the whole dimension hom-set, both graph views over build.
+    maps lists the edge-preserving maps and dims the dimension-preserving
+    ones.  _one_side_only compares the rows of maps whose non-empty fibres
+    are equal with the whole hom-set of dims.
     """
     counts = {"morphisms": 0}
     objs = range(max_dim + 1)
 
     def first_failure() -> Optional[dict]:
-        maps = _Rows(_graph_view("maps", build, None), objs)
-        dims = _Rows(_graph_view("dimension maps", build, dimension_constraints), objs)
+        edge, dim = _Rows(maps, objs), _Rows(dims, objs)
         for m, n in product(objs, repeat=2):
-            mat = _vertex_maps(maps.homs[(m, n)], m, n)
+            mat = _vertex_maps(edge.homs[(m, n)], m, n)
             fibres = kernels.fibre_counts(mat, 2**n)
             biggest = fibres.max(axis=1)
             equal = np.where(fibres == 0, biggest[:, None], fibres).min(axis=1) == biggest
-            diff = _one_side_only(HomRows(mat[equal], maps.homs[(m, n)].what), dims.homs[(m, n)])
+            diff = _one_side_only(HomRows(mat[equal], edge.homs[(m, n)].what), dim.homs[(m, n)])
             if diff is not None:
-                vmap = (maps if diff[1] else dims).describe(m, n, diff[0])
+                vmap = (edge if diff[1] else dim).describe(m, n, diff[0])
                 sides = {"equal_fibres": diff[1], "dimension_preserving": not diff[1]}
                 return {"m": m, "n": n, "vmap": vmap, **sides}
             counts["morphisms"] += len(mat)

@@ -149,6 +149,11 @@ def test_homs_capacity_exit_three(capsys):
     assert code == 3
     assert out == ""
     assert "dimension at most 8" in err
+    # the same bound for a category that builds no cube
+    code, out, err = run_cli(capsys, "homs", "--cat", "ternary", "9", "9")
+    assert code == 3
+    assert out == ""
+    assert "homs lists hom-sets of dimension at most 8" in err
 
 
 def test_compose_ternary_examples(capsys):
@@ -415,6 +420,30 @@ def test_export_plain_graph_dot(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "export", "--in", str(path), "--out", "dot")
     assert code == 0
     assert out == 'digraph G {\n  rankdir=LR;\n  "0";\n  "1";\n  "1" -> "0";\n}\n'
+
+
+def test_export_dot_refuses_a_five_cube(tmp_path, capsys):
+    _, original, _ = run_cli(capsys, "build", "--kind", "standard", "--n", "5")
+    path = tmp_path / "c5.json"
+    path.write_text(original)
+    code, out, err = run_cli(capsys, "export", "--in", str(path), "--out", "dot")
+    assert code == 3
+    assert out == ""
+    assert "dot output is limited to 16 vertices" in err
+
+
+def test_export_dot_of_a_high_dimension_graph_builds_no_cube(tmp_path, capsys, monkeypatch):
+    # two vertices of dimension 9 are drawn as a plain graph, with no 9-cube to compare
+    built = []
+    monkeypatch.setattr(cli, "standard_cube", built.append)
+    monkeypatch.setattr(cli, "twisted_cube", built.append)
+    u, v = "0" * 9, "1" * 9
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"dimension": 9, "vertices": [u, v], "edges": [[u, v]]}))
+    code, out, _ = run_cli(capsys, "export", "--in", str(path), "--out", "dot")
+    assert code == 0
+    assert built == []
+    assert out == f'digraph G {{\n  rankdir=LR;\n  "{u}";\n  "{v}";\n  "{u}" -> "{v}";\n}}\n'
 
 
 def test_export_unreadable_input_usage_error(tmp_path, capsys):

@@ -41,6 +41,32 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def test_oracle_imports_no_private_name_and_no_replace():
+    # the oracle reads each category through a view that rows.py builds, so it
+    # needs no private builder and no dataclasses.replace
+    tree = ast.parse(Path(cubecats.__file__).with_name("oracle.py").read_text(encoding="utf-8"))
+    froms = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    modules = {"dataclasses"} | {name for module, name in froms if module is None}
+    reads = [
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    ]
+    refused = [
+        (module, name)
+        for module, name in froms + reads
+        if name.startswith("_") or (module, name) == ("dataclasses", "replace")
+    ]
+    assert refused == []
+
+
 @pytest.mark.parametrize(
     "path",
     sorted(Path(cubecats.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")),

@@ -6,7 +6,6 @@ import dataclasses
 import inspect
 import itertools
 import json
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -704,9 +703,17 @@ def test_forward_outside_the_target_hom_set_fails_forward_image():
     }
 
 
+def _untwisted_ternary():
+    """The ternary view composing without the parity xor: plain substitution."""
+    return dataclasses.replace(
+        category_view("ternary"),
+        compose_rows=lambda m, n, p, h, g: ternary_compose_rows(h, g, twist=False),
+    )
+
+
 def test_untwisted_compose_mutant_fails_sampled_composition():
     # pins the seeded draw sequence: comp_dim 0 leaves the samples to find it
-    rep = check_ternary_iso(3, 0, 200, compose=partial(ternary_compose_rows, twist=False))
+    rep = check_ternary_iso(3, 0, 200, view=_untwisted_ternary())
     assert rep.counterexample == {
         "stage": "sampled composition", "dims": [0, 2, 3], "f": "11", "g": "0*1"
     }
@@ -1037,7 +1044,9 @@ INJECTED = {
     ("check_isomorphism", "backward"): lambda raising: check_isomorphism(
         category_view("bch"), category_view("bch"), _same, raising, max_dim=1
     ),
-    ("check_ternary_iso", "compose"): lambda raising: check_ternary_iso(1, 1, 0, compose=raising),
+    ("check_ternary_iso", "view"): lambda raising: check_ternary_iso(
+        1, 1, 0, view=_raising_rows("ternary", raising)
+    ),
     ("check_total_order", "build"): lambda raising: check_total_order(1, build=raising),
     ("check_unique_hamiltonian", "build"): lambda raising: check_unique_hamiltonian(
         1, build=raising
@@ -1048,8 +1057,30 @@ INJECTED = {
     ("check_factorization", "view"): lambda raising: check_factorization(
         1, _raising_rows("twgraphdim", raising)
     ),
-    ("check_fibre_dimension", "build"): lambda raising: check_fibre_dimension(1, build=raising),
+    ("check_fibre_dimension", "maps"): lambda raising: check_fibre_dimension(
+        1, maps=_raising_rows("twcubecat", raising)
+    ),
+    ("check_fibre_dimension", "dims"): lambda raising: check_fibre_dimension(
+        1, dims=_raising_rows("twgraphdim", raising)
+    ),
 }
+
+
+def test_check_builds_no_view(monkeypatch, capsys):
+    # every category is read through its registered view: a run builds none
+    built = []
+    init = rows.FiniteCategoryView.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.name)
+
+    monkeypatch.setattr(rows.FiniteCategoryView, "__init__", spy)
+    dataclasses.replace(category_view("bch"), name="spied")
+    assert built == ["spied"]  # the spy sees a replaced view
+    built.clear()
+    assert cli.main(["check", "--suite", "all", "--max-dim", "3"]) == 0
+    assert built == []
 
 
 def _injectable_parameters():
@@ -1146,8 +1177,7 @@ def test_relabelled_rec_builder_fails_rec_nonrec(monkeypatch):
 
 
 def test_untwisted_compose_mutant_fails_iso():
-    untwisted = partial(ternary_compose_rows, twist=False)
-    rep = check_ternary_iso(2, 2, comp_samples=0, compose=untwisted)
+    rep = check_ternary_iso(2, 2, comp_samples=0, view=_untwisted_ternary())
     assert not rep.passed
     assert rep.counterexample["stage"] == "composition"
 
@@ -1296,6 +1326,14 @@ def _no_edges_into_top(n):
     return Graph(g.vertices, [(u, v) for u, v in g.edges if u == v or v != g.vertices[-1]])
 
 
+def _fibre_views(build):
+    """The maps and dimension maps of check_fibre_dimension, both graph views over build."""
+    return (
+        rows._graph_view("maps", build, None),
+        rows._graph_view("dimension maps", build, dimension_constraints),
+    )
+
+
 def _reversed_path(n):
     """The constructed Hamiltonian path, walked backwards."""
     return [(t, s) for s, t in reversed(twisted.hamiltonian_path(n))]
@@ -1314,7 +1352,7 @@ def _failing_sites():
     bch = category_view("bch")
     raising = dataclasses.replace(bch, compose_rows=_raising(TypeError))
     union = dataclasses.replace(category_view("graphcube"), rows=_origin_or_top_fixing)
-    untwisted = partial(ternary_compose_rows, twist=False)
+    untwisted = _untwisted_ternary()
     reversed_bits = rows._graph_view("reversed", _reversed_bits_twisted, dimension_constraints)
     builder_failed = _raising(ValueError, "builder failed")
     f0, w, o = (1, 0), (0, 0), (1, 1)
@@ -1347,8 +1385,8 @@ def _failing_sites():
             bch, bch, _swap_j0_b0, _sorted_on_one_one, max_dim=2
         )),
         ("identity", lambda: check_isomorphism(bch, bch, _swap_j0_b0, _swap_j0_b0, max_dim=2)),
-        ("composition", lambda: check_ternary_iso(2, 2, 0, compose=untwisted)),
-        ("sampled composition", lambda: check_ternary_iso(3, 0, 200, compose=untwisted)),
+        ("composition", lambda: check_ternary_iso(2, 2, 0, view=untwisted)),
+        ("sampled composition", lambda: check_ternary_iso(3, 0, 200, view=untwisted)),
         ("stage exception", lambda: check_isomorphism(raising, raising, _same, _same, max_dim=1)),
         ("rec_nonrec", lambda: _patched(
             cubes, "cube_rec", _reversed_bits_twisted_rec, check_rec_nonrec, 3
@@ -1386,8 +1424,8 @@ def _failing_sites():
             oracle, "ternary_to_graphdim_rows", _raising(ValueError, "injection failed"),
             check_factorization, 2,
         )),
-        ("fibre_dimension", lambda: check_fibre_dimension(2, build=_no_edges_into_top)),
-        ("fibre_dimension error", lambda: check_fibre_dimension(2, build=builder_failed)),
+        ("fibre_dimension", lambda: check_fibre_dimension(2, *_fibre_views(_no_edges_into_top))),
+        ("fibre_dimension error", lambda: check_fibre_dimension(2, *_fibre_views(builder_failed))),
     ]
 
 
