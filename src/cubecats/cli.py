@@ -23,7 +23,7 @@ import numpy as np
 
 from .graphs import CapacityError, Graph, graph_from_json, graph_to_json
 from .cubes import cube_rec, standard_cube, to_dot, twisted_cube
-from .standard import bch_compose_rows, bch_from_json
+from .standard import bch_from_json
 from .twisted import ternary_compose
 from .rows import CATEGORY_IDS, category_view, hom_table
 
@@ -80,7 +80,7 @@ def cmd_compose(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         if f_n != g_m:
             parser.error(f"cannot compose {g_m}->{g_n} after {f_m}->{f_n}")
         outer, inner = (np.array([entries], dtype=np.intp) for entries in (g, f))
-        gf = bch_compose_rows(outer, inner, g_n)[0, 0]
+        gf = category_view("bch").compose_rows(f_m, g_m, g_n, outer, inner)[0, 0]
         print(json.dumps(category_view("bch").describe(f_m, g_n, gf)))
         return 0
     try:

@@ -12,11 +12,11 @@ it is checking.
 Every check that reads a category's hom-sets works on morphisms as
 rows, read in two ways only: _Rows loads each hom-set as a HomRows, a
 sorted integer matrix whose order is checked at load, and
-_Rows.table_blocks composes a block of pairs in one batched row
-operation and finds each composite by a binary search of its row key.
-_one_side_only compares two hom-sets by these lookups.  A counterexample
-names each arrow by _Rows.describe, the view's describe called through
-_call: the value homs prints for it.
+_Rows.composites composes a block of pairs in one batched row
+operation.  A law that equates two arrows compares their rows; a row is
+looked up by HomRows.index only where an index or a membership is the
+answer.  A counterexample names each arrow by _Rows.describe, the view's
+describe called through _call: the value homs prints for it.
 
 Every call into the code under check goes through _call: a view's
 callbacks, an isomorphism's functors, the factorization's face
@@ -25,10 +25,10 @@ theorem checks.  An exception there becomes a RowError, and so does a
 result of the wrong form: an array that checked_rows refuses, a build
 that is no Graph, a preorder that is no square boolean array over the
 cube's vertices, ranks that are not one integer per vertex, or a path
-that is not 2^n - 1 vertex pairs.  _run turns a RowError into the
+that is not 2^n - 1 chained vertex pairs.  _run turns a RowError into the
 counterexample {"error": message}, tagged {"law": "exception"} in the
-laws and {"stage": "exception"} in the isomorphisms.  An exception in
-the oracle's own code propagates.
+laws and {"stage": "exception"} in the isomorphisms.  An exception in the
+oracle's own code propagates.
 
 The check functions take the pieces they verify as parameters where a
 mutation test needs to swap them out (a cube builder or a category
@@ -147,15 +147,15 @@ class _Rows:
         identity = _call(self.cat.identity, n)
         return checked_rows(identity, (self.homs[(n, n)].width,), f"identity({n})")
 
-    def table_blocks(self, m: int, n: int, p: int, h: np.ndarray, g: np.ndarray) -> Iterator:
-        """The index in hom(m, p) of each h[i]∘g[j], or -1, in kernels.row_blocks of rows i,
-        each of at most GATHER_BYTES of 8-byte indices: the blocks depend only on len(h), len(g).
-        This is the one call of the view's compose_rows."""
-        hom, what = self.homs[(m, p)], f"compose_rows({m}, {n}, {p})"
+    def composites(self, m: int, n: int, p: int, h: np.ndarray, g: np.ndarray) -> Iterator:
+        """The checked rows of each h[i]∘g[j], in kernels.row_blocks of rows i sized for
+        8 bytes a pair, so the blocks depend only on len(h), len(g).  This is the one
+        call of the view's compose_rows."""
+        width, what = self.homs[(m, p)].width, f"compose_rows({m}, {n}, {p})"
         for rows in kernels.row_blocks(len(h), 8 * len(g)):
             hs = h[rows]
             composites = _call(self.cat.compose_rows, m, n, p, hs, g)
-            yield hom.index(checked_rows(composites, (len(hs), len(g), hom.width), what))
+            yield checked_rows(composites, (len(hs), len(g), width), what)
 
     def describe(self, m: int, n: int, row: np.ndarray) -> object:
         return _call(self.cat.describe, m, n, np.asarray(row))
@@ -201,9 +201,9 @@ def check_category_laws(
 ) -> CheckReport:
     """Exhaustive identity laws up to max_dim; closure and associativity up to max_assoc_dim.
 
-    Each identity(n) must be an arrow of hom(n, n).  _Rows.table_blocks
+    Each identity(n) must be an arrow of hom(n, n).  _Rows.composites
     composes each hom-set with the identities on both sides, and each
-    composite must have its arrow's own index.  Then it composes the
+    composite must be its arrow's own row.  Then it composes the
     rows of hom(n, p) and hom(m, n) per (m, n, p) with objects up to
     max_assoc_dim and looks each composite up in hom(m, p).  A composite
     that is not there fails closure; the others fill a table of hom-set
@@ -226,11 +226,11 @@ def check_category_laws(
             if homs[(n, n)].index(view.identity(n)[None])[0] < 0:
                 return {"law": "identity arrow", "n": n}
         for (m, n), hom in homs.items():
-            f, own = hom.rows, np.arange(len(hom))
-            right = np.concatenate(list(view.table_blocks(m, m, n, f, view.identity(m)[None])))
-            left = np.concatenate(list(view.table_blocks(m, n, n, view.identity(n)[None], f)))
-            bad_right = right[:, 0] != own
-            bad = _first(bad_right | (left[0] != own))
+            f = hom.rows
+            right = np.concatenate(list(view.composites(m, m, n, f, view.identity(m)[None])))
+            (left,) = view.composites(m, n, n, view.identity(n)[None], f)  # one row: one block
+            bad_right = (right[:, 0] != f).any(axis=1)
+            bad = _first(bad_right | (left[0] != f).any(axis=1))
             if bad is not None:
                 (r,) = bad
                 counts["identity_checks"] += 2 * r
@@ -249,7 +249,7 @@ def check_category_laws(
         tables = {}  # tables[m, n, p][h, g]: index of h∘g in hom(m, p)
         for m, n, p in product(aobjs, repeat=3):
             hs, gs = homs[(n, p)].rows, homs[(m, n)].rows
-            table = np.concatenate(list(view.table_blocks(m, n, p, hs, gs)))
+            table = np.concatenate(list(map(homs[(m, p)].index, view.composites(m, n, p, hs, gs))))
             bad = _first(table < 0)
             if bad is not None:
                 ih, ig = bad
@@ -316,15 +316,14 @@ def check_isomorphism(
 
     forward(m, n, rows) maps rows of hom_a(m, n) to rows of hom_b(m, n),
     one row each, and backward the other way.  Round trips, forward
-    images and identity preservation run on every hom-set up to max_dim;
-    the forward images give phi[m, n], the index in hom_b(m, n) of the
-    image of each row of hom_a(m, n).  Composition preservation runs on
-    all composable pairs with objects up to comp_dim (default max_dim),
-    then on comp_samples seeded random pairs with objects up to max_dim.
-    For each (k, m, n) it compares phi[k, n][T_a] with T_b, block by block
-    of _Rows.table_blocks, where T_a indexes each g∘f in hom_a(k, n) and
-    T_b each forward(g)∘forward(f) in hom_b(k, n), from hom_b's rows in
-    phi order.  A pair with a composite outside its hom-set fails.
+    images and identity preservation run on every hom-set up to max_dim,
+    and each forward image must be a row of hom_b(m, n).  Composition
+    preservation runs on all composable pairs with objects up to comp_dim
+    (default max_dim), then on comp_samples seeded random pairs with
+    objects up to max_dim.  For each (k, m, n), block by block of
+    _Rows.composites, it looks each g∘f up in hom_a(k, n) and compares
+    its image with forward(g)∘forward(f), composed from the images.  A
+    pair whose g∘f is outside hom_a(k, n) fails.
 
     The round trip b->a->b can fail only when forward's or backward's
     row depends on the rest of its batch: once hom sizes, round trip
@@ -355,21 +354,21 @@ def check_isomorphism(
 
     def first_failure() -> Optional[dict]:
         a, b = _Rows(cat_a, objs), _Rows(cat_b, objs)
-        phi = {}
+        images = {}  # images[m, n]: forward of each row of hom_a(m, n), in hom_b(m, n)'s dtype
         for m, n in product(objs, repeat=2):
             ha, hb = a.homs[(m, n)], b.homs[(m, n)]
             if len(ha) != len(hb):
                 return {"stage": "hom size", "m": m, "n": n, "a": len(ha), "b": len(hb)}
             image = mapped("forward", m, n, ha.rows, hb)
             bad_trip = (mapped("backward", m, n, image, ha) != ha.rows).any(axis=1)
-            phi[(m, n)] = hb.index(image)
-            bad = _first(bad_trip | (phi[(m, n)] < 0))
+            bad = _first(bad_trip | (hb.index(image) < 0))
             if bad is not None:
                 (r,) = bad
                 stage = "round trip a->b->a" if bad_trip[r] else "forward image"
                 counts["round_trips"] += r + (not bad_trip[r])
                 return {"stage": stage, "m": m, "n": n, "f": a.describe(m, n, ha.rows[r])}
             counts["round_trips"] += len(ha)
+            images[(m, n)] = image.astype(hb.rows.dtype)
             again = mapped("forward", m, n, mapped("backward", m, n, hb.rows, ha), hb)
             bad = _first((again != hb.rows).any(axis=1))
             if bad is not None:
@@ -386,11 +385,15 @@ def check_isomorphism(
 
         def agree(k: int, m: int, n: int) -> np.ndarray:
             """agree[g, f]: forward(g∘f) == forward(g)∘forward(f), for g in hom_a(m, n)
-            and f in hom_a(k, m)."""
-            lhs = a.table_blocks(k, m, n, a.homs[(m, n)].rows, a.homs[(k, m)].rows)
-            rhs = b.table_blocks(k, m, n, *(b.homs[mn].rows[phi[mn]] for mn in ((m, n), (k, m))))
-            phi_kn = np.append(phi[(k, n)], -1)
-            return np.concatenate([(phi_kn[t_a] == t_b) & (t_b >= 0) for t_a, t_b in zip(lhs, rhs)])
+            and f in hom_a(k, m); False where g∘f is not in hom_a(k, n)."""
+            gfs = a.composites(k, m, n, a.homs[(m, n)].rows, a.homs[(k, m)].rows)
+            fgs = b.composites(k, m, n, images[(m, n)], images[(k, m)])
+            blocks = []
+            for at, fg in zip(map(a.homs[(k, n)].index, gfs), fgs):
+                found = at >= 0  # -1 reads the last image row, if there is one; found masks it
+                same = (images[(k, n)][at] == fg).all(axis=-1) if found.any() else found
+                blocks.append(found & same)
+            return np.concatenate(blocks)
 
         def composition_failure(stage: str, k: int, m: int, n: int, g: int, f: int) -> dict:
             return {
@@ -538,7 +541,7 @@ def check_total_order(max_n: int = 5, build: Callable[[int], Graph] = twisted_cu
 
 
 def _path(n: int, g: Graph) -> list:
-    """hamiltonian_path(n), checked to be 2^n - 1 pairs of vertices of g."""
+    """hamiltonian_path(n), checked to be 2^n - 1 chained pairs of vertices of g."""
     path = _call(hamiltonian_path, n)
 
     def is_pair(step: object) -> bool:
@@ -548,6 +551,9 @@ def _path(n: int, g: Graph) -> list:
 
     if not (isinstance(path, (list, tuple)) and len(path) == 2**n - 1 and all(map(is_pair, path))):
         raise RowError(f"hamiltonian_path({n}) gave no 2^{n} - 1 vertex pairs of build({n})")
+    for k in range(1, len(path)):
+        if path[k][0] != path[k - 1][1]:
+            raise RowError(f"hamiltonian_path({n}) gave steps {k - 1} and {k} that do not chain")
     return path
 
 

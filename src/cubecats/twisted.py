@@ -23,7 +23,6 @@ import numpy as np
 
 from . import kernels
 from .graphs import Vertex
-from .cubes import twisted_cube
 from .standard import bch_compose_rows, substitution_maps
 
 STAR = "*"
@@ -55,18 +54,11 @@ def order_g(n: int, v: Vertex) -> int:
 
 
 def hamiltonian_path(n: int) -> list[tuple[Vertex, Vertex]]:
-    """The consecutive edges hamiltonian_f(k) -> hamiltonian_f(k+1).
-
-    Every step is checked to be an actual edge of the twisted cube.
-    """
+    """The consecutive steps hamiltonian_f(k) -> hamiltonian_f(k+1); the oracle's
+    check_unique_hamiltonian checks them against the twisted cube's one path."""
     if n < 1:
         raise ValueError("hamiltonian_path needs n >= 1")
-    cube = twisted_cube(n)
-    steps = [(hamiltonian_f(n, k), hamiltonian_f(n, k + 1)) for k in range(2**n - 1)]
-    for s, t in steps:
-        if not cube.has_edge(s, t):
-            raise AssertionError(f"({s}, {t}) is not an edge of the twisted {n}-cube")
-    return steps
+    return [(hamiltonian_f(n, k), hamiltonian_f(n, k + 1)) for k in range(2**n - 1)]
 
 
 DIGITS = "01" + STAR  # a ternary character's digit is its position here

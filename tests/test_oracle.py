@@ -390,12 +390,49 @@ def _scopes_reading(tree: ast.AST, attr: str) -> list[str]:
     return found
 
 
-def test_compose_rows_is_called_in_table_blocks_only():
-    # the oracle reads a view two ways, loading a hom-set and looking a
-    # composite up: every composite comes from _Rows.table_blocks
+def test_compose_rows_is_called_in_composites_only():
+    # the oracle reads a view two ways, loading a hom-set and composing a
+    # block of pairs: every composite comes from _Rows.composites
     assert _scopes_reading(ast.parse("class A:\n def f(s): s.x.y\ns.x"), "x") == ["A.f", ""]
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
-    assert _scopes_reading(tree, "compose_rows") == ["_Rows.table_blocks"]
+    assert _scopes_reading(tree, "compose_rows") == ["_Rows.composites"]
+
+
+def _index_calls(monkeypatch) -> list:
+    """(hom-set, query shape) of each HomRows.index call made from now on."""
+    calls, index = [], HomRows.index
+
+    def spied(self, rows):
+        calls.append((self.what, rows.shape))
+        return index(self, rows)
+
+    monkeypatch.setattr(HomRows, "index", spied)
+    return calls
+
+
+def test_laws_look_up_only_identity_arrows_and_closure_tables(monkeypatch):
+    # the identity laws compare f∘id and id∘f with f's own row
+    calls = _index_calls(monkeypatch)
+    view = category_view("graphcube")
+    assert check_category_laws(view, 2, 1).passed
+    identities = [(f"graphcube rows({n}, {n})", (1, 2**n)) for n in range(3)]
+    tables = [
+        (f"graphcube rows({m}, {p})", (len(view.rows(n, p)), len(view.rows(m, n)), 2**m))
+        for m, n, p in itertools.product(range(2), repeat=3)
+    ]
+    assert calls == identities + tables
+
+
+def test_isomorphism_composition_looks_nothing_up_in_hom_b(monkeypatch):
+    # hom_b is searched once per hom-set, for the forward images; composition
+    # compares forward(g)∘forward(f) with the image row of g∘f
+    calls = _index_calls(monkeypatch)
+    assert check_bchop_graphmeet_iso(2, 2).passed
+    graphmeet = category_view("graphmeet")
+    assert [call for call in calls if call[0].startswith("graphmeet")] == [
+        (f"graphmeet rows({m}, {n})", (len(graphmeet.rows(m, n)), 2**m))
+        for m, n in itertools.product(range(3), repeat=2)
+    ]
 
 
 def test_constant_identity_mutant_fails_both_law_paths():
@@ -852,6 +889,27 @@ def test_composite_outside_hom_a_fails_composition():
         }
 
 
+def test_composite_into_an_empty_hom_a_fails_composition():
+    # bch with hom(0, 2) emptied: every g∘f of 0 -> 1 -> 2 is outside it, and
+    # there is no image row of g∘f to compare with
+    bch = category_view("bch")
+    emptied = dataclasses.replace(
+        bch, rows=lambda m, n: bch.rows(m, n)[:0] if (m, n) == (0, 2) else bch.rows(m, n)
+    )
+    f = {"m": 0, "n": 1, "map": []}
+    for comp_dim, comp_samples, stage, g, pairs in (
+        (2, 0, "composition", ["j0"], {"composition_pairs": 7, "sampled_pairs": 0}),
+        (1, 50, "sampled composition", ["b1"], {"composition_pairs": 26, "sampled_pairs": 10}),
+    ):
+        rep = check_isomorphism(
+            emptied, emptied, _same, _same, max_dim=2, comp_dim=comp_dim, comp_samples=comp_samples
+        )
+        assert rep.counterexample == {
+            "stage": stage, "dims": [0, 1, 2], "f": f, "g": {"m": 1, "n": 2, "map": g}
+        }
+        assert rep.counts == {"round_trips": 74, "identities": 3, **pairs}
+
+
 def test_isomorphism_comp_dim_within_max_dim():
     view = category_view("bch")
     with pytest.raises(ValueError):
@@ -1011,12 +1069,12 @@ def _untwisted_f(n, k):
 
 
 def test_path_outside_the_cube_is_a_counterexample_not_a_crash(monkeypatch, capsys):
-    # hamiltonian_path asserts that each of its steps is an edge
+    # its steps chain, but through vertices in binary order, not the cube's path
     monkeypatch.setattr(twisted, "hamiltonian_f", _untwisted_f)
     rep = check_unique_hamiltonian(3)
     assert not rep.passed
     assert rep.counterexample == {
-        "error": "AssertionError: (00, 01) is not an edge of the twisted 2-cube"
+        "n": 2, "found": ["01", "00", "10", "11"], "constructed": ["00", "01", "10", "11"]
     }
     assert cli.main(["check", "--suite", "twisted", "--max-dim", "3"]) == 1
     assert "FAIL unique_hamiltonian" in capsys.readouterr().err
@@ -1339,10 +1397,31 @@ def _reversed_path(n):
     return [(t, s) for s, t in reversed(twisted.hamiltonian_path(n))]
 
 
-def _sources_lost(n):
-    """The constructed Hamiltonian path with every source after the first set to its target."""
+def _reversed_bits_path(n):
+    """The Hamiltonian path of _reversed_bits_twisted(n): the constructed one with
+    every vertex reversed, so that from n = 2 on more than one step changes bit 0."""
+    return [(s[::-1], t[::-1]) for s, t in twisted.hamiltonian_path(n)]
+
+
+def _unchained_path(n):
+    """The constructed Hamiltonian path with every target kept and each later source
+    its first bit followed by its other bits flipped: from n = 2 on no step chains."""
+    flipped = str.maketrans("01", "10")
     path = twisted.hamiltonian_path(n)
-    return path[:1] + [(t, t) for _, t in path[1:]]
+    return path[:1] + [(s[0] + s[1:].translate(flipped), t) for s, t in path[1:]]
+
+
+def test_steps_that_do_not_chain_fail_hamiltonian(monkeypatch):
+    # the mutant keeps the vertex order and the steps that change bit 0
+    for n in range(1, 5):
+        path, unchained = twisted.hamiltonian_path(n), _unchained_path(n)
+        assert [t for _, t in unchained] == [t for _, t in path]
+        assert [s[0] for s, _ in unchained] == [s[0] for s, _ in path]
+    monkeypatch.setattr(oracle, "hamiltonian_path", _unchained_path)
+    rep = check_unique_hamiltonian(4)
+    assert rep.counterexample == {
+        "error": "hamiltonian_path(2) gave steps 0 and 1 that do not chain"
+    }
 
 
 def _failing_sites():
@@ -1408,7 +1487,8 @@ def _failing_sites():
             oracle, "hamiltonian_path", _reversed_path, check_unique_hamiltonian, 3
         )),
         ("dimension zero steps", lambda: _patched(
-            oracle, "hamiltonian_path", _sources_lost, check_unique_hamiltonian, 3
+            oracle, "hamiltonian_path", _reversed_bits_path, check_unique_hamiltonian, 3,
+            build=_reversed_bits_twisted,
         )),
         ("unique_hamiltonian error", lambda: check_unique_hamiltonian(3, build=builder_failed)),
         ("path not in the cube", lambda: _patched(
