@@ -71,9 +71,6 @@ class Graph:
         """Edges in canonical (source, target) order, loops included."""
         return tuple(sorted(self.edges))
 
-    def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return (u, v) in self.edges
-
     def __eq__(self, other: object) -> bool:
         return self is other or (
             isinstance(other, Graph)

@@ -13,10 +13,13 @@ Every check that reads a category's hom-sets works on morphisms as
 rows, read in two ways only: _Rows loads each hom-set as a HomRows, a
 sorted integer matrix whose order is checked at load, and
 _Rows.composites composes a block of pairs in one batched row
-operation.  A law that equates two arrows compares their rows; a row is
-looked up by HomRows.index only where an index or a membership is the
-answer.  A counterexample names each arrow by _Rows.describe, the view's
-describe called through _call: the value homs prints for it.
+operation.  An identity is an arrow: _Rows.identity reads it once and
+finds it in hom(n, n), and from then on it is that hom-set's row, so
+every block composed is rows of a loaded hom-set, in its dtype.  A law
+that equates two arrows compares their rows; a row is looked up by
+HomRows.index only where an index or a membership is the answer.  A
+counterexample names each arrow by _Rows.describe, the view's describe
+called through _call: the value homs prints for it.
 
 Every call into the code under check goes through _call: a view's
 callbacks, an isomorphism's functors, the factorization's face
@@ -143,19 +146,22 @@ class _Rows:
             for n in objs
         }
 
-    def identity(self, n: int) -> np.ndarray:
-        identity = _call(self.cat.identity, n)
-        return checked_rows(identity, (self.homs[(n, n)].width,), f"identity({n})")
+    def identity(self, n: int) -> Optional[int]:
+        """The index of identity(n) in hom(n, n), or None when it is no arrow of it."""
+        hom = self.homs[(n, n)]
+        identity = checked_rows(_call(self.cat.identity, n), (hom.width,), f"identity({n})")
+        (at,) = hom.index(identity[None])
+        return None if at < 0 else int(at)
 
     def composites(self, m: int, n: int, p: int, h: np.ndarray, g: np.ndarray) -> Iterator:
-        """The checked rows of each h[i]∘g[j], in kernels.row_blocks of rows i sized for
-        8 bytes a pair, so the blocks depend only on len(h), len(g).  This is the one
-        call of the view's compose_rows."""
-        width, what = self.homs[(m, p)].width, f"compose_rows({m}, {n}, {p})"
-        for rows in kernels.row_blocks(len(h), 8 * len(g)):
+        """(rows, the checked rows of each h[i]∘g[j] for i in rows), in kernels.row_blocks
+        sized for the larger of an 8-byte index and a row of hom(m, p) a pair.  This is
+        the one call of the view's compose_rows."""
+        hom, what = self.homs[(m, p)], f"compose_rows({m}, {n}, {p})"
+        for rows in kernels.row_blocks(len(h), max(8, hom.width * hom.rows.itemsize) * len(g)):
             hs = h[rows]
             composites = _call(self.cat.compose_rows, m, n, p, hs, g)
-            yield checked_rows(composites, (len(hs), len(g), width), what)
+            yield rows, checked_rows(composites, (len(hs), len(g), hom.width), what)
 
     def describe(self, m: int, n: int, row: np.ndarray) -> object:
         return _call(self.cat.describe, m, n, np.asarray(row))
@@ -181,34 +187,20 @@ def _one_side_only(left: HomRows, right: HomRows) -> Optional[tuple[list, bool]]
     return min(firsts, default=None)
 
 
-def _associativity_failure(gf: np.ndarray, hg: np.ndarray, x_f: np.ndarray, h_y: np.ndarray):
-    """(h, g, f) positions of the first triple with (h∘g)∘f != h∘(g∘f), or None.
-
-    gf[g, f] and hg[h, g] index g∘f and h∘g in their hom-sets; x_f[x, f]
-    indexes x∘f for x in the hom-set of h∘g, and h_y[h, y] indexes h∘y
-    for y in the hom-set of g∘f.  Rows of h are compared in kernels.row_blocks.
-    """
-    for rows in kernels.row_blocks(len(hg), gf.nbytes):
-        ok = x_f[hg[rows]] == h_y[rows][:, gf]
-        if not ok.all():
-            ih, ig, jf = np.unravel_index(int(ok.argmin()), ok.shape)
-            return rows.start + int(ih), int(ig), int(jf)
-    return None
-
-
 def check_category_laws(
     cat: FiniteCategoryView, max_dim: int, max_assoc_dim: Optional[int] = None
 ) -> CheckReport:
     """Exhaustive identity laws up to max_dim; closure and associativity up to max_assoc_dim.
 
     Each identity(n) must be an arrow of hom(n, n).  _Rows.composites
-    composes each hom-set with the identities on both sides, and each
-    composite must be its arrow's own row.  Then it composes the
-    rows of hom(n, p) and hom(m, n) per (m, n, p) with objects up to
-    max_assoc_dim and looks each composite up in hom(m, p).  A composite
-    that is not there fails closure; the others fill a table of hom-set
-    indices, on which associativity is checked in blocks of the same
-    size.  An exception from a callback of the view, or a result of the
+    composes each hom-set with the identities' own rows of hom(m, m) and
+    hom(n, n), and each composite must be its arrow's own row.  Then it
+    composes the rows of hom(n, p) and hom(m, n) per (m, n, p) with
+    objects up to max_assoc_dim and looks each composite up in hom(m, p).
+    A composite that is not there fails closure; the others fill a table
+    of hom-set indices, on which associativity is checked in
+    kernels.row_blocks, each block's first failing triple found by
+    _first.  An exception from a callback of the view, or a result of the
     wrong shape or with a negative value, is an "exception" counterexample.
     """
     if max_assoc_dim is None:
@@ -222,13 +214,16 @@ def check_category_laws(
     def first_failure() -> Optional[dict]:
         view = _Rows(cat, objs)
         homs = view.homs
+        ids = []  # ids[n]: the row of identity(n), as hom(n, n) holds it
         for n in objs:
-            if homs[(n, n)].index(view.identity(n)[None])[0] < 0:
+            at = view.identity(n)
+            if at is None:
                 return {"law": "identity arrow", "n": n}
+            ids.append(homs[(n, n)].rows[at : at + 1])
         for (m, n), hom in homs.items():
             f = hom.rows
-            right = np.concatenate(list(view.composites(m, m, n, f, view.identity(m)[None])))
-            (left,) = view.composites(m, n, n, view.identity(n)[None], f)  # one row: one block
+            right = np.concatenate([fid for _, fid in view.composites(m, m, n, f, ids[m])])
+            ((_, left),) = view.composites(m, n, n, ids[n], f)  # one row: one block
             bad_right = (right[:, 0] != f).any(axis=1)
             bad = _first(bad_right | (left[0] != f).any(axis=1))
             if bad is not None:
@@ -249,7 +244,8 @@ def check_category_laws(
         tables = {}  # tables[m, n, p][h, g]: index of h∘g in hom(m, p)
         for m, n, p in product(aobjs, repeat=3):
             hs, gs = homs[(n, p)].rows, homs[(m, n)].rows
-            table = np.concatenate(list(map(homs[(m, p)].index, view.composites(m, n, p, hs, gs))))
+            hgs = view.composites(m, n, p, hs, gs)
+            table = np.concatenate([homs[(m, p)].index(hg) for _, hg in hgs])
             bad = _first(table < 0)
             if bad is not None:
                 ih, ig = bad
@@ -262,22 +258,21 @@ def check_category_laws(
             tables[(m, n, p)] = table
         for k, m, n, p in product(aobjs, repeat=4):
             fs, gs, hs = homs[(k, m)].rows, homs[(m, n)].rows, homs[(n, p)].rows
-            bad = _associativity_failure(
-                tables[(k, m, n)],
-                tables[(m, n, p)],
-                tables[(k, m, p)],
-                tables[(k, n, p)],
-            )
-            if bad is not None:
-                ih, ig, jf = bad
-                counts["associativity_checks"] += (ih * len(gs) + ig) * len(fs) + jf
-                return {
-                    "law": "associativity",
-                    "dims": [k, m, n, p],
-                    "f": view.describe(k, m, fs[jf]),
-                    "g": view.describe(m, n, gs[ig]),
-                    "h": view.describe(n, p, hs[ih]),
-                }
+            gf, hg = tables[(k, m, n)], tables[(m, n, p)]
+            for rows in kernels.row_blocks(len(hs), gf.nbytes):
+                # (h∘g)∘f against h∘(g∘f), as indices in hom(k, p)
+                bad = _first(tables[(k, m, p)][hg[rows]] != tables[(k, n, p)][rows][:, gf])
+                if bad is not None:
+                    ih, ig, jf = bad
+                    ih += rows.start
+                    counts["associativity_checks"] += (ih * len(gs) + ig) * len(fs) + jf
+                    return {
+                        "law": "associativity",
+                        "dims": [k, m, n, p],
+                        "f": view.describe(k, m, fs[jf]),
+                        "g": view.describe(m, n, gs[ig]),
+                        "h": view.describe(n, p, hs[ih]),
+                    }
             counts["associativity_checks"] += len(hs) * len(gs) * len(fs)
         return None
 
@@ -317,13 +312,15 @@ def check_isomorphism(
     forward(m, n, rows) maps rows of hom_a(m, n) to rows of hom_b(m, n),
     one row each, and backward the other way.  Round trips, forward
     images and identity preservation run on every hom-set up to max_dim,
-    and each forward image must be a row of hom_b(m, n).  Composition
-    preservation runs on all composable pairs with objects up to comp_dim
-    (default max_dim), then on comp_samples seeded random pairs with
-    objects up to max_dim.  For each (k, m, n), block by block of
-    _Rows.composites, it looks each g∘f up in hom_a(k, n) and compares
-    its image with forward(g)∘forward(f), composed from the images.  A
-    pair whose g∘f is outside hom_a(k, n) fails.
+    and each forward image must be a row of hom_b(m, n).  Each identity
+    must be an arrow, and the image of a's identity(n) b's identity(n).
+    Composition preservation runs on all composable pairs with objects up
+    to comp_dim (default max_dim), then on comp_samples seeded random
+    pairs with objects up to max_dim.  For each (k, m, n), block by block
+    of a's _Rows.composites, it looks each g∘f up in hom_a(k, n) and
+    compares its image with forward(g)∘forward(f), composed from the
+    images in b's blocks of the same rows.  A pair whose g∘f is outside
+    hom_a(k, n) fails.
 
     The round trip b->a->b can fail only when forward's or backward's
     row depends on the rest of its batch: once hom sizes, round trip
@@ -378,21 +375,21 @@ def check_isomorphism(
                 return {"stage": "round trip b->a->b", "m": m, "n": n, "g": g}
             counts["round_trips"] += len(hb)
         for n in objs:
-            image = mapped("forward", n, n, a.identity(n)[None], b.homs[(n, n)])
-            if (image[0] != b.identity(n)).any():
+            at_a, at_b = a.identity(n), b.identity(n)
+            if None in (at_a, at_b) or (images[(n, n)][at_a] != b.homs[(n, n)].rows[at_b]).any():
                 return {"stage": "identity", "n": n}
             counts["identities"] += 1
 
         def agree(k: int, m: int, n: int) -> np.ndarray:
             """agree[g, f]: forward(g∘f) == forward(g)∘forward(f), for g in hom_a(m, n)
             and f in hom_a(k, m); False where g∘f is not in hom_a(k, n)."""
-            gfs = a.composites(k, m, n, a.homs[(m, n)].rows, a.homs[(k, m)].rows)
-            fgs = b.composites(k, m, n, images[(m, n)], images[(k, m)])
             blocks = []
-            for at, fg in zip(map(a.homs[(k, n)].index, gfs), fgs):
-                found = at >= 0  # -1 reads the last image row, if there is one; found masks it
-                same = (images[(k, n)][at] == fg).all(axis=-1) if found.any() else found
-                blocks.append(found & same)
+            for rows, gf in a.composites(k, m, n, a.homs[(m, n)].rows, a.homs[(k, m)].rows):
+                at = a.homs[(k, n)].index(gf)  # b's rows may make smaller blocks of the same rows
+                for sub, fg in b.composites(k, m, n, images[(m, n)][rows], images[(k, m)]):
+                    found = at[sub] >= 0  # -1 reads the last image row, if any; found masks it
+                    same = (images[(k, n)][at[sub]] == fg).all(axis=-1) if found.any() else found
+                    blocks.append(found & same)
             return np.concatenate(blocks)
 
         def composition_failure(stage: str, k: int, m: int, n: int, g: int, f: int) -> dict:

@@ -106,9 +106,11 @@ def _entries(rows: np.ndarray, m: int) -> np.ndarray:
 
 
 def _zero_parity(rows: np.ndarray) -> np.ndarray:
-    """At each star, the parity of the zeros of the row since its previous star; 0 elsewhere."""
+    """At each star, the parity of the zeros of the row since its previous star; 0 elsewhere,
+    in the smallest unsigned type that counts a row's digits, so that xoring it in keeps
+    the digit rows' type."""
     star = rows == 2
-    zeros = np.cumsum(rows == 0, axis=1)
+    zeros = np.cumsum(rows == 0, axis=1, dtype=np.min_scalar_type(rows.shape[1]))
     at_star = np.maximum.accumulate(np.where(star, zeros, 0), axis=1)
     before = np.zeros_like(zeros)
     before[:, 1:] = at_star[:, :-1]

@@ -158,7 +158,7 @@ def edge_checked(src: Graph, tgt: Graph, mapping: dict[Vertex, Vertex]) -> dict[
     """mapping, a vertex map of src into tgt by name, after checking that it
     sends every edge of src to an edge of tgt."""
     for u, v in src.edges:
-        if not tgt.has_edge(mapping[u], mapping[v]):
+        if (mapping[u], mapping[v]) not in tgt.edges:
             raise ValueError(
                 f"edge ({u}, {v}) maps to ({mapping[u]}, {mapping[v]}), not an edge of the target"
             )

@@ -29,8 +29,8 @@ def test_bit_conversions_round_trip():
 def test_graph_sorts_vertices_and_freezes_edges():
     g = Graph(["10", "00", "01"], [("00", "01"), ("00", "10")])
     assert g.vertices == ("00", "01", "10")
-    assert g.has_edge("00", "01")
-    assert not g.has_edge("01", "00")
+    assert ("00", "01") in g.edges
+    assert ("01", "00") not in g.edges
     assert g.dimension == 2
 
 
@@ -49,7 +49,7 @@ def test_adjacency_matches_edges():
     adj = g.adjacency
     for i, u in enumerate(g.vertices):
         for j, v in enumerate(g.vertices):
-            assert adj[i, j] == g.has_edge(u, v)
+            assert adj[i, j] == ((u, v) in g.edges)
 
 
 def _brute_reachable(g: Graph) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Every name a package module, or tests/predicates.py, imports is used in that
-module, and every package and test module parses as Python 3.10."""
+module, every public definition of the package is read outside the tests, and
+every package and test module parses as Python 3.10."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -74,3 +76,43 @@ def test_oracle_imports_no_private_name_and_no_replace():
 )
 def test_parses_as_python_3_10(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """The names tree reads: as a name, as an attribute, or by importing it."""
+    return (
+        {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        | {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+    )
+
+
+def test_every_public_definition_is_read_outside_the_tests():
+    # a public function, class or method that only the tests read is surface
+    # kept for the tests alone; the package, the benchmark or README must read it
+    root = Path(__file__).resolve().parent.parent
+    package = sorted(Path(cubecats.__file__).parent.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in package}
+    read = set().union(
+        *map(_reads, trees.values()),
+        *(_reads(ast.parse(p.read_text(encoding="utf-8"))) for p in root.glob("perfbench/*.py")),
+    )
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    defined = [
+        (path.name, node.name)
+        for path, tree in trees.items()
+        for top in tree.body
+        for node in [top] + (top.body if isinstance(top, ast.ClassDef) else [])
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    unread = [
+        (module, name)
+        for module, name in defined
+        if name not in read and not re.search(rf"\b{name}\b", readme)
+    ]
+    assert unread == []

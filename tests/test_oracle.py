@@ -308,10 +308,9 @@ def test_oracle_bug_propagates(monkeypatch):
     def broken(*args):
         raise IndexError("oracle bug")
 
-    monkeypatch.setattr(oracle, "_associativity_failure", broken)
+    monkeypatch.setattr(oracle, "_first", broken)  # every law and round trip stage reaches it
     with pytest.raises(IndexError, match="oracle bug"):
         check_category_laws(category_view("bch"), 1, 1)
-    monkeypatch.setattr(oracle, "_first", broken)  # every round trip stage reaches it
     view = category_view("ternary")
     with pytest.raises(IndexError, match="oracle bug"):
         check_isomorphism(view, view, _same, _same, max_dim=1)
@@ -424,15 +423,98 @@ def test_laws_look_up_only_identity_arrows_and_closure_tables(monkeypatch):
 
 
 def test_isomorphism_composition_looks_nothing_up_in_hom_b(monkeypatch):
-    # hom_b is searched once per hom-set, for the forward images; composition
-    # compares forward(g)∘forward(f) with the image row of g∘f
+    # hom_b is searched once per hom-set, for the forward images, and once per
+    # object, for its identity arrow; composition compares forward(g)∘forward(f)
+    # with the image row of g∘f
     calls = _index_calls(monkeypatch)
     assert check_bchop_graphmeet_iso(2, 2).passed
     graphmeet = category_view("graphmeet")
     assert [call for call in calls if call[0].startswith("graphmeet")] == [
         (f"graphmeet rows({m}, {n})", (len(graphmeet.rows(m, n)), 2**m))
         for m, n in itertools.product(range(3), repeat=2)
-    ]
+    ] + [(f"graphmeet rows({n}, {n})", (1, 2**n)) for n in range(3)]
+
+
+def _spied_rows(monkeypatch) -> tuple[list, list]:
+    """Spies on every _Rows made from now on: (composed, identities).
+
+    composed gets (h loaded, g loaded, composite shape, composite dtype) per
+    compose_rows call, where "loaded" means rows of the hom-set that _Rows
+    loaded, in its dtype; identities gets one Counter per _Rows of the
+    objects whose identity it asked for.
+    """
+    composed, identities = [], []
+    init = oracle._Rows.__init__
+
+    def spied(self, cat, objs):
+        init(self, cat, objs)
+        asked = collections.Counter()
+        identities.append(asked)
+
+        def loaded(rows, m, n):
+            hom = self.homs[(m, n)]
+            return rows.dtype == hom.rows.dtype and bool((hom.index(rows) >= 0).all())
+
+        def compose_rows(m, n, p, h, g):
+            out = np.asarray(cat.compose_rows(m, n, p, h, g))
+            composed.append((loaded(h, n, p), loaded(g, m, n), out.shape, out.dtype))
+            return out
+
+        def identity(n):
+            asked[n] += 1
+            return cat.identity(n)
+
+        self.cat = dataclasses.replace(cat, compose_rows=compose_rows, identity=identity)
+
+    monkeypatch.setattr(oracle._Rows, "__init__", spied)
+    return composed, identities
+
+
+def test_composites_are_uint8_rows_of_loaded_hom_sets(monkeypatch):
+    # every block the oracle composes is rows of a hom-set it loaded, in that
+    # hom-set's dtype, identities included, and so is every composite; each
+    # view's identity is asked for once per object
+    composed, identities = _spied_rows(monkeypatch)
+    for check in cli._suite_steps("all", 3):
+        assert check().passed
+    assert composed
+    assert all(h and g for h, g, _, _ in composed)
+    assert {dtype for _, _, _, dtype in composed} == {np.dtype(np.uint8)}
+    asked = [counter for counter in identities if counter]
+    assert len(asked) == len(CATEGORY_IDS) + 2 * 2  # the laws, and both sides of two isomorphisms
+    assert all(counter == dict.fromkeys(range(4), 1) for counter in asked)
+
+
+def test_largest_law_blocks_at_depth_4_are_uint8_hom_set_rows(monkeypatch):
+    # id_4∘f and f∘id_4 for every f in graphcube(4, 4): the identity is the
+    # hom-set's own uint8 row, so id_4∘f is 1.8 MiB, not the 14.7 MiB of an
+    # int64 arange
+    composed, _ = _spied_rows(monkeypatch)
+    assert check_category_laws(category_view("graphcube"), 4, 2).passed
+    size = {(shape, dtype.str): np.prod(shape) * dtype.itemsize for _, _, shape, dtype in composed}
+    largest = sorted(block for block in size if size[block] == max(size.values()))
+    assert largest == [((1, 120312, 16), "|u1"), ((120312, 1, 16), "|u1")]
+
+
+def test_blocks_of_more_than_one_row_fit_gather_bytes(monkeypatch):
+    # twgraphdim composites are 16 bytes a pair at depth 4, twice an index
+    monkeypatch.setattr(kernels, "GATHER_BYTES", 1 << 12)
+    composed, _ = _spied_rows(monkeypatch)
+    assert check_ternary_iso(4, 4, 0).passed
+    sizes = [np.prod(shape) * dtype.itemsize for _, _, shape, dtype in composed if shape[0] > 1]
+    assert sizes and max(sizes) <= 1 << 12
+
+
+def test_identity_that_is_no_arrow_fails_the_isomorphism_identity_stage():
+    # the swap of T^1's two vertices reverses its one edge, so it is no arrow
+    # of hom(1, 1), though the identity functor sends it to itself
+    twcubecat = category_view("twcubecat")
+    view = dataclasses.replace(
+        twcubecat, identity=lambda n: np.array([1, 0]) if n == 1 else twcubecat.identity(n)
+    )
+    rep = check_isomorphism(view, view, _same, _same, max_dim=2)
+    assert rep.counterexample == {"stage": "identity", "n": 1}
+    assert rep.counts["identities"] == 1
 
 
 def test_constant_identity_mutant_fails_both_law_paths():
@@ -791,9 +873,10 @@ def test_isomorphism_runs_forward_once_per_morphism():
     )
     assert rep.passed
     morphisms = sum(len(view.rows(m, n)) for m in range(3) for n in range(3))
-    # both round trips and the three identities; every composite is in hom_a,
-    # so its image is read from the round trip's images
-    assert rows_mapped == 2 * morphisms + 3 == 67
+    # both round trips, and nothing more: each identity is an arrow of hom_a,
+    # and every composite is too, so their images are read from the round
+    # trip's images
+    assert rows_mapped == 2 * morphisms == 64
 
 
 def test_isomorphism_composes_each_distinct_pair_once():

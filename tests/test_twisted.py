@@ -84,7 +84,7 @@ def test_hamiltonian_path_steps_are_edges():
         t = twisted_cube(n)
         steps = hamiltonian_path(n)
         assert len(steps) == 2**n - 1
-        assert all(t.has_edge(u, v) for u, v in steps)
+        assert all((u, v) in t.edges for u, v in steps)
         visited = [steps[0][0]] + [v for _, v in steps]
         assert len(set(visited)) == 2**n
 
@@ -189,6 +189,7 @@ def test_ternary_compose_matches_the_reference_loop():
         gs, fs = homs[(m, n)], homs[(k, m)]
         for twist in (True, False):
             composites = ternary_compose_rows(gs, fs, twist)
+            assert composites.dtype == np.uint8  # the twist's flip does not widen the digits
             for g, row in zip(map(ternary_seq, gs), composites):
                 for f, composite in zip(map(ternary_seq, fs), row):
                     assert ternary_seq(composite) == ternary_compose_loop(g, f, twist)
