@@ -45,7 +45,8 @@ def test_criterion_02_substitution_category_matches_meet_maps():
     t0 = time.perf_counter()
     report = check_bchop_graphmeet_iso(max_dim=3, comp_dim=2)
     assert report.passed, report.counterexample
-    assert report.counts["round_trips"] > 0
+    # both sides: 2 * Σ |bchop(m, n)| for m, n <= 3
+    assert report.counts["round_trips"] == 448
     assert report.counts["composition_pairs"] > 0
     _within(60, t0)
 
