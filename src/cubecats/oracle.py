@@ -25,13 +25,14 @@ Every call into the code under check goes through _call: a view's
 callbacks, an isomorphism's functors, the factorization's face
 injections, and the cube builders, preorder, order and path of the
 theorem checks.  An exception there becomes a RowError, and so does a
-result of the wrong form: an array that checked_rows refuses, a build
-that is no Graph, a preorder that is no square boolean array over the
-cube's vertices, ranks that are not one integer per vertex, or a path
-that is not 2^n - 1 chained vertex pairs.  _run turns a RowError into the
-counterexample {"error": message}, tagged {"law": "exception"} in the
-laws and {"stage": "exception"} in the isomorphisms.  An exception in the
-oracle's own code propagates.
+result of the wrong form: rows that are not digits 0..255 of the
+expected shape, which checked_rows refuses, so every row HomRows keys
+is bytes; a build that is no Graph; a preorder that is no square
+boolean array over the cube's vertices; ranks that are not one integer
+per vertex; or a path that is not 2^n - 1 chained vertex pairs.  _run
+turns a RowError into the counterexample {"error": message}, tagged
+{"law": "exception"} in the laws and {"stage": "exception"} in the
+isomorphisms.  An exception in the oracle's own code propagates.
 
 The check functions take the pieces they verify as parameters where a
 mutation test needs to swap them out (a cube builder or a category
@@ -201,7 +202,7 @@ def check_category_laws(
     of hom-set indices, on which associativity is checked in
     kernels.row_blocks, each block's first failing triple found by
     _first.  An exception from a callback of the view, or a result of the
-    wrong shape or with a negative value, is an "exception" counterexample.
+    wrong shape or with a digit outside 0..255, is an "exception" counterexample.
     """
     if max_assoc_dim is None:
         max_assoc_dim = max_dim
@@ -336,7 +337,7 @@ def check_isomorphism(
     that are not skipped; otherwise every draw would pass, sampled_pairs
     is comp_samples and nothing is drawn.  An exception from forward,
     backward or a callback of either view, or a result of the wrong
-    shape or with a negative value, is an "exception" counterexample.
+    shape or with a digit outside 0..255, is an "exception" counterexample.
     """
     if comp_dim is None:
         comp_dim = max_dim

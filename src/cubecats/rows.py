@@ -1,14 +1,14 @@
 """Morphisms as rows: the nine category views, checked row arrays, and
 byte keys to look rows up.
 
-A hom-set is a 2-D array of non-negative integers, one row per
-morphism, in strictly increasing lexicographic order; category_view
-lists, composes and names the rows of each of the nine categories.  A
-row's key is its digits as big-endian bytes of the smallest unsigned
-type that holds the hom-set's largest digit.  Keys sort as rows do, so
-HomRows checks a hom-set's order at load as "its keys strictly
-increase", and finds a row by a binary search of its key.  The oracle
-checks every array a view or functor returns with checked_rows first.
+A hom-set is a 2-D array of digits 0..255, one row per morphism, in
+strictly increasing lexicographic order; category_view lists, composes
+and names the rows of each of the nine categories.  A row's key is its
+own bytes, one per digit.  Keys sort as rows do, so HomRows checks a
+hom-set's order at load as "its keys strictly increase", and finds a
+row by a binary search of its key.  The oracle checks every array a
+view or functor returns with checked_rows first, so every row it keys
+is bytes.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ class RowError(Exception):
 
 
 def checked_rows(value: object, shape: tuple, what: str) -> np.ndarray:
-    """value as an array of non-negative integers of the given shape (None
-    matches any length), or RowError naming its source in what."""
+    """value as an array of integers 0..255 of the given shape (None matches
+    any length), or RowError naming its source in what."""
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError) as exc:
@@ -54,23 +54,22 @@ def checked_rows(value: object, shape: tuple, what: str) -> np.ndarray:
         raise RowError(f"{what} gave {arr.dtype} values, expected integers")
     if arr.size and arr.dtype.kind == "i" and arr.min() < 0:
         raise RowError(f"{what} gave the negative value {arr.min()}")
+    if arr.size and arr.dtype.itemsize > 1 and arr.max() > 255:
+        raise RowError(f"{what} gave the value {arr.max()}, expected digits below 256")
     return arr
 
 
 class HomRows:
     """The rows of one hom-set, and the sorted keys that find a row's index in it.
 
-    The keys are built at load, and refused unless they strictly increase.
-    """
+    A row's key is its own bytes.  The keys are built at load, and refused
+    unless they strictly increase."""
 
     def __init__(self, rows: object, what: str):
         self.rows = checked_rows(rows, (None, None), what)
         self.width = self.rows.shape[1]
         self.what = what
-        largest = int(self.rows.max()) if self.rows.size else 0
-        self.digit = np.min_scalar_type(largest).newbyteorder(">")
-        self.top = np.iinfo(self.digit).max
-        self.key = np.dtype(f"S{self.digit.itemsize * self.width}")
+        self.key = np.dtype(f"S{self.width}")
         self.keys = self._keys(self.rows)
         if not (self.keys[:-1] < self.keys[1:]).all():
             raise RowError(f"{what} gave rows that are not strictly increasing")
@@ -79,30 +78,22 @@ class HomRows:
         return len(self.rows)
 
     def _keys(self, rows: np.ndarray) -> np.ndarray:
-        """One key per row of rows, whose digits all fit self.digit."""
+        """One key per row of rows."""
         if not self.width:  # no bytes to view: every empty row has the one empty key
             return np.zeros(rows.shape[:-1], self.key)
-        return np.ascontiguousarray(rows, self.digit).view(self.key)[..., 0]
+        return np.ascontiguousarray(rows, np.uint8).view(self.key)[..., 0]
 
     def index(self, rows: np.ndarray) -> np.ndarray:
         """The index of each row of rows in this hom-set, -1 for a row not in it.
 
-        A digit too large for the hom-set's digit type is in no member;
-        its row is keyed as zeros and then refused, so it cannot wrap
-        onto one.
+        rows have passed checked_rows, so each digit is one byte; a larger
+        digit would wrap onto a smaller one.
         """
-        inside = None
-        if rows.size and rows.max() > self.top:
-            inside = (rows <= self.top).all(axis=-1)
-            rows = np.where(inside[..., None], rows, 0)
         keys = self._keys(rows)
         if not len(self.keys):
             return np.full(keys.shape, -1, dtype=np.intp)
         at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        found = self.keys[at] == keys
-        if inside is not None:
-            found &= inside
-        return np.where(found, at, -1)
+        return np.where(self.keys[at] == keys, at, -1)
 
 
 @dataclass(frozen=True)
@@ -110,7 +101,7 @@ class FiniteCategoryView:
     """Just enough of a category to brute-force its laws, with morphisms as rows.
 
     Objects are the natural numbers up to some bound.  rows(m, n) is
-    hom(m, n) as a 2-D array of non-negative integers, one row per
+    hom(m, n) as a 2-D array of digits 0..255, one row per
     morphism, in strictly increasing lexicographic order; equal rows are
     equal morphisms.  identity(n) is the row of id_n.
     compose_rows(m, n, p, h, g) takes rows h of hom(n, p) and rows g of

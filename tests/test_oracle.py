@@ -600,6 +600,61 @@ def test_misshapen_rows_are_an_exception_in_isomorphism():
     }
 
 
+def _zero_as_256(m, n, rows):
+    """rows with each digit 0 written as 256, which one byte would wrap back onto 0."""
+    return np.where(rows == 0, 256, rows.astype(np.intp))
+
+
+def _256_as_zero(m, n, rows):
+    return np.where(rows == 256, 0, rows)
+
+
+def test_composite_digit_above_255_is_an_exception_in_laws():
+    # identity composites are left alone, so at the closure lookup the
+    # wrapped composite would be found: 256 is refused where it enters
+    graphcube = category_view("graphcube")
+
+    def compose_rows(m, n, p, h, g):
+        composites = graphcube.compose_rows(m, n, p, h, g)
+        return _zero_as_256(m, p, composites) if len({m, n, p}) == 3 else composites
+
+    rep = check_category_laws(dataclasses.replace(graphcube, compose_rows=compose_rows), 2)
+    assert rep.counterexample == {
+        "law": "exception",
+        "error": "compose_rows(0, 1, 2) gave the value 256, expected digits below 256",
+    }
+    assert rep.counts == {"identity_checks": 100, "associativity_checks": 0}
+
+
+def test_forward_digit_above_255_is_an_exception_in_isomorphism():
+    # backward undoes the 256s, so every round trip holds and only the
+    # image's digits are wrong
+    bch = category_view("bch")
+    rep = check_isomorphism(bch, bch, _zero_as_256, _256_as_zero, max_dim=2)
+    assert rep.counterexample == {
+        "stage": "exception",
+        "error": "forward(1, 0) gave the value 256, expected digits below 256",
+    }
+    assert rep.counts == {
+        "round_trips": 6, "identities": 0, "composition_pairs": 0, "sampled_pairs": 0
+    }
+
+
+def test_every_index_query_is_bytes(capsys, monkeypatch):
+    # HomRows.index takes checked rows: no query of a full check holds a
+    # digit outside 0..255
+    ranges, index = [], HomRows.index
+
+    def spied(self, rows):
+        ranges.append((int(rows.min()), int(rows.max())) if rows.size else (0, 0))
+        return index(self, rows)
+
+    monkeypatch.setattr(HomRows, "index", spied)
+    assert cli.main(["check", "--suite", "all", "--max-dim", "3"]) == 0
+    capsys.readouterr()
+    assert ranges and all(0 <= low and high <= 255 for low, high in ranges)
+
+
 def test_isomorphism_check_detects_non_bijection():
     a = category_view("ternary")
     rep = check_isomorphism(
@@ -735,20 +790,35 @@ def test_unordered_hom_set_no_lookup_reaches_fails_check(capsys, monkeypatch, ch
     assert {r["check"]: r["counterexample"] for r in reports if not r["passed"]} == failed
 
 
-def test_out_of_range_row_is_an_error_in_meet_equals_dim(monkeypatch):
-    # the row is on one side only, and naming it through the view fails:
-    # C^1 has no vertex 3
+def _meet_equals_dim_with_graphdim_row(monkeypatch, digit):
+    """check_meet_equals_dim(2) with the row of digit alone appended to
+    each graphdim hom(m, 1)."""
+
     def view(name):
         if name != "graphdim":
             return category_view(name)
         rows = category_view(name).rows
-        out_of_range = lambda m, n: np.vstack([rows(m, n), [[3] * 2**m]]) if n == 1 else rows(m, n)
-        return dataclasses.replace(category_view(name), rows=out_of_range)
+        extra = lambda m, n: np.vstack([rows(m, n), [[digit] * 2**m]]) if n == 1 else rows(m, n)
+        return dataclasses.replace(category_view(name), rows=extra)
 
     monkeypatch.setattr(oracle, "category_view", view)
-    rep = check_meet_equals_dim(2)
+    return check_meet_equals_dim(2)
+
+
+def test_out_of_range_row_is_an_error_in_meet_equals_dim(monkeypatch):
+    # the row is on one side only, and naming it through the view fails:
+    # C^1 has no vertex 3
+    rep = _meet_equals_dim_with_graphdim_row(monkeypatch, 3)
     assert rep.counterexample == {"error": "IndexError: tuple index out of range"}
     assert rep.counts == {"hom_sets": 1, "morphisms": 1}
+
+
+def test_digit_above_255_is_an_error_in_meet_equals_dim(monkeypatch):
+    # refused when graphdim's hom-set is loaded, before any lookup could wrap it
+    rep = _meet_equals_dim_with_graphdim_row(monkeypatch, 256)
+    error = "graphdim rows(0, 1) gave the value 256, expected digits below 256"
+    assert rep.counterexample == {"error": error}
+    assert rep.counts == {"hom_sets": 0, "morphisms": 0}
 
 
 def test_reversed_rows_error_names_the_view(monkeypatch):
@@ -1361,17 +1431,14 @@ def test_untwisted_compose_mutant_fails_iso():
     assert rep.counterexample["stage"] == "composition"
 
 
-@pytest.mark.parametrize("width, top", [(3, 4), (40, 4), (3, 1000)], ids=["3", "40", "3-wide"])
-def test_row_keys_find_members_only(width, top):
-    # digits below 4 key as one byte each, digits up to 999 as two
+@pytest.mark.parametrize("width", [3, 40])
+def test_row_keys_find_members_only(width):
     rng = np.random.default_rng(0)
-    rows = np.unique(rng.integers(0, top, size=(400, width)), axis=0)
+    rows = np.unique(rng.integers(0, 4, size=(400, width)), axis=0)
     hom = HomRows(rows[::2], "rows")
     expected = np.where(np.arange(len(rows)) % 2 == 0, np.arange(len(rows)) // 2, -1)
     assert (hom.index(rows) == expected).all()
-    assert (hom.index(rows[None] + top) == -1).all()  # digits beyond the hom-set's range
-    # digits beyond the key's byte width, which would wrap onto members
-    assert (hom.index(rows + (256 if top <= 256 else 2**16)) == -1).all()
+    assert (hom.index(rows[None] + 4) == -1).all()  # digits beyond the hom-set's range
     with pytest.raises(RowError, match="not strictly increasing"):
         HomRows(rows[::-1], "rows").index(rows)
     with pytest.raises(RowError, match="not strictly increasing"):
@@ -1381,20 +1448,38 @@ def test_row_keys_find_members_only(width, top):
 @pytest.mark.parametrize(
     "rows, ordered",
     [
-        ([[0, 1], [0, 256]], True),
-        ([[255, 0], [256, 0], [256, 1]], True),
-        ([[0, 256], [0, 1]], False),
-        ([[0, 256], [0, 256]], False),
+        ([[0, 1], [0, 255]], True),
+        ([[254, 0], [255, 0], [255, 1]], True),
+        ([[0, 255], [0, 1]], False),
+        ([[0, 255], [0, 255]], False),
     ],
     ids=["increasing", "increasing-first-digit", "descending", "equal"],
 )
-def test_row_keys_check_order_with_two_byte_digits(rows, ordered):
+def test_row_keys_check_order_with_digit_255(rows, ordered):
+    # 255 is the largest byte, keyed above every other digit
     if ordered:
         hom = HomRows(np.array(rows), "rows")
         assert hom.index(hom.rows).tolist() == list(range(len(rows)))
     else:
         with pytest.raises(RowError, match="rows gave rows that are not strictly increasing"):
             HomRows(np.array(rows), "rows")
+
+
+def test_row_keys_find_every_vertex_of_the_8_cube():
+    # hom(C^0, C^8) has one row per vertex, 0..255: every byte is a digit
+    found = hom_matrix(standard_cube(0), standard_cube(8))
+    assert found.max() == 255
+    assert (HomRows(found, "rows").index(found) == np.arange(256)).all()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16])
+def test_digit_above_255_is_refused(dtype):
+    # a row is bytes: 256 would key as 0
+    with pytest.raises(RowError, match="^rows gave the value 256, expected digits below 256$"):
+        HomRows(np.array([[0, 1], [0, 256]], dtype=dtype), "rows")
+    query = np.array([[[256, 0]]], dtype=dtype)
+    with pytest.raises(RowError, match="^query gave the value 256, expected digits below 256$"):
+        rows.checked_rows(query, (1, 1, 2), "query")
 
 
 def test_row_keys_find_members_only_of_width_zero():
@@ -1542,8 +1627,8 @@ def test_steps_that_do_not_chain_fail_hamiltonian(monkeypatch):
 
 def _failing_sites():
     """(name, check) for each place a check can return a counterexample, each
-    with a mutant that reaches it: every law, every isomorphism stage, and
-    every branch of the theorem checks."""
+    with a mutant that reaches it: every law, every isomorphism stage, every
+    branch of the theorem checks, and a functor's digit above 255."""
     bch = category_view("bch")
     raising = dataclasses.replace(bch, compose_rows=_raising(TypeError))
     union = dataclasses.replace(category_view("graphcube"), rows=_origin_or_top_fixing)
@@ -1619,6 +1704,9 @@ def _failing_sites():
         )),
         ("fibre_dimension", lambda: check_fibre_dimension(2, *_fibre_views(_no_edges_into_top))),
         ("fibre_dimension error", lambda: check_fibre_dimension(2, *_fibre_views(builder_failed))),
+        ("forward digit above 255", lambda: check_isomorphism(
+            bch, bch, _zero_as_256, _256_as_zero, max_dim=2
+        )),
     ]
 
 
